@@ -16,11 +16,17 @@ built from the reduced blocks of V give computable bounds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import eeof, entanglement_entropy_vec, eof_symmetric
+from .entanglement import (
+    eeof,
+    entanglement_entropy,
+    entanglement_entropy_vec,
+    eof_symmetric,
+)
 from .errors import NotPSDError
 from .geof import geof
 from .states import (
@@ -112,14 +118,18 @@ def natural_bounds(v: CovMat, psd_tol: float = PSD_TOL) -> NaturalBounds:
 
 
 def sigma_lower_bound(v: CovMat, psd_tol: float = PSD_TOL) -> float:
-    """Lower bound from the midpoint symmetric state M = (A + B)/2.
+    """Lower bound from the midpoint symmetric state.
 
-    Always at least as tight as the larger-block bound, and never above
-    the true EoF.
+    Works on the standard form (a, b, c1, c2) of v, whatever frame v is
+    given in.  The midpoint state (m, m, c1, c2) with m = (a + b)/2 is the
+    average of the standard form and its mode swap, so it is physical,
+    and its PPT eigenvalue is sqrt((m - c1)(m + c2)).  Always at least as
+    tight as the larger-block bound, and never above the true EoF.
     """
     require_physical(v, psd_tol)
-    base, _, _, _ = _construction_frame(v, psd_tol)
-    return eof_symmetric(reduced_symmetric(base, "midpoint"), psd_tol=psd_tol)
+    sf = standard_form(v)
+    m = (sf.a + sf.b) / 2.0
+    return entanglement_entropy(math.sqrt((m - sf.c1) * (m + sf.c2)))
 
 
 def searched_upper_bound(

@@ -67,10 +67,14 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name} in input JSON")
+
+
 def _load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read input file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -83,7 +87,13 @@ def _load_document(path: str) -> dict:
 def _as_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{what} must be finite, got {value!r}")
+    return x
 
 
 def resolve_state_document(doc: dict) -> CovMat:
@@ -99,10 +109,12 @@ def resolve_state_document(doc: dict) -> CovMat:
     if key == "matrix":
         try:
             m = np.asarray(body, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"matrix entries must be numeric: {exc}") from exc
         if m.shape != (4, 4):
             raise ParseError(f"matrix must be 4x4 (row-major), got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ParseError("matrix entries must be finite")
         return CovMat(m)
     if not isinstance(body, dict):
         raise ParseError(f"'{key}' must be an object")
@@ -312,9 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-bound", type=float, default=1e-9,
                        help="tolerance for bound comparisons (default 1e-9)")
         p.add_argument("--geof-tol", type=float, default=1e-6,
-                       help="convergence tolerance of the geof optimizer")
+                       help="angle (radians) at which the geof search stops "
+                            "refining, its value error being of order the square; "
+                            "also the slack of the bound checks against geof "
+                            "(default 1e-6)")
         p.add_argument("--geof-budget", type=int, default=100_000,
-                       help="evaluation budget of the geof optimizer")
+                       help="hard cap on geof objective evaluations, at least 1; "
+                            "a search cut short exits with code 4 (default 100000)")
         p.add_argument("--seed", type=int, default=default_seed,
                        help="random seed (all algorithms are deterministic; "
                             "reserved for future stochastic features)")
@@ -330,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.geof_budget < 1:
+            raise ParseError(f"--geof-budget must be at least 1, got {args.geof_budget}")
+        if not args.tol_psd >= 0.0:
+            raise ParseError(f"--tol-psd must be non-negative, got {args.tol_psd}")
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,6 +165,23 @@ def test_sigma_state_always_physical(rng):
         assert is_physical(reduced_symmetric(v, "midpoint"))
 
 
+def test_sigma_in_a_general_frame_is_the_standard_form_value():
+    # Loewner-comparable raw blocks with a non-diagonal correlation block
+    # once served as the midpoint frame: on physical states that raised,
+    # or gave a "lower bound" above the GeoF.
+    rng = np.random.default_rng(2)
+    checked = 0
+    while checked < 1000:
+        sf = random_standard_form(rng, entangled=True)
+        v = sf.to_covmat().conjugate(random_local_symplectic(rng, squeeze_max=0.3))
+        if not (loewner_ge(v.block_a, v.block_b) or loewner_ge(v.block_b, v.block_a)):
+            continue
+        checked += 1
+        sigma = sigma_lower_bound(v)
+        assert sigma == pytest.approx(sigma_lower_bound(sf.to_covmat()), abs=1e-9)
+        assert sigma <= geof(v).value + 1e-6
+
+
 # ---------------------------------------------------------------------------
 # searched upper bound
 # ---------------------------------------------------------------------------

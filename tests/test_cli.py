@@ -7,6 +7,7 @@ import pytest
 from eofbounds.cli import SCAN_COLUMNS, main, resolve_state_document
 from eofbounds.entanglement import LN2
 from eofbounds.errors import ParseError
+from eofbounds.geof import geof
 
 SQ02 = math.sqrt(0.2)
 F_SYMMETRIC_EXAMPLE = 0.09960127938888494
@@ -134,9 +135,41 @@ def test_analyze_units_bits(tmp_path, capsys):
 def test_analyze_budget_exhausted_exit_code(tmp_path, capsys):
     doc = {"standard_form": {"a": 1.2, "b": 1.2, "c1": SQ02, "c2": -SQ02}}
     path = write(tmp_path, "in.json", doc)
-    assert main(["analyze", "--input", path, "--geof-budget", "50"]) == 4
+    needed = geof(resolve_state_document(doc)).iterations
+    assert main(["analyze", "--input", path, "--geof-budget", str(needed - 1)]) == 4
     out = json.loads(capsys.readouterr().out)
     assert out["bounds"]["flags"]["geof_budget_exhausted"] is True
+    assert out["bounds"]["flags"]["geof_feasible"] is True
+    assert out["bounds"]["geof"] == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-6)
+
+
+def test_analyze_rejects_budget_below_one(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {"standard_form": {"a": 1, "b": 1, "c1": 0, "c2": 0}})
+    for budget in ("0", "-5"):
+        assert main(["analyze", "--input", path, "--geof-budget", budget]) == 2
+    assert "--geof-budget" in capsys.readouterr().err
+
+
+def test_analyze_rejects_negative_tol_psd(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {"standard_form": {"a": 1, "b": 1, "c1": 0, "c2": 0}})
+    assert main(["analyze", "--input", path, "--tol-psd", "-1"]) == 2
+    assert "--tol-psd" in capsys.readouterr().err
+
+
+def test_analyze_non_finite_input_exit_code(tmp_path, capsys):
+    row = "[1.2, 0, 0.3, 0], [0, 1.2, 0, -0.3], [0.3, 0, 1.5, 0], [0, -0.3, 0, 1.5]"
+    texts = [
+        '{"matrix": [%s]}' % row.replace("1.2", "NaN", 1),
+        '{"matrix": [%s]}' % row.replace("1.5", "Infinity", 1),
+        '{"matrix": [%s]}' % row.replace("1.5", "1e999", 1),
+        '{"standard_form": {"a": 1.2, "b": -Infinity, "c1": 0, "c2": 0}}',
+        '{"invariants": {"I1": 1.44, "I2": 1e999, "I3": 0, "I4": 0}}',
+    ]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"in{i}.json"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == 2, text
+    capsys.readouterr()
 
 
 def test_analyze_output_file(tmp_path):
