@@ -6,7 +6,6 @@ from .bounds import (
     NaturalBounds,
     NoiseMatrix,
     bound_report,
-    difference_upper_bound,
     natural_bounds,
     noise_decomposition,
     searched_upper_bound,
@@ -17,7 +16,6 @@ from .errors import (
     DegenerateInvariantsError,
     DomainError,
     EofBoundsError,
-    IncomparableBlocksError,
     NonPhysicalStateError,
     NonPositiveMatrixError,
     NotPSDError,

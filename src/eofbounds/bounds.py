@@ -3,41 +3,35 @@
 Adding classical Gaussian noise (a PSD matrix on the covariance level)
 can only lower the entanglement of formation.  Writing V = V0 + Delta
 with Delta >= 0 therefore orders EoF(V) <= EoF(V0), and symmetric states
-built from the reduced blocks of V give computable bounds:
+(m, m, c1, c2) built on the standard form (a, b, c1, c2) of V give
+computable bounds:
 
-* lower bound from the symmetric state of the larger block,
-* a tighter lower bound from the midpoint block (A + B)/2,
-* upper bound from the symmetric state of the smaller block, when that
+* lower bound from the symmetric state with m = max(a, b),
+* a tighter lower bound from the midpoint m = (a + b)/2,
+* upper bound from the symmetric state with m = min(a, b), when that
   state is physical,
 * a searched upper bound over symmetric states with rescaled
   correlations, covering the case where the natural upper state is
   unphysical.
+
+All of them are closed forms in (a, b, c1, c2).  `_standard_bounds`
+evaluates them, with the physicality and PPT tests of the state and the
+EeoF estimator, in one pass over numpy arrays of standard forms: one
+state for `bound_report`, a whole grid for a scan.  Every value is
+therefore invariant under local symplectics and under swapping the modes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import (
-    eeof,
-    entanglement_entropy,
-    entanglement_entropy_vec,
-    eof_symmetric,
-)
+from .entanglement import entanglement_entropy_vec
 from .errors import NotPSDError
 from .geof import geof
-from .states import (
-    CovMat,
-    is_entangled,
-    is_physical,
-    reduced_symmetric,
-    require_physical,
-    standard_form,
-)
-from .symplectic import PSD_TOL, loewner_ge, min_eigenvalue, symmetrize
+from .states import CovMat, StandardForm, require_physical, standard_form
+from .symplectic import PSD_TOL, least_mu_minus, min_eigenvalue, symmetrize
 
 #: Default tolerance for comparisons between entanglement values.
 BOUND_TOL = 1e-9
@@ -70,70 +64,117 @@ def noise_decomposition(v: CovMat, target: CovMat, tol: float = PSD_TOL) -> Nois
     return NoiseMatrix(delta)
 
 
-def _construction_frame(v: CovMat, psd_tol: float) -> tuple[CovMat, str, str, str]:
-    """Choose the frame and side ordering for bound constructions.
+@dataclass(frozen=True)
+class _StandardBounds:
+    """Closed-form results of `_standard_bounds`, one entry per standard form."""
 
-    Returns (base state, larger side, smaller side, orientation).  Raw
-    blocks are used when they are Loewner comparable; otherwise the state
-    is reduced to standard form, where the scalar blocks always compare.
+    physical: np.ndarray
+    nu_t: np.ndarray  # smallest PPT symplectic eigenvalue; NaN if det V < 0
+    entangled: np.ndarray
+    lower_natural: np.ndarray
+    lower_sigma: np.ndarray
+    upper_natural: np.ndarray  # NaN where upper_physical is False
+    upper_physical: np.ndarray
+    eeof: np.ndarray
+
+
+def _symmetric(m, c1, c2, psd_tol: float, least):
+    """(PPT eigenvalue, physical) of the symmetric states (m, m, c1, c2), c1 >= |c2|."""
+    with np.errstate(invalid="ignore"):
+        nu_minus = np.sqrt((m - c1) * (m - c2))
+        return np.sqrt((m - c1) * (m + c2)), (m - c1 > psd_tol) & (nu_minus >= least)
+
+
+def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
+    """Every closed-form bound of the standard forms (a, b, c1, c2), c1 >= |c2|.
+
+    The standard form splits into Vx = [[a, c1], [c1, b]] and
+    Vp = [[a, c2], [c2, b]].  It is positive definite iff
+    lambda_min(Vx) > psd_tol, and its symplectic eigenvalues are
+    nu+-^2 = eig(Vx Vp), taken as nu+^2 from the trace and discriminant
+    and nu-^2 = det Vx det Vp / nu+^2, which does not cancel for pure
+    states.  The partial transpose flips the sign of c2.  The symmetric
+    state (m, m, c1, c2) has PPT eigenvalue sqrt((m - c1)(m + c2)) and is
+    physical iff m - c1 > psd_tol and sqrt((m - c1)(m - c2)) >= 1 - psd_tol.
+    Each test nu_minus >= 1 - psd_tol also allows the roundoff of its
+    own arithmetic (`least_mu_minus` with scale max(a, b)).
     """
-    a, b = v.block_a, v.block_b
-    if loewner_ge(b, a, psd_tol):
-        return v, "b", "a", "raw"
-    if loewner_ge(a, b, psd_tol):
-        return v, "a", "b", "raw"
-    sf = standard_form(v)
-    base = sf.to_covmat()
-    if sf.b >= sf.a:
-        return base, "b", "a", "standard_form"
-    return base, "a", "b", "standard_form"
+    a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
+    least = least_mu_minus(np.maximum(a, b), psd_tol)
+    ab = a * b
+    det = (ab - c1 * c1) * (ab - c2 * c2)
+
+    def nu_minus(c2):
+        tr = a * a + b * b + 2.0 * c1 * c2
+        disc = (a * a - b * b) ** 2 + 4.0 * (a * c2 + b * c1) * (a * c1 + b * c2)
+        return np.sqrt(det / ((tr + np.sqrt(np.maximum(disc, 0.0))) / 2.0))
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam_min = 2.0 * (ab - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
+        physical = (lam_min > psd_tol) & (nu_minus(c2) >= least)
+        nu_t = nu_minus(-c2)
+        nu_lower, _ = _symmetric(np.maximum(a, b), c1, c2, psd_tol, least)
+        nu_sigma, _ = _symmetric((a + b) / 2.0, c1, c2, psd_tol, least)
+        nu_upper, upper_physical = _symmetric(np.minimum(a, b), c1, c2, psd_tol, least)
+    lower, sigma, upper, estimate = entanglement_entropy_vec(
+        np.stack([nu_lower, nu_sigma, nu_upper, nu_t])
+    )
+    return _StandardBounds(
+        physical=physical,
+        nu_t=nu_t,
+        entangled=nu_t < 1.0 - psd_tol,
+        lower_natural=lower,
+        lower_sigma=sigma,
+        upper_natural=np.where(upper_physical, upper, np.nan),
+        upper_physical=upper_physical,
+        eeof=estimate,
+    )
+
+
+def _form(v: CovMat | StandardForm, psd_tol: float) -> StandardForm:
+    """Standard form of a state checked to be physical; a StandardForm passes as is."""
+    if isinstance(v, StandardForm):
+        return v
+    require_physical(v, psd_tol)
+    return standard_form(v)
 
 
 @dataclass(frozen=True)
 class NaturalBounds:
-    """Bounds from the two reduced-block symmetric states."""
+    """Bounds from the symmetric states of the larger and smaller block."""
 
     lower: float
     upper: float | None
-    orientation: str
-    big_side: str
     upper_physical: bool
 
 
-def natural_bounds(v: CovMat, psd_tol: float = PSD_TOL) -> NaturalBounds:
-    """EoF bounds from the symmetric states of the two reduced blocks.
+def natural_bounds(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> NaturalBounds:
+    """EoF bounds from the symmetric states (m, m, c1, c2) of the standard form.
 
-    The larger block gives a lower bound (its symmetric state is always
-    physical); the smaller block gives an upper bound unless the
-    resulting state is unphysical, in which case `upper` is None.
+    m = max(a, b) gives a lower bound (that state is v plus noise, so it
+    is always physical); m = min(a, b) gives an upper bound unless that
+    state is unphysical, in which case `upper` is None.  Both are
+    computed on the standard form, so they do not depend on the local
+    frame v is given in.
     """
-    require_physical(v, psd_tol)
-    base, big, small, orientation = _construction_frame(v, psd_tol)
-    lower = eof_symmetric(reduced_symmetric(base, big), psd_tol=psd_tol)
-    upper_state = reduced_symmetric(base, small)
-    if is_physical(upper_state, psd_tol):
-        upper = eof_symmetric(upper_state, psd_tol=psd_tol)
-        return NaturalBounds(lower, upper, orientation, big, True)
-    return NaturalBounds(lower, None, orientation, big, False)
+    res = _standard_bounds(*_form(v, psd_tol), psd_tol)
+    upper = float(res.upper_natural) if res.upper_physical else None
+    return NaturalBounds(float(res.lower_natural), upper, bool(res.upper_physical))
 
 
-def sigma_lower_bound(v: CovMat, psd_tol: float = PSD_TOL) -> float:
+def sigma_lower_bound(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> float:
     """Lower bound from the midpoint symmetric state.
 
-    Works on the standard form (a, b, c1, c2) of v, whatever frame v is
-    given in.  The midpoint state (m, m, c1, c2) with m = (a + b)/2 is the
-    average of the standard form and its mode swap, so it is physical,
-    and its PPT eigenvalue is sqrt((m - c1)(m + c2)).  Always at least as
-    tight as the larger-block bound, and never above the true EoF.
+    The midpoint state (m, m, c1, c2) with m = (a + b)/2 is the average of
+    the standard form and its mode swap, so it is physical, and its PPT
+    eigenvalue is sqrt((m - c1)(m + c2)).  Always at least as tight as
+    the larger-block bound, and never above the true EoF.
     """
-    require_physical(v, psd_tol)
-    sf = standard_form(v)
-    m = (sf.a + sf.b) / 2.0
-    return entanglement_entropy(math.sqrt((m - sf.c1) * (m + sf.c2)))
+    return float(_standard_bounds(*_form(v, psd_tol), psd_tol).lower_sigma)
 
 
 def searched_upper_bound(
-    v: CovMat, steps: int = 64, psd_tol: float = PSD_TOL
+    v: CovMat | StandardForm, steps: int = 64, psd_tol: float = PSD_TOL
 ) -> float | None:
     """Tightest upper bound over symmetric states with rescaled correlations.
 
@@ -146,12 +187,9 @@ def searched_upper_bound(
     doubling `steps` refines the previous grid and the returned value
     never increases.
     """
-    require_physical(v, psd_tol)
-    sf = standard_form(v)
-    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2
+    a, b, c1, c2 = _form(v, psd_tol)
 
-    m_hi = min(a, b)
-    m = np.linspace(1.0, m_hi, steps + 1)
+    m = np.linspace(1.0, min(a, b), steps + 1)
     t = np.linspace(0.0, 1.0, steps + 1)[1:]
     mg, tg = np.meshgrid(m, t, indexing="ij")
     mg, tg = mg.ravel(), tg.ravel()
@@ -163,43 +201,19 @@ def searched_upper_bound(
     off = np.maximum((1.0 - tg) * np.abs(c1), (1.0 - tg) * np.abs(c2))
     psd_ok = (da >= -psd_tol) & (db >= -psd_tol) & (da * db - off**2 >= -psd_tol)
 
-    # Physicality of V': positive definiteness (m > t*c1) and nu_minus >= 1.
-    tc1, tc2 = tg * c1, tg * c2
-    pd_ok = mg - np.maximum(np.abs(tc1), np.abs(tc2)) > psd_tol
-    nu_minus_sq = (mg - tc1) * (mg - tc2)
-    phys_ok = pd_ok & (nu_minus_sq >= (1.0 - psd_tol) ** 2)
-
+    # Physicality of V' as for every symmetric state of the pass.
+    least = least_mu_minus(max(a, b), psd_tol)
+    nu_t, phys_ok = _symmetric(mg, tg * c1, tg * c2, psd_tol, least)
     feasible = psd_ok & phys_ok
     if not np.any(feasible):
         return None
-    nu_t = np.sqrt(np.maximum((mg - tc1) * (mg + tc2), 0.0)[feasible])
-    return float(np.min(entanglement_entropy_vec(nu_t)))
-
-
-def difference_upper_bound(v: CovMat, psd_tol: float = PSD_TOL) -> float | None:
-    """Diagnostic upper bound from the block difference M = B - A.
-
-    Available only when B - A <= A in the Loewner order and the symmetric
-    state built from B - A (same correlations) is physical; returns None
-    otherwise.
-    """
-    require_physical(v, psd_tol)
-    a, b = v.block_a, v.block_b
-    m_blk = b - a
-    if not loewner_ge(a, m_blk, psd_tol):
-        return None
-    state = CovMat.from_blocks(m_blk, m_blk, v.block_c)
-    if not is_physical(state, psd_tol):
-        return None
-    return eof_symmetric(state, psd_tol=psd_tol)
+    return float(np.min(entanglement_entropy_vec(nu_t[feasible])))
 
 
 @dataclass(frozen=True)
 class BoundFlags:
     """Diagnostics for the constructed bound states."""
 
-    orientation: str
-    big_side: str
     upper_natural_physical: bool
     searched_feasible: bool | None
     geof_feasible: bool | None
@@ -234,15 +248,16 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
+    The state is checked once and reduced once to its standard form,
+    from which `_standard_bounds` gives every closed-form value.
     Violations of the expected ordering are recorded in the flags rather
     than raised, so callers can inspect borderline numerics.
     """
-    require_physical(v, psd_tol)
-    entangled = is_entangled(v, psd_tol)
-
-    nb = natural_bounds(v, psd_tol)
-    sigma = sigma_lower_bound(v, psd_tol)
-    estimate = eeof(v, psd_tol)
+    sf = _form(v, psd_tol)
+    res = _standard_bounds(*sf, psd_tol)
+    lower, sigma, estimate = (float(x) for x in (res.lower_natural, res.lower_sigma, res.eeof))
+    upper_physical = bool(res.upper_physical)
+    upper = float(res.upper_natural) if upper_physical else None
 
     geof_value: float | None = None
     geof_feasible: bool | None = None
@@ -256,7 +271,7 @@ def bound_report(
     searched: float | None = None
     searched_feasible: bool | None = None
     if include_searched:
-        searched = searched_upper_bound(v, steps=searched_steps, psd_tol=psd_tol)
+        searched = searched_upper_bound(sf, steps=searched_steps, psd_tol=psd_tol)
         searched_feasible = searched is not None
 
     violations: list[str] = []
@@ -265,20 +280,18 @@ def bound_report(
         if lo is not None and hi is not None and lo > hi + tol:
             violations.append(f"{name}: {lo:.12g} > {hi:.12g} + {tol:g}")
 
-    check("lower_natural<=lower_sigma", nb.lower, sigma, bound_tol)
-    check("lower_sigma<=upper_natural", sigma, nb.upper, bound_tol)
+    check("lower_natural<=lower_sigma", lower, sigma, bound_tol)
+    check("lower_sigma<=upper_natural", sigma, upper, bound_tol)
     check("lower_sigma<=upper_searched", sigma, searched, bound_tol)
-    check("lower_natural<=eeof", nb.lower, estimate, bound_tol)
-    check("eeof<=upper_natural", estimate, nb.upper, bound_tol)
+    check("lower_natural<=eeof", lower, estimate, bound_tol)
+    check("eeof<=upper_natural", estimate, upper, bound_tol)
     check("eeof<=upper_searched", estimate, searched, bound_tol)
     check("lower_sigma<=geof", sigma, geof_value, geof_tol)
-    check("geof<=upper_natural", geof_value, nb.upper, geof_tol)
+    check("geof<=upper_natural", geof_value, upper, geof_tol)
     check("geof<=upper_searched", geof_value, searched, geof_tol)
 
     flags = BoundFlags(
-        orientation=nb.orientation,
-        big_side=nb.big_side,
-        upper_natural_physical=nb.upper_physical,
+        upper_natural_physical=upper_physical,
         searched_feasible=searched_feasible,
         geof_feasible=geof_feasible,
         geof_budget_exhausted=exhausted,
@@ -286,12 +299,12 @@ def bound_report(
         violations=tuple(violations),
     )
     return BoundReport(
-        lower_natural=nb.lower,
+        lower_natural=lower,
         lower_sigma=sigma,
-        upper_natural=nb.upper,
+        upper_natural=upper,
         upper_searched=searched,
         eeof=estimate,
         geof=geof_value,
-        entangled=entangled,
+        entangled=bool(res.entangled),
         flags=flags,
     )

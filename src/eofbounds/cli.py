@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .bounds import BoundReport, bound_report
+from .bounds import BoundReport, _standard_bounds, bound_report
 from .entanglement import LN2
 from .errors import (
     DegenerateInvariantsError,
@@ -23,10 +22,11 @@ from .errors import (
     NonPositiveMatrixError,
     ParseError,
 )
+from .geof import geof
 from .states import (
     CovMat,
     Invariants,
-    _spectrum_from_invariants,
+    _standard_forms,
     invariants,
     ppt_eigenvalues,
     standard_form,
@@ -53,8 +53,6 @@ SCAN_COLUMNS = [
 
 #: Accepted spellings of the correlated I4 rule used in grid scans.
 I4_RULE_STRINGS = {"2|I3|sqrt(I1*I2)", "natural"}
-
-_ENV_SEED = "EOFBOUNDS_SEED"
 
 
 def _fmt(x) -> str:
@@ -152,8 +150,6 @@ def _report_dict(report: BoundReport, units: str) -> dict:
         "geof": _convert(report.geof, units),
         "entangled": report.entangled,
         "flags": {
-            "orientation": report.flags.orientation,
-            "big_side": report.flags.big_side,
             "upper_natural_physical": report.flags.upper_natural_physical,
             "searched_feasible": report.flags.searched_feasible,
             "geof_feasible": report.flags.geof_feasible,
@@ -247,60 +243,47 @@ def _parse_scan_spec(args: argparse.Namespace) -> dict:
     }
 
 
-def _scan_row(i1: float, i2: float, i3: float, i4: float, spec: dict, args) -> tuple[list, bool]:
-    """One grid point; returns (row values, budget_exhausted)."""
-    row: dict[str, object] = {c: None for c in SCAN_COLUMNS}
-    row["I1"], row["I2"], row["I3"], row["I4"] = i1, i2, i3, i4
-    try:
-        sf = standard_form_from_invariants(Invariants(i1, i2, i3, i4))
-    except (DegenerateInvariantsError, DomainError):
-        row["status"] = "no_state"
-        return [row[c] for c in SCAN_COLUMNS], False
-    try:
-        row["mu_tilde_minus"] = _spectrum_from_invariants(
-            Invariants(i1, i2, i3, i4), ppt=True
-        ).mu_minus
-    except NonPositiveMatrixError:
-        pass
-    cm = sf.to_covmat()
-    try:
-        report = bound_report(
-            cm,
-            include_geof=spec["geof"],
-            include_searched=False,
-            psd_tol=args.tol_psd,
-            bound_tol=args.tol_bound,
-            geof_tol=args.geof_tol,
-            geof_budget=args.geof_budget,
-        )
-    except NonPhysicalStateError:
-        row["status"] = "unphysical"
-        return [row[c] for c in SCAN_COLUMNS], False
-    row["entangled"] = report.entangled
-    row["eof_lower_natural"] = _convert(report.lower_natural, args.units)
-    row["eof_sigma"] = _convert(report.lower_sigma, args.units)
-    row["geof"] = _convert(report.geof, args.units)
-    row["eeof"] = _convert(report.eeof, args.units)
-    row["eof_upper_natural"] = _convert(report.upper_natural, args.units)
-    row["physical_upper_flag"] = report.flags.upper_natural_physical
-    row["status"] = "ok"
-    return [row[c] for c in SCAN_COLUMNS], report.flags.geof_budget_exhausted
-
-
 def run_scan(args: argparse.Namespace) -> int:
     spec = _parse_scan_spec(args)
-    lines = [",".join(SCAN_COLUMNS)]
+    i1, i2 = (x.ravel() for x in np.meshgrid(spec["i1"], spec["i2"], indexing="ij"))
+    i3 = np.full_like(i1, spec["i3"])
+    i4 = (2.0 * abs(spec["i3"]) * np.sqrt(i1 * i2) if spec["i4_literal"] is None
+          else np.full_like(i1, spec["i4_literal"]))
+    forms = _standard_forms(i1, i2, i3, i4)
+    res = _standard_bounds(*forms, args.tol_psd)
+    ok = res.physical  # False where there is no standard form (NaN)
+    g = np.full_like(i1, np.nan)
     exhausted = False
-    for i1 in spec["i1"]:
-        for i2 in spec["i2"]:
-            i4 = (
-                spec["i4_literal"]
-                if spec["i4_literal"] is not None
-                else 2.0 * abs(spec["i3"]) * math.sqrt(i1 * i2)
-            )
-            values, hit = _scan_row(float(i1), float(i2), spec["i3"], i4, spec, args)
-            exhausted = exhausted or hit
-            lines.append(",".join(_fmt(v) for v in values))
+    for k in np.flatnonzero(ok) if spec["geof"] else ():
+        result = geof(
+            CovMat.from_standard_form(*(float(x[k]) for x in forms)),
+            tol=args.geof_tol,
+            budget=args.geof_budget,
+            psd_tol=args.tol_psd,
+        )
+        exhausted = exhausted or result.budget_exhausted
+        if result.feasible:
+            g[k] = result.value
+
+    def cells(values: np.ndarray, shown: np.ndarray = ok) -> list:
+        return [v if s else None for v, s in zip(values.tolist(), shown.tolist())]
+
+    def entropy(values: np.ndarray, shown: np.ndarray = ok) -> list:
+        return cells(_convert(values, args.units), shown)
+
+    columns = [
+        i1.tolist(), i2.tolist(), i3.tolist(), i4.tolist(),
+        cells(res.nu_t, ~np.isnan(res.nu_t)),
+        cells(res.entangled),
+        entropy(res.lower_natural),
+        entropy(res.lower_sigma),
+        entropy(g, ~np.isnan(g)),
+        entropy(res.eeof),
+        entropy(res.upper_natural, ok & res.upper_physical),
+        cells(res.upper_physical),
+        np.where(ok, "ok", np.where(np.isnan(forms[0]), "no_state", "unphysical")).tolist(),
+    ]
+    lines = [",".join(SCAN_COLUMNS)] + [",".join(map(_fmt, row)) for row in zip(*columns)]
     _write_text(args.output, "\n".join(lines) + "\n")
     return 4 if exhausted else 0
 
@@ -311,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement-of-formation bounds for two-mode Gaussian states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get(_ENV_SEED, "0"))
     for name, func, helptext in (
         ("analyze", run_analyze, "report invariants, spectra and bounds for one state"),
         ("scan", run_scan, "sweep a grid of invariants and emit CSV rows"),
@@ -331,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--geof-budget", type=int, default=100_000,
                        help="hard cap on geof objective evaluations, at least 1; "
                             "a search cut short exits with code 4 (default 100000)")
-        p.add_argument("--seed", type=int, default=default_seed,
-                       help="random seed (all algorithms are deterministic; "
-                            "reserved for future stochastic features)")
         p.add_argument("--units", choices=("nats", "bits"), default="nats",
                        help="units for entanglement values")
         p.add_argument("--no-geof", action="store_true",

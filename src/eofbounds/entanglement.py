@@ -48,15 +48,12 @@ def entanglement_entropy(nu: float) -> float:
 def entanglement_entropy_vec(nu: np.ndarray) -> np.ndarray:
     """Vectorized `entanglement_entropy`; non-positive entries map to inf."""
     nu = np.asarray(nu, dtype=float)
-    out = np.zeros_like(nu)
-    mask = (nu > 0.0) & (nu < 1.0)
-    if np.any(mask):
-        rt = np.sqrt(nu[mask])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rt = np.sqrt(nu)
         cp = (1.0 / rt + rt) ** 2 / 4.0
         cm = (1.0 / rt - rt) ** 2 / 4.0
-        out[mask] = cp * np.log(cp) - cm * np.log(cm)
-    out[nu <= 0.0] = np.inf
-    return out
+        out = cp * np.log(cp) - cm * np.log(cm)
+    return np.where(nu >= 1.0, 0.0, np.where(nu <= 0.0, np.inf, out))
 
 
 def blocks_symmetric(v: CovMat, tol: float = 1e-9) -> bool:

@@ -37,9 +37,5 @@ class NotPSDError(EofBoundsError):
     """Matrix difference has a negative eigenvalue; no noise decomposition."""
 
 
-class IncomparableBlocksError(EofBoundsError):
-    """Neither reduced block dominates the other in the Loewner order."""
-
-
 class ParseError(EofBoundsError):
     """Input document is malformed or fails schema validation."""

@@ -31,6 +31,7 @@ from .symplectic import (
     J2,
     PSD_TOL,
     SympSpectrum,
+    least_mu_minus,
     symmetrize,
     symplectic_spectrum,
 )
@@ -207,13 +208,14 @@ def is_physical(v: CovMat, tol: float = PSD_TOL) -> bool:
 
     Uses the general spectral route, which stays accurate when the two
     symplectic eigenvalues nearly coincide (the closed form cancels
-    catastrophically there, e.g. for pure states).
+    catastrophically there, e.g. for pure states).  The threshold allows
+    the roundoff of that route, so pure states pass at tol = 0.
     """
     try:
         spec = symplectic_spectrum(v.matrix, tol)
     except NonPositiveMatrixError:
         return False
-    return spec.mu_minus >= 1.0 - tol
+    return spec.mu_minus >= least_mu_minus(np.max(np.abs(v.matrix)), tol)
 
 
 def is_entangled(v: CovMat, tol: float = PSD_TOL) -> bool:
@@ -231,13 +233,13 @@ def is_entangled(v: CovMat, tol: float = PSD_TOL) -> bool:
 def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
     """Return mu_minus of v, raising NonPhysicalStateError when below 1.
 
-    Same spectral route as `is_physical`.
+    Same spectral route and threshold as `is_physical`.
     """
     try:
         spec = symplectic_spectrum(v.matrix, tol)
     except NonPositiveMatrixError as exc:
         raise NonPhysicalStateError(str(exc)) from exc
-    if spec.mu_minus < 1.0 - tol:
+    if spec.mu_minus < least_mu_minus(np.max(np.abs(v.matrix)), tol):
         raise NonPhysicalStateError(
             f"state violates the uncertainty bound: mu_minus = {spec.mu_minus:.12g} < 1",
             mu_minus=spec.mu_minus,
@@ -245,46 +247,51 @@ def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
     return spec.mu_minus
 
 
-def standard_form_from_invariants(
-    inv: Invariants, tol: float = 1e-9
-) -> StandardForm:
-    """Solve (a, b, c1, c2) from the invariants.
+def _standard_forms(i1, i2, i3, i4, tol: float = 1e-9):
+    """Arrays (a, b, c1, c2) solved from arrays of invariants.
 
     c1^2 and c2^2 are the roots of t^2 - s*t + I3^2 with s = I4/(a*b);
     the sign of c2 is inherited from I3 and c1 >= |c2| by construction.
+    All four are NaN where no standard form exists: I1 or I2 below 1, or
+    I4/(a*b) < 2|I3| beyond tol (no real correlations).
+    """
+    i1, i2, i3, i4 = (np.asarray(x, dtype=float) for x in (i1, i2, i3, i4))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a, b = np.sqrt(i1), np.sqrt(i2)
+        s = i4 / (a * b)
+        disc = np.maximum(s * s - 4.0 * i3 * i3, 0.0)
+        # Below the cancellation noise floor of s^2 - (2 I3)^2 the split
+        # is c1 = |c2| to within resolution.  Solving through the noisy
+        # discriminant would skew c1 vs |c2| by ~1e-8 and can push the
+        # rebuilt matrix of a pure state below physicality.
+        flat = disc < 1e-13 * (s * s + 4.0 * i3 * i3)
+        root = np.where(flat, 0.0, np.sqrt(disc))
+        c1 = np.sqrt(np.maximum((s + root) / 2.0, 0.0))
+        c2 = np.copysign(np.where(flat, c1, np.sqrt(np.maximum((s - root) / 2.0, 0.0))), i3)
+        c2 = np.where(i3 == 0.0, 0.0, c2)
+        ok = (i1 >= (1.0 - _FORM_SLACK) ** 2) & (i2 >= (1.0 - _FORM_SLACK) ** 2)
+        ok &= s >= 2.0 * np.abs(i3) - tol
+    keep = np.where(ok, 1.0, np.nan)
+    return np.maximum(a, 1.0) * keep, np.maximum(b, 1.0) * keep, c1 * keep, c2 * keep
+
+
+def standard_form_from_invariants(
+    inv: Invariants, tol: float = 1e-9
+) -> StandardForm:
+    """Solve (a, b, c1, c2) from the invariants (see `_standard_forms`).
 
     Raises
     ------
     DegenerateInvariantsError
-        If I4/(a*b) < 2|I3| beyond tol (no real solution).
+        If I1 or I2 is below 1, or I4/(a*b) < 2|I3| beyond tol (no real
+        correlations).
     """
-    i1, i2, i3, i4 = inv
-    if i1 < (1.0 - _FORM_SLACK) ** 2 or i2 < (1.0 - _FORM_SLACK) ** 2:
+    a, b, c1, c2 = (float(x) for x in _standard_forms(*inv, tol))
+    if math.isnan(c1):
         raise DegenerateInvariantsError(
-            f"need I1, I2 >= 1 for a standard form, got I1={i1}, I2={i2}"
+            f"no standard form: need I1, I2 >= 1 and I4/sqrt(I1*I2) >= 2|I3|, got {inv}"
         )
-    a, b = math.sqrt(i1), math.sqrt(i2)
-    s = i4 / (a * b)
-    if s < 2.0 * abs(i3) - tol:
-        raise DegenerateInvariantsError(
-            f"no real correlations: I4/(ab) = {s:.12g} < 2|I3| = {2 * abs(i3):.12g}"
-        )
-    disc = max(s * s - 4.0 * i3 * i3, 0.0)
-    if disc < 1e-13 * (s * s + 4.0 * i3 * i3):
-        # Below the cancellation noise floor of s^2 - (2 I3)^2: the split
-        # is c1 = |c2| to within resolution.  Solving through the noisy
-        # discriminant would skew c1 vs |c2| by ~1e-8 and can push the
-        # rebuilt matrix of a pure state below physicality.
-        c1 = math.sqrt(max(s / 2.0, 0.0))
-        c2 = math.copysign(c1, i3) if i3 != 0.0 else 0.0
-        return StandardForm(max(a, 1.0), max(b, 1.0), c1, c2)
-    root = math.sqrt(disc)
-    c1 = math.sqrt(max((s + root) / 2.0, 0.0))
-    if i3 == 0.0:
-        c2 = 0.0
-    else:
-        c2 = math.copysign(math.sqrt(max((s - root) / 2.0, 0.0)), i3)
-    return StandardForm(max(a, 1.0), max(b, 1.0), c1, c2)
+    return StandardForm(a, b, c1, c2)
 
 
 def standard_form(v: CovMat, tol: float = 1e-9) -> StandardForm:

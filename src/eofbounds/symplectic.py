@@ -19,6 +19,15 @@ from .errors import NonPositiveMatrixError
 PSD_TOL = 1e-10
 
 
+def least_mu_minus(scale, tol: float = PSD_TOL):
+    """Least computed mu_minus taken as physical, for largest matrix entry `scale`.
+
+    1 - tol, less the roundoff of mu_minus: pure states came out up to
+    12 eps scale^2 below 1, so 16 eps scale^2 is allowed.
+    """
+    return 1.0 - tol - 16.0 * np.finfo(float).eps * np.square(scale)
+
+
 def symplectic_form(n_modes: int = 2) -> np.ndarray:
     """Block-diagonal symplectic form with one [[0, 1], [-1, 0]] block per mode."""
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -251,7 +251,7 @@ def test_criterion_9_scan_determinism(tmp_path):
     spec_path = tmp_path / "scan.json"
     spec_path.write_text(json.dumps(spec))
     out1, out2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
-    assert main(["scan", "--input", str(spec_path), "--output", str(out1), "--seed", "11"]) == 0
-    assert main(["scan", "--input", str(spec_path), "--output", str(out2), "--seed", "11"]) == 0
+    assert main(["scan", "--input", str(spec_path), "--output", str(out1)]) == 0
+    assert main(["scan", "--input", str(spec_path), "--output", str(out2)]) == 0
     identical = out1.read_bytes() == out2.read_bytes()
     report(9, "scan determinism", identical, "byte-identical CSV output")

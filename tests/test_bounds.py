@@ -5,7 +5,6 @@ import pytest
 
 from eofbounds.bounds import (
     bound_report,
-    difference_upper_bound,
     natural_bounds,
     noise_decomposition,
     searched_upper_bound,
@@ -91,7 +90,7 @@ def test_natural_bounds_worked_example():
     # 1.5-sqrt(0.2) >= 1 (bound 0), upper state 1.2-sqrt(0.2).
     v = CovMat.from_standard_form(1.2, 1.5, SQ02, -SQ02)
     nb = natural_bounds(v)
-    assert nb.big_side == "b" and nb.orientation == "raw"
+    assert nb.upper_physical
     assert nb.lower == pytest.approx(entanglement_entropy(1.5 - SQ02), abs=1e-12)
     assert nb.lower == 0.0
     assert nb.upper == pytest.approx(entanglement_entropy(1.2 - SQ02), abs=1e-12)
@@ -115,8 +114,8 @@ def test_natural_bounds_unphysical_upper_absent(rng):
 
 
 def test_natural_bounds_incomparable_raw_blocks_fall_back(rng):
-    # Conjugate so the raw blocks are Loewner incomparable; the standard
-    # form still orders the sides.
+    # Conjugate so the raw blocks are Loewner incomparable; the bounds are
+    # still those of the standard form's larger and smaller block.
     found = False
     for _ in range(200):
         sf = random_standard_form(rng, min_asymmetry=0.2)
@@ -124,8 +123,12 @@ def test_natural_bounds_incomparable_raw_blocks_fall_back(rng):
         a, b = v.block_a, v.block_b
         if not loewner_ge(a, b) and not loewner_ge(b, a):
             nb = natural_bounds(v)
-            assert nb.orientation == "standard_form"
-            assert nb.big_side == ("b" if sf.b >= sf.a else "a")
+            big, small = max(sf.a, sf.b), min(sf.a, sf.b)
+            expected = eof_symmetric(CovMat.from_standard_form(big, big, sf.c1, sf.c2))
+            assert nb.lower == pytest.approx(expected, abs=1e-9)
+            upper_state = CovMat.from_standard_form(small, small, sf.c1, sf.c2)
+            if is_physical(upper_state):
+                assert nb.upper == pytest.approx(eof_symmetric(upper_state), abs=1e-9)
             found = True
             break
     assert found
@@ -240,28 +243,6 @@ def test_searched_upper_covers_unphysical_natural(rng):
 
 
 # ---------------------------------------------------------------------------
-# difference-block diagnostic
-# ---------------------------------------------------------------------------
-
-
-def test_difference_upper_bound_applies():
-    # B - A = 1.2 I <= A and the resulting symmetric state is physical.
-    v = CovMat.from_standard_form(1.4, 2.6, 0.3, -0.25)
-    value = difference_upper_bound(v)
-    assert value is not None
-    expected = eof_symmetric(CovMat.from_standard_form(1.2, 1.2, 0.3, -0.25))
-    assert value == pytest.approx(expected, abs=1e-12)
-    assert geof(v).value <= value + 1e-6
-
-
-def test_difference_upper_bound_unavailable():
-    # B - A = 0.4 I: the symmetric state built from it is unphysical.
-    assert difference_upper_bound(CovMat.from_standard_form(1.4, 1.8, 0.5, -0.45)) is None
-    # B - A not below A: 2.6 - 1.2 = 1.4 > 1.2.
-    assert difference_upper_bound(CovMat.from_standard_form(1.2, 2.6, 0.2, -0.1)) is None
-
-
-# ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
 
@@ -350,3 +331,39 @@ def test_sigma_is_best_channel_lower_bound(rng):
 def test_report_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
         bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
+
+
+SWAP = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+
+
+def report_values(rep):
+    return {
+        "lower_natural": rep.lower_natural,
+        "lower_sigma": rep.lower_sigma,
+        "upper_natural": rep.upper_natural,
+        "upper_searched": rep.upper_searched,
+        "eeof": rep.eeof,
+        "geof": rep.geof,
+        "entangled": rep.entangled,
+        "upper_natural_physical": rep.flags.upper_natural_physical,
+    }
+
+
+def test_report_invariant_under_local_symplectics_and_mode_swap():
+    # Metamorphic: every reported value is a function of the standard form
+    # alone, so a random local frame, with or without swapping the modes,
+    # must not move it.
+    rng = np.random.default_rng(7)
+    for i in range(240):
+        sf = random_standard_form(rng, entangled=i % 3 != 0)
+        plain = report_values(bound_report(sf.to_covmat()))
+        for swap in (False, True):
+            s = random_local_symplectic(rng, squeeze_max=0.3)
+            if swap:
+                s = SWAP @ s
+            moved = report_values(bound_report(sf.to_covmat().conjugate(s)))
+            for key, value in plain.items():
+                if isinstance(value, float):
+                    assert moved[key] == pytest.approx(value, abs=1e-9), (i, swap, key)
+                else:
+                    assert moved[key] == value, (i, swap, key)

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from eofbounds.bounds import bound_report
 from eofbounds.cli import SCAN_COLUMNS, main, resolve_state_document
-from eofbounds.entanglement import LN2
-from eofbounds.errors import ParseError
+from eofbounds.entanglement import LN2, entanglement_entropy
+from eofbounds.errors import DegenerateInvariantsError, NonPhysicalStateError, ParseError
 from eofbounds.geof import geof
+from eofbounds.states import CovMat, Invariants, standard_form_from_invariants
+from eofbounds.symplectic import partial_transpose, symplectic_spectrum
 
 SQ02 = math.sqrt(0.2)
 F_SYMMETRIC_EXAMPLE = 0.09960127938888494
@@ -172,6 +175,30 @@ def test_analyze_non_finite_input_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_pure_states_at_zero_tol_psd(tmp_path, capsys):
+    # A pure state's computed mu_minus falls a rounding error below 1;
+    # the physicality test allows that roundoff, not a fixed slack.
+    for r in (0.3, 1.0, 2.0):
+        ch, sh = math.cosh(2 * r), math.sinh(2 * r)
+        path = write(tmp_path, "in.json", {"standard_form": {"a": ch, "b": ch, "c1": sh, "c2": -sh}})
+        assert main(["analyze", "--input", path, "--tol-psd", "0"]) == 0, r
+        out = json.loads(capsys.readouterr().out)
+        assert out["entangled"] is True
+        exact = entanglement_entropy(math.exp(-2 * r))
+        for key in ("lower_natural", "lower_sigma", "upper_natural", "eeof"):
+            assert out["bounds"][key] == pytest.approx(exact, rel=1e-9), (r, key)
+
+
+def test_analyze_slightly_unphysical_still_rejected(tmp_path, capsys):
+    # mu_minus = 1 - 1e-9 stays below the threshold at the default and at zero tolerance.
+    a = 1.3
+    c = math.sqrt(a * a - (1.0 - 1e-9) ** 2)
+    path = write(tmp_path, "in.json", {"standard_form": {"a": a, "b": a, "c1": c, "c2": -c}})
+    for tol in ("1e-10", "0"):
+        assert main(["analyze", "--input", path, "--tol-psd", tol]) == 3
+        assert "mu_minus" in capsys.readouterr().err
+
+
 def test_analyze_output_file(tmp_path):
     doc = {"standard_form": {"a": 1.2, "b": 1.2, "c1": SQ02, "c2": -SQ02}}
     path = write(tmp_path, "in.json", doc)
@@ -252,8 +279,8 @@ def test_scan_rows_respect_hierarchy(tmp_path):
 def test_scan_deterministic_output(tmp_path):
     path = write(tmp_path, "scan.json", scan_spec(steps=4))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["scan", "--input", path, "--output", str(out1), "--seed", "7"]) == 0
-    assert main(["scan", "--input", path, "--output", str(out2), "--seed", "7"]) == 0
+    assert main(["scan", "--input", path, "--output", str(out1)]) == 0
+    assert main(["scan", "--input", path, "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -302,3 +329,54 @@ def test_scan_default_spec_runs(tmp_path):
     assert spec["i3"] == -0.2
     assert spec["i4_literal"] is None
     assert spec["geof"] is False  # --no-geof wins
+
+
+@pytest.mark.parametrize("spec", [
+    {},  # the README default grid, 40x40
+    scan_spec(steps=30, i3=-0.2, i4=1.5),  # every status and flag combination
+])
+def test_scan_matches_per_point_report(tmp_path, spec):
+    # The scan evaluates its grid in one pass; each row must be what
+    # bound_report gives for the standard form of that grid point.
+    path = write(tmp_path, "scan.json", spec)
+    out = tmp_path / "out.csv"
+    assert main(["scan", "--input", path, "--output", str(out), "--no-geof"]) == 0
+    rows = read_rows(out)
+    axis = lambda key: np.linspace(spec.get(key, {}).get("min", 1.0), spec.get(key, {}).get("max", 4.0),
+                                   spec.get(key, {}).get("steps", 40))
+    i3 = spec.get("i3", -0.2)
+    points = [(i1, i2) for i1 in axis("i1") for i2 in axis("i2")]
+    assert len(rows) == len(points)
+    statuses = set()
+    for row, (i1, i2) in zip(rows, points):
+        i4 = spec.get("i4", 2.0 * abs(i3) * math.sqrt(i1 * i2))
+        expected = {c: "" for c in SCAN_COLUMNS[4:]}
+        try:
+            sf = standard_form_from_invariants(Invariants(i1, i2, i3, i4))
+        except DegenerateInvariantsError:
+            expected["status"] = "no_state"
+        else:
+            cm = CovMat.from_standard_form(*sf)
+            try:
+                rep = bound_report(cm, include_geof=False, include_searched=False)
+            except NonPhysicalStateError:
+                expected["status"] = "unphysical"
+            else:
+                expected.update({
+                    "entangled": "true" if rep.entangled else "false",
+                    "eof_lower_natural": rep.lower_natural,
+                    "eof_sigma": rep.lower_sigma,
+                    "eeof": rep.eeof,
+                    "eof_upper_natural": "" if rep.upper_natural is None else rep.upper_natural,
+                    "physical_upper_flag": "true" if rep.flags.upper_natural_physical else "false",
+                    "status": "ok",
+                })
+                nu_t = symplectic_spectrum(partial_transpose(cm.matrix)).mu_minus
+                assert float(row["mu_tilde_minus"]) == pytest.approx(nu_t, rel=1e-9)
+        statuses.add(expected["status"])
+        for col, want in expected.items():
+            if isinstance(want, float):
+                assert float(row[col]) == pytest.approx(want, rel=1e-11, abs=1e-300), (i1, i2, col)
+            elif col != "mu_tilde_minus":
+                assert row[col] == want, (i1, i2, col)
+    assert "ok" in statuses
