@@ -7,6 +7,7 @@ budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from .errors import (
     NonPositiveMatrixError,
     ParseError,
 )
-from .geof import geof
+from .geof import _geof_forms
 from .states import (
     CovMat,
     Invariants,
@@ -254,16 +255,12 @@ def run_scan(args: argparse.Namespace) -> int:
     ok = res.physical  # False where there is no standard form (NaN)
     g = np.full_like(i1, np.nan)
     exhausted = False
-    for k in np.flatnonzero(ok) if spec["geof"] else ():
-        result = geof(
-            CovMat.from_standard_form(*(float(x[k]) for x in forms)),
-            tol=args.geof_tol,
-            budget=args.geof_budget,
-            psd_tol=args.tol_psd,
+    if spec["geof"]:
+        value, _, feasible, _, cut = _geof_forms(
+            *(x[ok] for x in forms), args.geof_tol, args.geof_budget, args.tol_psd
         )
-        exhausted = exhausted or result.budget_exhausted
-        if result.feasible:
-            g[k] = result.value
+        g[ok] = np.where(feasible, value, np.nan)
+        exhausted = bool(cut.any())
 
     def cells(values: np.ndarray, shown: np.ndarray = ok) -> list:
         return [v if s else None for v, s in zip(values.tolist(), shown.tolist())]
@@ -288,7 +285,9 @@ def run_scan(args: argparse.Namespace) -> int:
     return 4 if exhausted else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="eofbounds",
         description="Entanglement-of-formation bounds for two-mode Gaussian states.",

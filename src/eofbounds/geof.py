@@ -20,20 +20,13 @@ and Gx - P = w w^T, hence Vx - P = u u^T + w w^T.  Every such split is
 
     Gx(phi) = Vx - u(phi) u(phi)^T,   u(phi) = (Vx - P)^(1/2) (cos phi, sin phi),
 
-and every point of it is feasible.  The search evaluates rho on a coarse
-grid of phi in [0, pi) in one vectorised pass, then narrows the bracket
-around each coarse local minimum by golden-section steps.
-
-Separable states: Gx12(phi) is a sinusoid in 2 phi.  When it changes sign
-its zero angles are known in closed form, and the pure product witness
-(r = 0) taken there gives the value exactly 0.0.
-
-Certificate: the witness is rebuilt from the returned parameters and the
-value is reported only if eigvalsh(V - G) >= -psd_tol.  An optimal witness
-touches V, so when roundoff fails the check it is moved by at most 1e-9 of
-the way toward the interior.  An evaluation is
-one value of rho(phi); `budget` caps their number, and a search cut short
-by it returns its best certified point with `budget_exhausted` set.
+every point of which is feasible.  `_geof_forms` searches it for arrays of
+standard forms, each step over all states at once (`geof` is the case
+n = 1): rho on a coarse grid of phi, then a few rounds that refine every
+coarse local minimum.  A separable state's Gx12(phi) changes sign at
+angles known in closed form, where the product witness (r = 0) gives
+exactly 0.0.  A value is kept only if eigvalsh(V - G) >= -psd_tol for its
+witness G rebuilt from the returned parameters.
 """
 
 from __future__ import annotations
@@ -43,16 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import entanglement_entropy
+from .entanglement import entanglement_entropy_vec
 from .errors import DomainError
 from .states import CovMat, is_physical, require_physical, standard_form
 from .symplectic import PSD_TOL
 
-#: Coarse angles over [0, pi).  rho^2 is a ratio of trigonometric
-#: polynomials whose stationary points are the zeros of one of degree 3
-#: in 2 phi, so it has at most three local minima.  With 32 angles the
-#: refined minimum matched a 200001-angle grid within 1e-14 on 1600 random
-#: entangled standard forms with a, b up to 50.
+#: Coarse angles over [0, pi).  rho^2 is a ratio of trigonometric polynomials
+#: whose stationary points are the zeros of one of degree 3 in 2 phi, so it has
+#: at most three local minima.  With 32 angles the refined minimum matched a
+#: 200001-angle grid within 1e-14 on 1600 entangled forms with a, b up to 50.
 _COARSE = 32
 
 #: At most this many coarse local minima are refined (see _COARSE).
@@ -62,10 +54,7 @@ _MAX_BASINS = 3
 #: flat to double precision, so narrower brackets only spend evaluations.
 _MIN_WIDTH = 1e-9
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Steps toward the interior tried when a tangent witness fails the
-#: certificate on roundoff; the value moves by about as much.
+#: Steps toward the interior for a witness failing the certificate on roundoff.
 _RETREATS = (0.0, 1e-12, 1e-9)
 
 
@@ -116,108 +105,154 @@ def pure_cms_from_parameters(params: np.ndarray) -> np.ndarray:
         loc[:, off + 1, off + 1] = c * em
 
     out = loc @ core @ loc.transpose(0, 2, 1)
-    if np.ndim(params) == 1:
-        return out[0]
-    return out
+    return out[0] if np.ndim(params) == 1 else out
 
 
-class _Curve:
-    """The tangent witnesses Gx(phi) of one standard form, with an evaluation count."""
+#: States searched together; the refinement's arrays do not grow beyond them.
+_BLOCK = 256
 
-    def __init__(self, a: float, b: float, c1: float, c2: float, budget: int):
-        self.a, self.b, self.c1 = a, b, c1
-        det_p = a * b - c2 * c2
-        d = np.array([[a - b / det_p, c1 + c2 / det_p], [c1 + c2 / det_p, b - a / det_p]])
-        # (Vx + P)/2, strictly inside P <= Gx <= Vx when Vx - P is definite.
-        self.centre = ((a + b / det_p) / 2.0, (b + a / det_p) / 2.0, (c1 - c2 / det_p) / 2.0)
-        w, q = np.linalg.eigh(d)
-        # Roundoff can leave Vx - P a hair indefinite for (near) pure states.
-        root = (q * np.sqrt(np.maximum(w, 0.0))) @ q.T
-        self.s11, self.s12, self.s22 = float(root[0, 0]), float(root[0, 1]), float(root[1, 1])
-        self.budget = budget
-        self.evals = 0
-
-    def witness(self, phi):
-        """(Gx11, Gx22, Gx12) at the angle(s) phi; no evaluation is counted."""
-        c, s = np.cos(phi), np.sin(phi)
-        u1 = self.s11 * c + self.s12 * s
-        u2 = self.s12 * c + self.s22 * s
-        return self.a - u1 * u1, self.b - u2 * u2, self.c1 - u1 * u2
-
-    def rho(self, phi):
-        """rho at the angle(s) phi, counted against the budget."""
-        g11, g22, g12 = self.witness(phi)
-        self.evals += np.size(phi)
-        return np.abs(g12) / np.sqrt(g11 * g22)
-
-    def zero_angles(self) -> tuple[float, ...]:
-        """Angles where Gx12(phi) vanishes: none for an entangled state.
-
-        Gx12 = c1 - u1 u2 = c1 - m0 - m1 cos 2phi - m2 sin 2phi, expanding
-        u1 u2 with the entries of the symmetric root of Vx - P.
-        """
-        s11, s12, s22 = self.s11, self.s12, self.s22
-        m0 = s12 * (s11 + s22) / 2.0
-        m1 = s12 * (s11 - s22) / 2.0
-        m2 = (s11 * s22 + s12 * s12) / 2.0
-        rhs = self.c1 - m0
-        amp = math.hypot(m1, m2)
-        if abs(rhs) > amp:
-            return ()
-        phase = math.atan2(m2, m1)
-        half = math.acos(rhs / amp) if amp > 0.0 else 0.0
-        return tuple(((phase + sign * half) / 2.0) % math.pi for sign in (1.0, -1.0))
-
-    def refine(self, lo: float, hi: float, tol: float) -> tuple[float, float, bool]:
-        """Golden-section search for the minimum of rho on [lo, hi].
-
-        Returns (best rho, its angle, converged); stops early, unconverged,
-        when the budget runs out.
-        """
-        best = (math.inf, lo)
-        x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-        if self.budget - self.evals < 2:
-            return best[0], best[1], False
-        f1, f2 = self.rho(np.array([x1, x2]))
-        best = min(best, (f1, x1), (f2, x2))
-        while hi - lo > tol:
-            if self.evals >= self.budget:
-                return best[0], best[1], False
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _GOLDEN * (hi - lo)
-                f1 = float(self.rho(x1))
-                best = min(best, (f1, x1))
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _GOLDEN * (hi - lo)
-                f2 = float(self.rho(x2))
-                best = min(best, (f2, x2))
-        return best[0], best[1], True
-
-    def certify(self, v: np.ndarray, g, psd_tol: float) -> np.ndarray | None:
-        """Parameters of a witness at Gx = g = (Gx11, Gx22, Gx12) passing
-        eigvalsh(V - G) >= -psd_tol, or None.
-
-        An optimal witness touches V, so roundoff decides the sign of the
-        smallest eigenvalue.  When that fails the check, Gx is moved a
-        little toward the centre of its interval, where both constraints
-        hold strictly whenever Vx - P is definite.
-        """
-        for eps in _RETREATS:
-            params = _parameters(*(x + eps * (c - x) for x, c in zip(g, self.centre)))
-            gamma = pure_cms_from_parameters(params)
-            if float(np.linalg.eigvalsh(v - gamma)[0]) >= -psd_tol:
-                return params
-        return None
+#: Angles per bracket in one refinement round, evenly spaced inside it.  The
+#: next bracket is the two spacings around the best, 32.5 times narrower:
+#: four rounds take the coarse bracket 2 pi / _COARSE below 1e-6.
+_ROUND_POINTS = 64
 
 
-def _parameters(g11: float, g22: float, g12: float) -> np.ndarray:
-    """(0, s_a, 0, s_b, r) of the pure matrix Gx (+) Gx^-1."""
-    sh = g12 / math.sqrt(g11 * g22 - g12 * g12)
-    r = 0.5 * math.asinh(sh)
-    ch = math.cosh(2 * r)
-    return np.array([0.0, 0.5 * math.log(g11 / ch), 0.0, 0.5 * math.log(g22 / ch), r])
+def _parameters(g11, g22, g12) -> np.ndarray:
+    """(0, s_a, 0, s_b, r) rows of the pure matrices Gx (+) Gx^-1."""
+    r = 0.5 * np.arcsinh(g12 / np.sqrt(g11 * g22 - g12 * g12))
+    ch = np.cosh(2 * r)
+    p = np.zeros((r.size, 5))
+    p[:, 1], p[:, 3], p[:, 4] = 0.5 * np.log(g11 / ch), 0.5 * np.log(g22 / ch), r
+    return p
+
+
+def _geof_forms(a, b, c1, c2, tol: float = 1e-6, budget: int = 100_000, psd_tol: float = PSD_TOL):
+    """Gaussian EoF of physical standard forms (a, b, c1, c2), searched together.
+
+    Takes numpy arrays of n standard forms and returns, per state, the value
+    (inf where no witness passed the certificate), the witness parameters
+    (n, 5), feasible, the evaluations of rho and budget_exhausted.  `tol`,
+    `budget` and `psd_tol` mean what they mean in `geof`, for each state.
+    """
+    forms = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
+    blocks = [_search(forms[:, i:i + _BLOCK], tol, budget, psd_tol)
+              for i in range(0, max(forms.shape[1], 1), _BLOCK)]
+    params, feasible, evals, exhausted = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    value = np.where(feasible, entanglement_entropy_vec(np.exp(-2.0 * np.abs(params[:, 4]))), np.inf)
+    return value, params, feasible, evals, exhausted
+
+
+def _witness(curve, phi):
+    """(Gx11, Gx22, Gx12) at the angles phi on the curves (a, b, c1, s11, s12, s22)."""
+    a, b, c1, s11, s12, s22 = curve
+    c, s = np.cos(phi), np.sin(phi)
+    u1 = s11 * c + s12 * s
+    u2 = s12 * c + s22 * s
+    return a - u1 * u1, b - u2 * u2, c1 - u1 * u2
+
+
+def _rho(curve, phi):
+    g11, g22, g12 = _witness(curve, phi)
+    return np.abs(g12) / np.sqrt(g11 * g22)
+
+
+def _search(forms: np.ndarray, tol: float, budget: int, psd_tol: float):
+    """Witnesses of one block of standard forms, the columns of `forms`."""
+    a, b, c1, c2 = forms
+    n = a.size
+    det_p = a * b - c2 * c2
+    d = np.empty((n, 2, 2))
+    d[:, 0, 0], d[:, 1, 1] = a - b / det_p, b - a / det_p
+    d[:, 0, 1] = d[:, 1, 0] = c1 + c2 / det_p
+    w, q = np.linalg.eigh(d)
+    # Roundoff can leave Vx - P a hair indefinite for (near) pure states.
+    root = (q * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ q.transpose(0, 2, 1)
+    curve = np.concatenate((forms[:3], root[:, (0, 0, 1), (0, 1, 1)].T))
+    s11, s12, s22 = curve[3:]
+    v = np.zeros((n, 16))
+    v[:, [0, 5, 10, 15, 2, 8, 7, 13]] = forms[[0, 0, 1, 1, 2, 2, 3, 3]].T
+    # (Vx + P)/2, strictly inside P <= Gx <= Vx when Vx - P is definite.
+    centre = ((a + b / det_p) / 2.0, (b + a / det_p) / 2.0, (c1 - c2 / det_p) / 2.0)
+    params, feasible = np.zeros((n, 5)), np.zeros(n, dtype=bool)
+    evals, exhausted = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+
+    def certify(k, g):
+        """Keep the witnesses at Gx = g of states k passing the certificate."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for eps in _RETREATS:
+                todo = np.flatnonzero(~feasible[k])
+                if not todo.size:
+                    break
+                p = _parameters(*(x[todo] + eps * (c[k[todo]] - x[todo]) for x, c in zip(g, centre)))
+                finite = np.isfinite(p).all(axis=1)
+                gamma = pure_cms_from_parameters(np.where(finite[:, None], p, 0.0))
+                lam = np.linalg.eigvalsh(v[k[todo]].reshape(-1, 4, 4) - gamma)[:, 0]
+                passed = finite & (lam >= -psd_tol)
+                params[k[todo[passed]]], feasible[k[todo[passed]]] = p[passed], True
+
+    # Separable states: Gx12 = c1 - u1 u2 = c1 - m0 - m1 cos 2phi - m2 sin 2phi
+    # changes sign, and the product witness at a zero gives exactly 0.0.
+    m0, m1 = s12 * (s11 + s22) / 2.0, s12 * (s11 - s22) / 2.0
+    m2 = (s11 * s22 + s12 * s12) / 2.0
+    amp = np.hypot(m1, m2)
+    crossing = np.abs(c1 - m0) <= amp
+    if crossing.any():
+        with np.errstate(invalid="ignore", divide="ignore"):
+            half = np.where(amp > 0.0, np.arccos((c1 - m0) / amp), 0.0)
+        for sign in (1.0, -1.0):
+            k = np.flatnonzero(crossing & ~feasible & (evals < budget))
+            evals[k] += 1
+            phi = ((np.arctan2(m2[k], m1[k]) + sign * half[k]) / 2.0) % math.pi
+            certify(k, _witness(curve[:, k], phi)[:2] + (np.zeros(k.size),))
+
+    # Coarse pass over _COARSE angles, or over what the budget leaves of it
+    # after uncertified zero angles.
+    k = np.flatnonzero(~feasible)
+    count = np.minimum(_COARSE, budget - evals[k])
+    exhausted[k] = count < _COARSE
+    k, count = k[count >= 1], count[count >= 1]
+    if not k.size:
+        return params, feasible, evals, exhausted
+    m, rows = k.size, np.arange(k.size)
+    curve = curve[:, k, None]
+    grid = np.arange(_COARSE) * (math.pi / count)[:, None]
+    r = _rho(curve, grid)
+    r[np.arange(_COARSE) >= count[:, None]] = np.inf
+    first = np.argmin(r, axis=1)
+    found_rho, found_phi = [r[rows, first]], [grid[rows, first]]
+
+    # Refine the best _MAX_BASINS coarse local minima of each state, or its
+    # coarse minimum when rho has no strict local minimum, with as many
+    # brackets per state as the state with the most.
+    basin = (r < np.roll(r, 1, axis=1)) & (r <= np.roll(r, -1, axis=1))
+    order = np.argsort(np.where(basin, r, np.inf), axis=1, kind="stable")[:, :_MAX_BASINS]
+    live = basin[rows[:, None], order]
+    order[:, 0], live[:, 0] = np.where(live[:, 0], order[:, 0], first), True
+    need = live.sum(axis=1) * _ROUND_POINTS
+    slots = np.arange(need.max()).reshape(-1, _ROUND_POINTS)
+    step = math.pi / _COARSE
+    lo = order[:, :len(slots)] * step - step
+    width, rounds = 2.0 * step, 0
+    while width * (2.0 / (_ROUND_POINTS + 1)) ** rounds > max(tol, _MIN_WIDTH):
+        rounds += 1
+    # Each round, a state evaluates its brackets in order up to its budget;
+    # one whose coarse pass was cut short has none left.
+    allowed = np.minimum(np.maximum(budget - count - need * np.arange(rounds)[:, None], 0), need)
+    evals[k] += count + allowed.sum(axis=0)
+    exhausted[k] |= (allowed < need).any(axis=0)
+    for i in range(int(np.count_nonzero(allowed.any(axis=1)))):
+        h = width / (_ROUND_POINTS + 1)
+        phi = lo[:, :, None] + h * np.arange(1, _ROUND_POINTS + 1)
+        r = _rho(curve, phi.reshape(m, -1)).reshape(phi.shape)
+        r[slots >= allowed[i, :, None, None]] = np.inf
+        lo, width = lo + h * np.argmin(r, axis=2), 2.0 * h
+        r, phi = r.reshape(m, -1), phi.reshape(m, -1)
+        at = np.argmin(r, axis=1)
+        found_rho.append(r[rows, at])
+        found_phi.append(phi[rows, at])
+    g = _witness(curve, np.asarray(found_phi)[np.argmin(found_rho, axis=0), rows][:, None])
+    certify(k, [x[:, 0] for x in g])
+    return params, feasible, evals, exhausted
 
 
 def geof(
@@ -252,43 +287,9 @@ def geof(
     delta = 1e-12
     ref = CovMat.from_standard_form(a, b, c1, c2)
     while not is_physical(ref, psd_tol) and delta < 1e-6:
-        a += delta
-        b += delta
+        a, b = a + delta, b + delta
         ref = CovMat.from_standard_form(a, b, c1, c2)
         delta *= 4.0
-    curve = _Curve(a, b, c1, c2, budget)
-
-    def finish(g: tuple[float, float, float], exhausted: bool) -> GeofResult:
-        params = curve.certify(ref.matrix, g, psd_tol)
-        if params is None:
-            return GeofResult(math.inf, np.zeros(5), False, curve.evals, exhausted, ref.matrix)
-        value = entanglement_entropy(math.exp(-2 * abs(float(params[4]))))
-        return GeofResult(value, params, True, curve.evals, exhausted, ref.matrix)
-
-    for phi in curve.zero_angles()[:budget]:
-        curve.evals += 1
-        g11, g22, _ = curve.witness(phi)
-        product = finish((g11, g22, 0.0), False)
-        if product.feasible:
-            return product
-
-    n = min(_COARSE, budget - curve.evals)
-    if n < 1:  # uncertified zero angles used up the whole budget
-        return GeofResult(math.inf, np.zeros(5), False, curve.evals, True, ref.matrix)
-    grid = np.arange(n) * (math.pi / n)
-    rho = curve.rho(grid)
-    exhausted = n < _COARSE
-    best = (float(np.min(rho)), float(grid[np.argmin(rho)]))
-    if not exhausted:
-        step = math.pi / n
-        basins = np.flatnonzero((rho < np.roll(rho, 1)) & (rho <= np.roll(rho, -1)))
-        basins = basins[np.argsort(rho[basins], kind="stable")][:_MAX_BASINS]
-        for k in basins if basins.size else [int(np.argmin(rho))]:
-            value, phi, converged = curve.refine(
-                grid[k] - step, grid[k] + step, max(tol, _MIN_WIDTH)
-            )
-            best = min(best, (value, phi))
-            if not converged:
-                exhausted = True
-                break
-    return finish(tuple(float(x) for x in curve.witness(best[1])), exhausted)
+    value, params, feasible, evals, exhausted = _geof_forms(a, b, c1, c2, tol, budget, psd_tol)
+    return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),
+                      bool(exhausted[0]), ref.matrix)

@@ -1,12 +1,18 @@
-"""Reference GeoF search, kept as a test-time cross-check of the package oracle.
+"""Reference GeoF searches, kept as test-time cross-checks of the package oracle.
 
-This is the 5-parameter search that `eofbounds.geof` used before the
-one-angle reduction: a coarse grid plus analytic tangency seeds,
-penalised Nelder-Mead refinement in the axis-aligned subfamily and a
-full-family polish.  The reported minimum is the best strictly feasible
+`reference_geof` is the 5-parameter search that `eofbounds.geof` used
+before the one-angle reduction: a coarse grid plus analytic tangency
+seeds, penalised Nelder-Mead refinement in the axis-aligned subfamily and
+a full-family polish.  The reported minimum is the best strictly feasible
 evaluation seen anywhere, so it is an upper bound on the Gaussian EoF;
 the package oracle must never be above it by more than the tolerance of
 the comparison.
+
+`scalar_geof` is the one-angle reduction searched one state at a time:
+the 32-angle coarse pass, then golden-section steps on each coarse basin.
+The array search `eofbounds.geof._geof_forms` runs the same reduction over
+many states at once and refines by grid rounds instead, so the two must
+agree to within the refinement error.
 """
 
 from __future__ import annotations
@@ -17,7 +23,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
-from eofbounds.geof import GeofResult, pure_cms_from_parameters
+from eofbounds.errors import DomainError
+from eofbounds.geof import (
+    _COARSE,
+    _MAX_BASINS,
+    _MIN_WIDTH,
+    _RETREATS,
+    GeofResult,
+    pure_cms_from_parameters,
+)
 from eofbounds.states import (
     CovMat,
     is_physical,
@@ -308,3 +322,183 @@ def reference_geof(
         budget_exhausted=exhausted,
         reference_matrix=search.v,
     )
+
+
+# ---------------------------------------------------------------------------
+# The one-angle reduction, one state at a time.
+# ---------------------------------------------------------------------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class _Curve:
+    """The tangent witnesses Gx(phi) of one standard form, with an evaluation count."""
+
+    def __init__(self, a: float, b: float, c1: float, c2: float, budget: int):
+        self.a, self.b, self.c1 = a, b, c1
+        det_p = a * b - c2 * c2
+        d = np.array([[a - b / det_p, c1 + c2 / det_p], [c1 + c2 / det_p, b - a / det_p]])
+        # (Vx + P)/2, strictly inside P <= Gx <= Vx when Vx - P is definite.
+        self.centre = ((a + b / det_p) / 2.0, (b + a / det_p) / 2.0, (c1 - c2 / det_p) / 2.0)
+        w, q = np.linalg.eigh(d)
+        # Roundoff can leave Vx - P a hair indefinite for (near) pure states.
+        root = (q * np.sqrt(np.maximum(w, 0.0))) @ q.T
+        self.s11, self.s12, self.s22 = float(root[0, 0]), float(root[0, 1]), float(root[1, 1])
+        self.budget = budget
+        self.evals = 0
+
+    def witness(self, phi):
+        """(Gx11, Gx22, Gx12) at the angle(s) phi; no evaluation is counted."""
+        c, s = np.cos(phi), np.sin(phi)
+        u1 = self.s11 * c + self.s12 * s
+        u2 = self.s12 * c + self.s22 * s
+        return self.a - u1 * u1, self.b - u2 * u2, self.c1 - u1 * u2
+
+    def rho(self, phi):
+        """rho at the angle(s) phi, counted against the budget."""
+        g11, g22, g12 = self.witness(phi)
+        self.evals += np.size(phi)
+        return np.abs(g12) / np.sqrt(g11 * g22)
+
+    def zero_angles(self) -> tuple[float, ...]:
+        """Angles where Gx12(phi) vanishes: none for an entangled state.
+
+        Gx12 = c1 - u1 u2 = c1 - m0 - m1 cos 2phi - m2 sin 2phi, expanding
+        u1 u2 with the entries of the symmetric root of Vx - P.
+        """
+        s11, s12, s22 = self.s11, self.s12, self.s22
+        m0 = s12 * (s11 + s22) / 2.0
+        m1 = s12 * (s11 - s22) / 2.0
+        m2 = (s11 * s22 + s12 * s12) / 2.0
+        rhs = self.c1 - m0
+        amp = math.hypot(m1, m2)
+        if abs(rhs) > amp:
+            return ()
+        phase = math.atan2(m2, m1)
+        half = math.acos(rhs / amp) if amp > 0.0 else 0.0
+        return tuple(((phase + sign * half) / 2.0) % math.pi for sign in (1.0, -1.0))
+
+    def refine(self, lo: float, hi: float, tol: float) -> tuple[float, float, bool]:
+        """Golden-section search for the minimum of rho on [lo, hi].
+
+        Returns (best rho, its angle, converged); stops early, unconverged,
+        when the budget runs out.
+        """
+        best = (math.inf, lo)
+        x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        if self.budget - self.evals < 2:
+            return best[0], best[1], False
+        f1, f2 = self.rho(np.array([x1, x2]))
+        best = min(best, (f1, x1), (f2, x2))
+        while hi - lo > tol:
+            if self.evals >= self.budget:
+                return best[0], best[1], False
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = float(self.rho(x1))
+                best = min(best, (f1, x1))
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = float(self.rho(x2))
+                best = min(best, (f2, x2))
+        return best[0], best[1], True
+
+    def certify(self, v: np.ndarray, g, psd_tol: float) -> np.ndarray | None:
+        """Parameters of a witness at Gx = g = (Gx11, Gx22, Gx12) passing
+        eigvalsh(V - G) >= -psd_tol, or None.
+
+        An optimal witness touches V, so roundoff decides the sign of the
+        smallest eigenvalue.  When that fails the check, Gx is moved a
+        little toward the centre of its interval, where both constraints
+        hold strictly whenever Vx - P is definite.
+        """
+        for eps in _RETREATS:
+            params = _parameters(*(x + eps * (c - x) for x, c in zip(g, self.centre)))
+            gamma = pure_cms_from_parameters(params)
+            if float(np.linalg.eigvalsh(v - gamma)[0]) >= -psd_tol:
+                return params
+        return None
+
+
+def _parameters(g11: float, g22: float, g12: float) -> np.ndarray:
+    """(0, s_a, 0, s_b, r) of the pure matrix Gx (+) Gx^-1."""
+    sh = g12 / math.sqrt(g11 * g22 - g12 * g12)
+    r = 0.5 * math.asinh(sh)
+    ch = math.cosh(2 * r)
+    return np.array([0.0, 0.5 * math.log(g11 / ch), 0.0, 0.5 * math.log(g22 / ch), r])
+
+
+def scalar_geof(
+    v: CovMat,
+    tol: float = 1e-6,
+    budget: int = 100_000,
+    psd_tol: float = PSD_TOL,
+) -> GeofResult:
+    """Minimize pure-state entanglement over pure covariance matrices <= v.
+
+    Deterministic.  `tol` is the width, in radians of phi, below which a
+    bracket counts as converged (at least 1e-9); the value error is of
+    order tol^2.
+    `budget` is a hard cap on evaluations of rho.  A separable state
+    returns exactly 0.0 from a product witness.  The returned value is
+    that of a witness G with eigvalsh(V - G) >= -psd_tol; when no
+    evaluated witness passes, the result is infeasible with value inf.
+
+    Raises
+    ------
+    NonPhysicalStateError
+        If v is not physical within psd_tol.
+    DomainError
+        If budget < 1.
+    """
+    if budget < 1:
+        raise DomainError(f"geof budget must be at least 1, got {budget}")
+    require_physical(v, psd_tol)
+    a, b, c1, c2 = standard_form(v)
+    # Reconstruction roundoff can leave the standard-form matrix a hair
+    # below physicality, emptying the feasible set; inflate minimally.
+    delta = 1e-12
+    ref = CovMat.from_standard_form(a, b, c1, c2)
+    while not is_physical(ref, psd_tol) and delta < 1e-6:
+        a += delta
+        b += delta
+        ref = CovMat.from_standard_form(a, b, c1, c2)
+        delta *= 4.0
+    curve = _Curve(a, b, c1, c2, budget)
+
+    def finish(g: tuple[float, float, float], exhausted: bool) -> GeofResult:
+        params = curve.certify(ref.matrix, g, psd_tol)
+        if params is None:
+            return GeofResult(math.inf, np.zeros(5), False, curve.evals, exhausted, ref.matrix)
+        value = entanglement_entropy(math.exp(-2 * abs(float(params[4]))))
+        return GeofResult(value, params, True, curve.evals, exhausted, ref.matrix)
+
+    for phi in curve.zero_angles()[:budget]:
+        curve.evals += 1
+        g11, g22, _ = curve.witness(phi)
+        product = finish((g11, g22, 0.0), False)
+        if product.feasible:
+            return product
+
+    n = min(_COARSE, budget - curve.evals)
+    if n < 1:  # uncertified zero angles used up the whole budget
+        return GeofResult(math.inf, np.zeros(5), False, curve.evals, True, ref.matrix)
+    grid = np.arange(n) * (math.pi / n)
+    rho = curve.rho(grid)
+    exhausted = n < _COARSE
+    best = (float(np.min(rho)), float(grid[np.argmin(rho)]))
+    if not exhausted:
+        step = math.pi / n
+        basins = np.flatnonzero((rho < np.roll(rho, 1)) & (rho <= np.roll(rho, -1)))
+        basins = basins[np.argsort(rho[basins], kind="stable")][:_MAX_BASINS]
+        for k in basins if basins.size else [int(np.argmin(rho))]:
+            value, phi, converged = curve.refine(
+                grid[k] - step, grid[k] + step, max(tol, _MIN_WIDTH)
+            )
+            best = min(best, (value, phi))
+            if not converged:
+                exhausted = True
+                break
+    return finish(tuple(float(x) for x in curve.witness(best[1])), exhausted)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eofbounds.bounds import bound_report
-from eofbounds.cli import SCAN_COLUMNS, main, resolve_state_document
+from eofbounds.cli import SCAN_COLUMNS, build_parser, main, resolve_state_document
 from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import DegenerateInvariantsError, NonPhysicalStateError, ParseError
 from eofbounds.geof import geof
@@ -380,3 +380,79 @@ def test_scan_matches_per_point_report(tmp_path, spec):
             elif col != "mu_tilde_minus":
                 assert row[col] == want, (i1, i2, col)
     assert "ok" in statuses
+
+
+def test_scan_geof_matches_per_point_geof(tmp_path):
+    # The scan searches all its ok points at once; each geof cell must be
+    # what geof gives for the standard form of that grid point.
+    path = write(tmp_path, "scan.json", {})  # the README default grid, 40x40
+    out = tmp_path / "out.csv"
+    assert main(["scan", "--input", path, "--output", str(out)]) == 0
+    rows = read_rows(out)
+    axis = np.linspace(1.0, 4.0, 40)
+    points = [(i1, i2) for i1 in axis for i2 in axis]
+    assert len(rows) == len(points)
+    searched = 0
+    for row, (i1, i2) in zip(rows, points):
+        if row["status"] != "ok":
+            assert row["geof"] == "", (i1, i2)
+            continue
+        sf = standard_form_from_invariants(Invariants(i1, i2, -0.2, 0.4 * math.sqrt(i1 * i2)))
+        result = geof(CovMat.from_standard_form(*sf))
+        if not result.feasible:
+            assert row["geof"] == "", (i1, i2)
+            continue
+        assert float(row["geof"]) == pytest.approx(result.value, rel=1e-11, abs=1e-300), (i1, i2)
+        searched += 1
+    assert searched > 1000
+
+
+def test_scan_budget_exhausted_exit_code(tmp_path):
+    path = write(tmp_path, "scan.json", scan_spec(steps=4, i3=-0.5))
+    out = tmp_path / "out.csv"
+    assert main(["scan", "--input", path, "--output", str(out)]) == 0
+    full = {}
+    for row in read_rows(out):
+        if row["status"] == "ok":
+            inv = Invariants(*(float(row[k]) for k in ("I1", "I2", "I3", "I4")))
+            full[inv] = geof(CovMat.from_standard_form(*standard_form_from_invariants(inv)))
+    needed = max(r.iterations for r in full.values())
+    assert needed > 1  # an entangled point, searched beyond its coarse pass
+    assert main(["scan", "--input", path, "--output", str(out), "--geof-budget", str(needed - 1)]) == 4
+    for row in read_rows(out):
+        if row["status"] != "ok":
+            continue
+        inv = Invariants(*(float(row[k]) for k in ("I1", "I2", "I3", "I4")))
+        capped = geof(CovMat.from_standard_form(*standard_form_from_invariants(inv)), budget=needed - 1)
+        # Best-so-far values of certified witnesses: never below the
+        # uncapped minimum, and what geof reports under the same cap (a
+        # search cut short is not converged, so roundoff in the standard
+        # form moves its value more than that of a converged one).
+        assert capped.feasible
+        assert float(row["geof"]) == pytest.approx(capped.value, abs=1e-9)
+        assert float(row["geof"]) >= full[inv].value - 1e-12
+        assert float(row["geof"]) <= full[inv].value + 1e-6
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    # The parser is built once per process; flags of one call must not
+    # carry over into the next.
+    assert build_parser() is build_parser()
+    doc = {"standard_form": {"a": 1.2, "b": 1.2, "c1": SQ02, "c2": -SQ02}}
+    path = write(tmp_path, "in.json", doc)
+    assert main(["analyze", "--input", path, "--no-geof"]) == 0
+    assert json.loads(capsys.readouterr().out)["bounds"]["geof"] is None
+    assert main(["analyze", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["bounds"]["geof"] == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-6)
+
+    spec = write(tmp_path, "scan.json", scan_spec(steps=4, i3=-0.5))
+    bits, nats = tmp_path / "bits.csv", tmp_path / "nats.csv"
+    assert main(["scan", "--input", spec, "--output", str(bits), "--units", "bits"]) == 0
+    assert main(["scan", "--input", spec, "--output", str(nats)]) == 0
+    checked = 0
+    for b, n in zip(read_rows(bits), read_rows(nats)):
+        assert n["geof"] != "" or n["status"] != "ok"  # the second scan ran geof
+        if n["status"] == "ok" and float(n["eof_sigma"]) > 0.0:
+            assert float(n["eof_sigma"]) == pytest.approx(float(b["eof_sigma"]) * LN2, rel=1e-11)
+            checked += 1
+    assert checked > 0

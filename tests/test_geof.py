@@ -3,20 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from eofbounds.bounds import _standard_bounds
 from eofbounds.entanglement import entanglement_entropy, eof_symmetric
 from eofbounds.errors import DomainError, NonPhysicalStateError
-from eofbounds.geof import geof, pure_cms_from_parameters
+from eofbounds.geof import _geof_forms, geof, pure_cms_from_parameters
 from eofbounds.states import (
     CovMat,
+    _standard_forms,
     is_entangled,
     ppt_eigenvalues,
     random_local_symplectic,
     random_standard_form,
 )
-from eofbounds.symplectic import loewner_ge, symplectic_spectrum
+from eofbounds.symplectic import PSD_TOL, loewner_ge, symplectic_spectrum
 
 from conftest import random_psd
-from reference_geof import reference_geof
+from reference_geof import reference_geof, scalar_geof
 
 
 def general_frame_corpus(seed, n):
@@ -152,3 +154,68 @@ def test_budget_exhaustion_flagged():
 def test_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
         geof(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
+
+
+def grid_forms(steps, i3, i4=None):
+    """Physical standard forms of an I1 x I2 scan grid over [1, 4]^2, as the scan solves them."""
+    axis = np.linspace(1.0, 4.0, steps)
+    i1, i2 = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
+    i4 = 2.0 * abs(i3) * np.sqrt(i1 * i2) if i4 is None else np.full_like(i1, i4)
+    forms = _standard_forms(i1, i2, np.full_like(i1, i3), i4)
+    ok = _standard_bounds(*forms).physical
+    return np.array([x[ok] for x in forms])
+
+
+def random_forms(seed, n):
+    """Symmetric and asymmetric entangled, separable and pure (TMSV, r <= 2)
+    states, with a, b up to 50."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 3:
+            states.append(CovMat.two_mode_squeezed(rng.uniform(0.0, 2.0)))
+        else:
+            sf = random_standard_form(rng, a_max=50.0, symmetric=kind == 0, entangled=kind != 2)
+            states.append(sf.to_covmat())
+    return states
+
+
+def standard_matrices(forms):
+    a, b, c1, c2 = forms
+    return np.array([CovMat.from_standard_form(*f).matrix for f in zip(a, b, c1, c2)])
+
+
+def assert_matches_reference(forms, refs):
+    value, params, feasible, _, exhausted = _geof_forms(*forms)
+    assert np.array_equal(feasible, [r.feasible for r in refs])
+    assert not exhausted.any()
+    np.testing.assert_allclose(value[feasible], [r.value for r in refs if r.feasible], rtol=0, atol=1e-12)
+    gamma = pure_cms_from_parameters(params[feasible])
+    lam = np.linalg.eigvalsh(standard_matrices(forms)[feasible] - gamma)[:, 0]
+    assert np.all(lam >= -PSD_TOL)
+
+
+@pytest.mark.parametrize("forms", [
+    grid_forms(40, -0.2),  # the README default grid
+    grid_forms(30, -0.2, 1.5),
+], ids=["readme-grid", "i4-1.5-grid"])
+def test_array_search_matches_scalar_reference_on_grids(forms):
+    # The grid search refines by rounds of grid points, the reference by
+    # golden-section steps; both stop at brackets below 1e-6 radians.
+    refs = [scalar_geof(CovMat.from_standard_form(*f)) for f in forms.T]
+    assert_matches_reference(forms, refs)
+
+
+def test_array_search_matches_scalar_reference_on_random_states():
+    states = random_forms(17, 200)
+    single = [geof(v) for v in states]
+    # The standard forms geof searched, after its reduction and inflation.
+    forms = np.array([[g.reference_matrix[i, j] for g in single] for i, j in ((0, 0), (2, 2), (0, 2), (1, 3))])
+    assert_matches_reference(forms, [scalar_geof(v) for v in states])
+    # geof is the array search at n = 1: the same row, bit for bit.
+    value, params, feasible, evals, exhausted = _geof_forms(*forms)
+    for k, g in enumerate(single):
+        assert (g.value, g.feasible, g.iterations, g.budget_exhausted) == (
+            value[k], feasible[k], evals[k], exhausted[k])
+        assert np.array_equal(g.argmin_parameters, params[k])
