@@ -4,10 +4,8 @@ from .bounds import (
     BoundFlags,
     BoundReport,
     NaturalBounds,
-    NoiseMatrix,
     bound_report,
     natural_bounds,
-    noise_decomposition,
     searched_upper_bound,
     sigma_lower_bound,
 )
@@ -18,7 +16,6 @@ from .errors import (
     EofBoundsError,
     NonPhysicalStateError,
     NonPositiveMatrixError,
-    NotPSDError,
     NotSymmetricError,
     ParseError,
 )

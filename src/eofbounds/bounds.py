@@ -28,40 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .errors import NotPSDError
-from .geof import geof
-from .states import CovMat, StandardForm, require_physical, standard_form
-from .symplectic import PSD_TOL, least_mu_minus, min_eigenvalue, symmetrize
+from .geof import _geof_forms
+from .states import CovMat, StandardForm, _spectra, require_physical, standard_form
+from .symplectic import PSD_TOL, least_mu_minus
 
 #: Default tolerance for comparisons between entanglement values.
 BOUND_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class NoiseMatrix:
-    """PSD covariance-level noise Delta with V = V_target + Delta."""
-
-    delta: np.ndarray
-
-
-def noise_decomposition(v: CovMat, target: CovMat, tol: float = PSD_TOL) -> NoiseMatrix:
-    """Noise matrix Delta = v - target, validated to be PSD.
-
-    A valid decomposition certifies EoF(v-state) <= EoF(target-state).
-
-    Raises
-    ------
-    NotPSDError
-        If v - target has an eigenvalue below -tol.
-    """
-    delta = symmetrize(v.matrix - target.matrix)
-    lam = min_eigenvalue(delta)
-    if lam < -tol:
-        raise NotPSDError(
-            f"difference is not PSD (min eigenvalue {lam:.3e}); no bound follows"
-        )
-    delta.setflags(write=False)
-    return NoiseMatrix(delta)
 
 
 @dataclass(frozen=True)
@@ -88,31 +60,22 @@ def _symmetric(m, c1, c2, psd_tol: float, least):
 def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
     """Every closed-form bound of the standard forms (a, b, c1, c2), c1 >= |c2|.
 
-    The standard form splits into Vx = [[a, c1], [c1, b]] and
-    Vp = [[a, c2], [c2, b]].  It is positive definite iff
-    lambda_min(Vx) > psd_tol, and its symplectic eigenvalues are
-    nu+-^2 = eig(Vx Vp), taken as nu+^2 from the trace and discriminant
-    and nu-^2 = det Vx det Vp / nu+^2, which does not cancel for pure
-    states.  The partial transpose flips the sign of c2.  The symmetric
-    state (m, m, c1, c2) has PPT eigenvalue sqrt((m - c1)(m + c2)) and is
-    physical iff m - c1 > psd_tol and sqrt((m - c1)(m - c2)) >= 1 - psd_tol.
-    Each test nu_minus >= 1 - psd_tol also allows the roundoff of its
-    own arithmetic (`least_mu_minus` with scale max(a, b)).
+    The standard form is positive definite iff lambda_min(Vx) > psd_tol,
+    with Vx = [[a, c1], [c1, b]]; its symplectic eigenvalues and those of
+    its partial transpose (c2 -> -c2) come from `states._spectra`.  The
+    symmetric state (m, m, c1, c2) has PPT eigenvalue
+    sqrt((m - c1)(m + c2)) and is physical iff m - c1 > psd_tol and
+    sqrt((m - c1)(m - c2)) >= 1 - psd_tol.  Each test
+    nu_minus >= 1 - psd_tol also allows the roundoff of its own
+    arithmetic (`least_mu_minus` with scale max(a, b)).
     """
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
     least = least_mu_minus(np.maximum(a, b), psd_tol)
     ab = a * b
-    det = (ab - c1 * c1) * (ab - c2 * c2)
-
-    def nu_minus(c2):
-        tr = a * a + b * b + 2.0 * c1 * c2
-        disc = (a * a - b * b) ** 2 + 4.0 * (a * c2 + b * c1) * (a * c1 + b * c2)
-        return np.sqrt(det / ((tr + np.sqrt(np.maximum(disc, 0.0))) / 2.0))
-
+    nu_minus, nu_t = _spectra(a, b, c1, np.stack((c2, -c2)))[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         lam_min = 2.0 * (ab - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
-        physical = (lam_min > psd_tol) & (nu_minus(c2) >= least)
-        nu_t = nu_minus(-c2)
+        physical = (lam_min > psd_tol) & (nu_minus >= least)
         nu_lower, _ = _symmetric(np.maximum(a, b), c1, c2, psd_tol, least)
         nu_sigma, _ = _symmetric((a + b) / 2.0, c1, c2, psd_tol, least)
         nu_upper, upper_physical = _symmetric(np.minimum(a, b), c1, c2, psd_tol, least)
@@ -215,7 +178,7 @@ class BoundFlags:
     """Diagnostics for the constructed bound states."""
 
     upper_natural_physical: bool
-    searched_feasible: bool | None
+    searched_feasible: bool
     geof_feasible: bool | None
     geof_budget_exhausted: bool
     hierarchy_ok: bool
@@ -237,21 +200,29 @@ class BoundReport:
 
 
 def bound_report(
-    v: CovMat,
+    v: CovMat | StandardForm,
     include_geof: bool = True,
-    include_searched: bool = True,
     psd_tol: float = PSD_TOL,
     bound_tol: float = BOUND_TOL,
     geof_tol: float = 1e-6,
     geof_budget: int = 100_000,
-    searched_steps: int = 64,
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
-    The state is checked once and reduced once to its standard form,
-    from which `_standard_bounds` gives every closed-form value.
-    Violations of the expected ordering are recorded in the flags rather
-    than raised, so callers can inspect borderline numerics.
+    A CovMat is checked once and reduced once to its standard form; a
+    StandardForm is taken as already checked.  `_standard_bounds` gives
+    every closed-form value, `searched_upper_bound` the searched one and
+    the array search `geof._geof_forms` the GeoF, all on that standard
+    form, as a scan does for a whole grid.  Violations of the expected
+    ordering are recorded in the flags rather than raised, so callers can
+    inspect borderline numerics.
+
+    Raises
+    ------
+    NonPhysicalStateError
+        If a CovMat v is not physical within psd_tol.
+    DomainError
+        If include_geof and geof_budget < 1.
     """
     sf = _form(v, psd_tol)
     res = _standard_bounds(*sf, psd_tol)
@@ -263,16 +234,11 @@ def bound_report(
     geof_feasible: bool | None = None
     exhausted = False
     if include_geof:
-        result = geof(v, tol=geof_tol, budget=geof_budget, psd_tol=psd_tol)
-        geof_feasible = result.feasible
-        exhausted = result.budget_exhausted
-        geof_value = result.value if result.feasible else None
+        value, _, feasible, _, cut = _geof_forms(*sf, geof_tol, geof_budget, psd_tol)
+        geof_feasible, exhausted = bool(feasible[0]), bool(cut[0])
+        geof_value = float(value[0]) if geof_feasible else None
 
-    searched: float | None = None
-    searched_feasible: bool | None = None
-    if include_searched:
-        searched = searched_upper_bound(sf, steps=searched_steps, psd_tol=psd_tol)
-        searched_feasible = searched is not None
+    searched = searched_upper_bound(sf, psd_tol=psd_tol)
 
     violations: list[str] = []
 
@@ -292,7 +258,7 @@ def bound_report(
 
     flags = BoundFlags(
         upper_natural_physical=upper_physical,
-        searched_feasible=searched_feasible,
+        searched_feasible=searched is not None,
         geof_feasible=geof_feasible,
         geof_budget_exhausted=exhausted,
         hierarchy_ok=not violations,

@@ -27,12 +27,11 @@ from .geof import _geof_forms
 from .states import (
     CovMat,
     Invariants,
+    _spectra,
     _standard_forms,
     invariants,
-    ppt_eigenvalues,
-    standard_form,
+    require_physical,
     standard_form_from_invariants,
-    symplectic_eigenvalues,
 )
 
 #: Fixed column order of scan output.
@@ -175,26 +174,26 @@ def run_analyze(args: argparse.Namespace) -> int:
     doc = _load_document(args.input)
     cm = resolve_state_document(doc)
 
-    sf = standard_form(cm)
-    spec = symplectic_eigenvalues(cm, args.tol_psd)
-    ppt = ppt_eigenvalues(cm, args.tol_psd)
+    require_physical(cm, args.tol_psd)
+    inv = invariants(cm)
+    sf = standard_form_from_invariants(inv)
     report = bound_report(
-        cm,
+        sf,
         include_geof=not args.no_geof,
-        include_searched=True,
         psd_tol=args.tol_psd,
         bound_tol=args.tol_bound,
         geof_tol=args.geof_tol,
         geof_budget=args.geof_budget,
     )
+    mu_minus, mu_plus = _spectra(*sf)
+    mu_t_minus, mu_t_plus = _spectra(sf.a, sf.b, sf.c1, -sf.c2)
 
-    inv = invariants(cm)
     out = {
         "units": args.units,
         "invariants": {"I1": inv.i1, "I2": inv.i2, "I3": inv.i3, "I4": inv.i4},
         "standard_form": {"a": sf.a, "b": sf.b, "c1": sf.c1, "c2": sf.c2},
-        "symplectic_eigenvalues": {"mu_minus": spec.mu_minus, "mu_plus": spec.mu_plus},
-        "ppt_symplectic_eigenvalues": {"mu_minus": ppt.mu_minus, "mu_plus": ppt.mu_plus},
+        "symplectic_eigenvalues": {"mu_minus": float(mu_minus), "mu_plus": float(mu_plus)},
+        "ppt_symplectic_eigenvalues": {"mu_minus": float(mu_t_minus), "mu_plus": float(mu_t_plus)},
         "entangled": report.entangled,
         "bounds": _report_dict(report, args.units),
     }

@@ -33,9 +33,5 @@ class DegenerateInvariantsError(EofBoundsError):
     """Invariant combination admits no real standard-form solution."""
 
 
-class NotPSDError(EofBoundsError):
-    """Matrix difference has a negative eigenvalue; no noise decomposition."""
-
-
 class ParseError(EofBoundsError):
     """Input document is malformed or fails schema validation."""

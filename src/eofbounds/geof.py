@@ -38,7 +38,7 @@ import numpy as np
 
 from .entanglement import entanglement_entropy_vec
 from .errors import DomainError
-from .states import CovMat, is_physical, require_physical, standard_form
+from .states import CovMat, require_physical, standard_form
 from .symplectic import PSD_TOL
 
 #: Coarse angles over [0, pi).  rho^2 is a ratio of trigonometric polynomials
@@ -133,7 +133,14 @@ def _geof_forms(a, b, c1, c2, tol: float = 1e-6, budget: int = 100_000, psd_tol:
     (inf where no witness passed the certificate), the witness parameters
     (n, 5), feasible, the evaluations of rho and budget_exhausted.  `tol`,
     `budget` and `psd_tol` mean what they mean in `geof`, for each state.
+
+    Raises
+    ------
+    DomainError
+        If budget < 1.
     """
+    if budget < 1:
+        raise DomainError(f"geof budget must be at least 1, got {budget}")
     forms = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
     blocks = [_search(forms[:, i:i + _BLOCK], tol, budget, psd_tol)
               for i in range(0, max(forms.shape[1], 1), _BLOCK)]
@@ -263,9 +270,12 @@ def geof(
 ) -> GeofResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
-    Deterministic.  `tol` is the width, in radians of phi, below which a
-    bracket counts as converged (at least 1e-9); the value error is of
-    order tol^2.
+    Checks v, reduces it to its standard form and runs `_geof_forms` on
+    it at n = 1; `bound_report` and `scan`, which hold standard forms
+    already, call `_geof_forms` directly.  Deterministic.
+
+    `tol` is the width, in radians of phi, below which a bracket counts
+    as converged (at least 1e-9); the value error is of order tol^2.
     `budget` is a hard cap on evaluations of rho.  A separable state
     returns exactly 0.0 from a product witness.  The returned value is
     that of a witness G with eigvalsh(V - G) >= -psd_tol; when no
@@ -278,18 +288,8 @@ def geof(
     DomainError
         If budget < 1.
     """
-    if budget < 1:
-        raise DomainError(f"geof budget must be at least 1, got {budget}")
     require_physical(v, psd_tol)
-    a, b, c1, c2 = standard_form(v)
-    # Reconstruction roundoff can leave the standard-form matrix a hair
-    # below physicality, emptying the feasible set; inflate minimally.
-    delta = 1e-12
-    ref = CovMat.from_standard_form(a, b, c1, c2)
-    while not is_physical(ref, psd_tol) and delta < 1e-6:
-        a, b = a + delta, b + delta
-        ref = CovMat.from_standard_form(a, b, c1, c2)
-        delta *= 4.0
-    value, params, feasible, evals, exhausted = _geof_forms(a, b, c1, c2, tol, budget, psd_tol)
+    sf = standard_form(v)
+    value, params, feasible, evals, exhausted = _geof_forms(*sf, tol, budget, psd_tol)
     return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),
-                      bool(exhausted[0]), ref.matrix)
+                      bool(exhausted[0]), sf.to_covmat().matrix)

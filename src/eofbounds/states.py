@@ -32,6 +32,7 @@ from .symplectic import (
     PSD_TOL,
     SympSpectrum,
     least_mu_minus,
+    partial_transpose,
     symmetrize,
     symplectic_spectrum,
 )
@@ -156,60 +157,40 @@ def invariants(v: CovMat) -> Invariants:
     return Invariants(_det2(a), _det2(b), _det2(c), i4)
 
 
-def _clamped_sqrt(x: float, scale: float) -> float:
-    """sqrt with clamping of small negative floating-point residue."""
-    if x < 0.0:
-        if x < -1e-12 * max(1.0, scale):
-            raise NonPositiveMatrixError(
-                f"negative discriminant {x:.3e} (matrix not positive definite)"
-            )
-        x = 0.0
-    return math.sqrt(x)
+def _spectra(a, b, c1, c2):
+    """Symplectic eigenvalues (nu_minus, nu_plus) of standard forms (a, b, c1, c2).
 
-
-def _spectrum_from_invariants(inv: Invariants, ppt: bool) -> SympSpectrum:
-    """Closed-form symplectic spectrum from invariants.
-
-    The partial transpose only flips the sign of I3.
+    nu+-^2 are the eigenvalues of Vx Vp, with Vx = [[a, c1], [c1, b]] and
+    Vp = [[a, c2], [c2, b]]: nu+^2 from the trace and discriminant, and
+    nu-^2 = det Vx det Vp / nu+^2, which does not cancel for pure or
+    strongly entangled states.  nu_minus is NaN where det Vx det Vp < 0.
+    The partially transposed state is (a, b, c1, -c2).  Works on floats
+    and on numpy arrays alike.
     """
-    i1, i2, i3, i4 = inv
-    if ppt:
-        i3 = -i3
-    half = (i1 + i2) / 2.0
-    scale = abs(i1) + abs(i2) + abs(i3) + abs(i4) + 1.0
-    disc = _clamped_sqrt(((i1 - i2) / 2.0) ** 2 + (i1 + i2) * i3 + i4, scale**2)
-    mu_m = _clamped_sqrt(half + i3 - disc, scale)
-    mu_p = _clamped_sqrt(half + i3 + disc, scale)
-    return SympSpectrum(mu_m, mu_p)
-
-
-def _require_pd(v: CovMat, tol: float) -> None:
-    w = np.linalg.eigvalsh(v.matrix)
-    if w[0] <= tol:
-        raise NonPositiveMatrixError(
-            f"covariance matrix is not positive definite: min eigenvalue {w[0]:.3e}"
-        )
+    ab = a * b
+    tr = a * a + b * b + 2.0 * c1 * c2
+    disc = (a * a - b * b) ** 2 + 4.0 * (a * c2 + b * c1) * (a * c1 + b * c2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        plus = (tr + np.sqrt(np.maximum(disc, 0.0))) / 2.0
+        return np.sqrt((ab - c1 * c1) * (ab - c2 * c2) / plus), np.sqrt(plus)
 
 
 def symplectic_eigenvalues(v: CovMat, tol: float = PSD_TOL) -> SympSpectrum:
-    """Symplectic eigenvalues of the state, from the invariant closed form."""
-    _require_pd(v, tol)
-    return _spectrum_from_invariants(invariants(v), ppt=False)
+    """Symplectic eigenvalues of the state (see `symplectic_spectrum`)."""
+    return symplectic_spectrum(v.matrix, tol)
 
 
 def ppt_eigenvalues(v: CovMat, tol: float = PSD_TOL) -> SympSpectrum:
     """Symplectic eigenvalues of the partially transposed state."""
-    _require_pd(v, tol)
-    return _spectrum_from_invariants(invariants(v), ppt=True)
+    return symplectic_spectrum(partial_transpose(v.matrix), tol)
 
 
 def is_physical(v: CovMat, tol: float = PSD_TOL) -> bool:
     """True iff v is positive definite and its smallest symplectic eigenvalue >= 1 - tol.
 
-    Uses the general spectral route, which stays accurate when the two
-    symplectic eigenvalues nearly coincide (the closed form cancels
-    catastrophically there, e.g. for pure states).  The threshold allows
-    the roundoff of that route, so pure states pass at tol = 0.
+    Uses the general spectral route `symplectic_spectrum`, which takes
+    any frame.  The threshold allows the roundoff of that route, so pure
+    states pass at tol = 0.
     """
     try:
         spec = symplectic_spectrum(v.matrix, tol)
@@ -370,12 +351,6 @@ def random_standard_form(
         the smaller block (the natural upper-bound state) to be physical.
     min_asymmetry : lower bound on |a - b| (ignored when symmetric).
     """
-    def try_mu_minus(inv: Invariants, ppt: bool) -> float | None:
-        try:
-            return _spectrum_from_invariants(inv, ppt).mu_minus
-        except NonPositiveMatrixError:
-            return None
-
     for _ in range(max_tries):
         a = rng.uniform(1.0, a_max)
         if symmetric:
@@ -387,30 +362,18 @@ def random_standard_form(
         c_cap = math.sqrt(a * b) * 0.999
         c1 = rng.uniform(0.0, c_cap)
         c2 = rng.uniform(-c1, c1)
-        inv = Invariants(a * a, b * b, c1 * c2, a * b * (c1 * c1 + c2 * c2))
-        mu = try_mu_minus(inv, ppt=False)
-        if mu is None or mu < 1.0 + phys_margin:
+        # Every test below is written so that a NaN eigenvalue (det <= 0) rejects.
+        if not _spectra(a, b, c1, c2)[0] >= 1.0 + phys_margin:
             continue
         if entangled is not None:
-            mu_t = try_mu_minus(inv, ppt=True)
-            if mu_t is None:
-                continue
-            if entangled and not mu_t < 1.0 - gap:
-                continue
-            if not entangled and not mu_t > 1.0 + gap:
+            mu_t = _spectra(a, b, c1, -c2)[0]
+            if not (mu_t < 1.0 - gap if entangled else mu_t > 1.0 + gap):
                 continue
         if require_physical_upper:
             small = min(a, b)
             if small - c1 <= phys_margin:  # block positivity of the upper state
                 continue
-            inv_up = Invariants(
-                small * small,
-                small * small,
-                c1 * c2,
-                small * small * (c1 * c1 + c2 * c2),
-            )
-            mu_up = try_mu_minus(inv_up, ppt=False)
-            if mu_up is None or mu_up < 1.0 + phys_margin:
+            if not _spectra(small, small, c1, c2)[0] >= 1.0 + phys_margin:
                 continue
         return StandardForm(a, b, c1, c2)
     raise RuntimeError("rejection sampler exhausted max_tries")

@@ -6,12 +6,11 @@ import pytest
 from eofbounds.bounds import (
     bound_report,
     natural_bounds,
-    noise_decomposition,
     searched_upper_bound,
     sigma_lower_bound,
 )
 from eofbounds.entanglement import entanglement_entropy, eof_symmetric
-from eofbounds.errors import NonPhysicalStateError, NotPSDError
+from eofbounds.errors import NonPhysicalStateError
 from eofbounds.geof import geof
 from eofbounds.states import (
     CovMat,
@@ -25,46 +24,6 @@ from eofbounds.symplectic import loewner_ge
 from conftest import random_psd
 
 SQ02 = math.sqrt(0.2)
-
-
-# ---------------------------------------------------------------------------
-# noise_decomposition
-# ---------------------------------------------------------------------------
-
-
-def test_noise_decomposition_zero():
-    v = CovMat.from_standard_form(1.3, 1.6, 0.4, -0.2)
-    np.testing.assert_allclose(noise_decomposition(v, v).delta, np.zeros((4, 4)))
-
-
-def test_noise_decomposition_natural_structure(rng):
-    # V_AB = V_AA + 0 (+) (B - A): the A-side state differs by a pure
-    # B-block noise term.
-    sf = random_standard_form(rng, entangled=True)
-    a, b = min(sf.a, sf.b), max(sf.a, sf.b)
-    v = CovMat.from_standard_form(a, b, sf.c1, sf.c2)
-    target = CovMat.from_standard_form(a, a, sf.c1, sf.c2)
-    delta = noise_decomposition(v, target).delta
-    np.testing.assert_allclose(delta[:2, :2], np.zeros((2, 2)), atol=1e-14)
-    np.testing.assert_allclose(delta[2:, 2:], (b - a) * np.eye(2), atol=1e-14)
-
-
-def test_noise_decomposition_midpoint_structure(rng):
-    # V_BB = sigma + (B - M) (+) (B - M) with M = (A + B)/2.
-    sf = random_standard_form(rng)
-    a, b = min(sf.a, sf.b), max(sf.a, sf.b)
-    m = (a + b) / 2
-    v_bb = CovMat.from_standard_form(b, b, sf.c1, sf.c2)
-    sigma = CovMat.from_standard_form(m, m, sf.c1, sf.c2)
-    delta = noise_decomposition(v_bb, sigma).delta
-    np.testing.assert_allclose(delta, (b - m) * np.eye(4), atol=1e-14)
-
-
-def test_noise_decomposition_rejects_indefinite():
-    v = CovMat.from_standard_form(1.2, 1.2, 0.1, 0.0)
-    target = CovMat.from_standard_form(1.0, 1.5, 0.1, 0.0)
-    with pytest.raises(NotPSDError):
-        noise_decomposition(v, target)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +245,8 @@ def test_report_monotone_under_noise(rng):
     for _ in range(15):
         v = random_standard_form(rng, entangled=True).to_covmat()
         noisy = CovMat(v.matrix + random_psd(rng, scale=0.2))
-        r1 = bound_report(v, include_searched=False)
-        r2 = bound_report(noisy, include_searched=False)
+        r1 = bound_report(v)
+        r2 = bound_report(noisy)
         assert r2.eeof <= r1.eeof + 1e-12
         assert r2.geof <= r1.geof + 2e-6
 
@@ -349,19 +308,32 @@ def report_values(rep):
     }
 
 
+def checked_report(v):
+    """bound_report(v), after checking that its GeoF is geof(v) bit for bit."""
+    rep = bound_report(v)
+    g = geof(v)
+    assert (rep.geof, rep.flags.geof_feasible, rep.flags.geof_budget_exhausted) == (
+        g.value if g.feasible else None, g.feasible, g.budget_exhausted)
+    return rep
+
+
 def test_report_invariant_under_local_symplectics_and_mode_swap():
     # Metamorphic: every reported value is a function of the standard form
     # alone, so a random local frame, with or without swapping the modes,
-    # must not move it.
+    # must not move it.  The inputs end with pure states (TMSV).
     rng = np.random.default_rng(7)
-    for i in range(240):
-        sf = random_standard_form(rng, entangled=i % 3 != 0)
-        plain = report_values(bound_report(sf.to_covmat()))
+    squeezing = np.linspace(0.0, 2.0, 21)
+    for i in range(240 + squeezing.size):
+        if i < 240:
+            v = random_standard_form(rng, entangled=i % 3 != 0).to_covmat()
+        else:
+            v = CovMat.two_mode_squeezed(squeezing[i - 240])
+        plain = report_values(checked_report(v))
         for swap in (False, True):
             s = random_local_symplectic(rng, squeeze_max=0.3)
             if swap:
                 s = SWAP @ s
-            moved = report_values(bound_report(sf.to_covmat().conjugate(s)))
+            moved = report_values(checked_report(v.conjugate(s)))
             for key, value in plain.items():
                 if isinstance(value, float):
                     assert moved[key] == pytest.approx(value, abs=1e-9), (i, swap, key)

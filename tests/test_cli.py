@@ -106,6 +106,15 @@ def test_analyze_symmetric_example(tmp_path, capsys):
     assert out["bounds"]["flags"]["hierarchy_ok"] is True
 
 
+def test_analyze_strongly_entangled_spectrum(tmp_path, capsys):
+    # Strongly entangled (TMSV, r = 3): the printed spectrum must not cancel.
+    ch, sh = math.cosh(6.0), math.sinh(6.0)
+    path = write(tmp_path, "in.json", {"standard_form": {"a": ch, "b": ch, "c1": sh, "c2": -sh}})
+    assert main(["analyze", "--input", path, "--no-geof"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ppt_symplectic_eigenvalues"]["mu_minus"] == pytest.approx(math.exp(-6.0), rel=1e-9)
+
+
 def test_analyze_unphysical_exit_code(tmp_path, capsys):
     doc = {"standard_form": {"a": 1, "b": 1, "c1": 0.4, "c2": -0.4}}
     path = write(tmp_path, "in.json", doc)
@@ -358,7 +367,7 @@ def test_scan_matches_per_point_report(tmp_path, spec):
         else:
             cm = CovMat.from_standard_form(*sf)
             try:
-                rep = bound_report(cm, include_geof=False, include_searched=False)
+                rep = bound_report(cm, include_geof=False)
             except NonPhysicalStateError:
                 expected["status"] = "unphysical"
             else:

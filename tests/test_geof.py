@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eofbounds.bounds import _standard_bounds
+from eofbounds.bounds import _standard_bounds, bound_report
 from eofbounds.entanglement import entanglement_entropy, eof_symmetric
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import _geof_forms, geof, pure_cms_from_parameters
@@ -149,6 +149,8 @@ def test_budget_exhaustion_flagged():
     assert loewner_ge(res.reference_matrix, pure_cms_from_parameters(res.argmin_parameters), 1e-9)
     with pytest.raises(DomainError):
         geof(v, budget=0)
+    with pytest.raises(DomainError):
+        bound_report(v, geof_budget=0)
 
 
 def test_rejects_unphysical():
@@ -210,7 +212,7 @@ def test_array_search_matches_scalar_reference_on_grids(forms):
 def test_array_search_matches_scalar_reference_on_random_states():
     states = random_forms(17, 200)
     single = [geof(v) for v in states]
-    # The standard forms geof searched, after its reduction and inflation.
+    # The standard forms geof searched, after its reduction.
     forms = np.array([[g.reference_matrix[i, j] for g in single] for i, j in ((0, 0), (2, 2), (0, 2), (1, 3))])
     assert_matches_reference(forms, [scalar_geof(v) for v in states])
     # geof is the array search at n = 1: the same row, bit for bit.

@@ -12,6 +12,7 @@ from eofbounds.states import (
     CovMat,
     Invariants,
     StandardForm,
+    _spectra,
     invariants,
     is_entangled,
     is_physical,
@@ -167,17 +168,16 @@ def test_symmetric_state_ppt_closed_form(rng):
 
 
 def test_spectra_match_general_route(rng):
-    # Invariant closed form vs moduli of eigenvalues of iJV.
+    # Standard-form closed form vs moduli of eigenvalues of iJV, the latter
+    # on the state in a random local frame.
     for _ in range(200):
-        cm = random_standard_form(rng).to_covmat().conjugate(random_local_symplectic(rng))
-        spec = symplectic_eigenvalues(cm)
-        general = symplectic_spectrum(cm.matrix)
-        assert spec.mu_minus == pytest.approx(general.mu_minus, abs=1e-10)
-        assert spec.mu_plus == pytest.approx(general.mu_plus, abs=1e-10)
-        ppt = ppt_eigenvalues(cm)
-        general_t = symplectic_spectrum(partial_transpose(cm.matrix))
-        assert ppt.mu_minus == pytest.approx(general_t.mu_minus, abs=1e-10)
-        assert ppt.mu_plus == pytest.approx(general_t.mu_plus, abs=1e-10)
+        sf = random_standard_form(rng)
+        cm = sf.to_covmat().conjugate(random_local_symplectic(rng))
+        for c2, m in ((sf.c2, cm.matrix), (-sf.c2, partial_transpose(cm.matrix))):
+            mu_minus, mu_plus = _spectra(sf.a, sf.b, sf.c1, c2)
+            general = symplectic_spectrum(m)
+            assert mu_minus == pytest.approx(general.mu_minus, abs=1e-10)
+            assert mu_plus == pytest.approx(general.mu_plus, abs=1e-10)
 
 
 def test_ppt_equals_spectrum_of_transposed_cm(rng):
@@ -197,9 +197,10 @@ def test_product_state_ppt_unchanged():
 
 
 def test_two_mode_squeezed_ppt_eigenvalue():
-    for r in (0.1, 0.5, 1.2):
+    # r = 3 is strongly entangled: the route must not cancel there.
+    for r, rel in ((0.1, 1e-12), (0.5, 1e-12), (1.2, 1e-12), (3.0, 1e-9)):
         spec = ppt_eigenvalues(CovMat.two_mode_squeezed(r))
-        assert spec.mu_minus == pytest.approx(math.exp(-2 * r), rel=1e-12)
+        assert spec.mu_minus == pytest.approx(math.exp(-2 * r), rel=rel)
 
 
 def test_is_physical_vacuum():
