@@ -3,13 +3,15 @@
 from .bounds import (
     BoundFlags,
     BoundReport,
-    NaturalBounds,
     bound_report,
+    eeof,
+    eof_symmetric,
+    is_entangled,
     natural_bounds,
     searched_upper_bound,
     sigma_lower_bound,
 )
-from .entanglement import eeof, entanglement_entropy, eof_symmetric
+from .entanglement import entanglement_entropy
 from .errors import (
     DegenerateInvariantsError,
     DomainError,
@@ -19,18 +21,16 @@ from .errors import (
     NotSymmetricError,
     ParseError,
 )
-from .geof import GeofResult, geof, pure_cms_from_parameters
+from .geof import GeofResult, pure_cms_from_parameters
 from .states import (
     CovMat,
     Invariants,
     StandardForm,
     invariants,
-    is_entangled,
     is_physical,
     ppt_eigenvalues,
     random_local_symplectic,
     random_standard_form,
-    reduced_symmetric,
     require_physical,
     standard_form,
     standard_form_from_invariants,
@@ -41,11 +41,8 @@ from .symplectic import (
     J4,
     PSD_TOL,
     SympSpectrum,
-    is_psd,
-    loewner_ge,
     partial_transpose,
     symmetrize,
-    symplectic_form,
     symplectic_spectrum,
 )
 

@@ -19,6 +19,10 @@ evaluates them, with the physicality and PPT tests of the state and the
 EeoF estimator, in one pass over numpy arrays of standard forms: one
 state for `bound_report`, a whole grid for a scan.  Every value is
 therefore invariant under local symplectics and under swapping the modes.
+
+Every one-state function (`bound_report`, the single bounds, `eeof`,
+`eof_symmetric`, `is_entangled`) checks and reduces its CovMat or
+StandardForm in `_checked`, raising NonPhysicalStateError if unphysical.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
+from .errors import NonPhysicalStateError, NotSymmetricError
 from .geof import _geof_forms
 from .states import CovMat, StandardForm, _spectra, require_physical, standard_form
 from .symplectic import PSD_TOL, least_mu_minus
@@ -94,25 +99,30 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
     )
 
 
-def _form(v: CovMat | StandardForm, psd_tol: float) -> StandardForm:
-    """Standard form of a state checked to be physical; a StandardForm passes as is."""
-    if isinstance(v, StandardForm):
-        return v
-    require_physical(v, psd_tol)
-    return standard_form(v)
+def _checked(v: CovMat | StandardForm, psd_tol: float) -> tuple[StandardForm, _StandardBounds]:
+    """Standard form of one physical state and its closed-form pass.
+
+    A CovMat is checked once by `require_physical` and reduced once; its
+    standard form is not tested again, since at psd_tol = 0 the closed
+    form can fail the roundoff of a reduced pure state.  A StandardForm
+    is checked by the pass's own `physical` flag.
+    """
+    sf = v
+    if isinstance(v, CovMat):
+        require_physical(v, psd_tol)
+        sf = standard_form(v)
+    res = _standard_bounds(*sf, psd_tol)
+    if sf is v and not res.physical:
+        mu = float(_spectra(*sf)[0])
+        raise NonPhysicalStateError(
+            f"standard form {tuple(sf)} is not physical: mu_minus = {mu:.12g}", mu)
+    return sf, res
 
 
-@dataclass(frozen=True)
-class NaturalBounds:
-    """Bounds from the symmetric states of the larger and smaller block."""
-
-    lower: float
-    upper: float | None
-    upper_physical: bool
-
-
-def natural_bounds(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> NaturalBounds:
-    """EoF bounds from the symmetric states (m, m, c1, c2) of the standard form.
+def natural_bounds(
+    v: CovMat | StandardForm, psd_tol: float = PSD_TOL
+) -> tuple[float, float | None]:
+    """EoF bounds (lower, upper) from the symmetric states (m, m, c1, c2).
 
     m = max(a, b) gives a lower bound (that state is v plus noise, so it
     is always physical); m = min(a, b) gives an upper bound unless that
@@ -120,9 +130,8 @@ def natural_bounds(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> Natura
     computed on the standard form, so they do not depend on the local
     frame v is given in.
     """
-    res = _standard_bounds(*_form(v, psd_tol), psd_tol)
-    upper = float(res.upper_natural) if res.upper_physical else None
-    return NaturalBounds(float(res.lower_natural), upper, bool(res.upper_physical))
+    res = _checked(v, psd_tol)[1]
+    return float(res.lower_natural), float(res.upper_natural) if res.upper_physical else None
 
 
 def sigma_lower_bound(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> float:
@@ -133,25 +142,11 @@ def sigma_lower_bound(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> flo
     eigenvalue is sqrt((m - c1)(m + c2)).  Always at least as tight as
     the larger-block bound, and never above the true EoF.
     """
-    return float(_standard_bounds(*_form(v, psd_tol), psd_tol).lower_sigma)
+    return float(_checked(v, psd_tol)[1].lower_sigma)
 
 
-def searched_upper_bound(
-    v: CovMat | StandardForm, steps: int = 64, psd_tol: float = PSD_TOL
-) -> float | None:
-    """Tightest upper bound over symmetric states with rescaled correlations.
-
-    Minimizes the symmetric-state EoF over the family V' with blocks m*I
-    and correlations t*diag(c1, c2), for m in [1, min(a, b)] and
-    t in (0, 1], subject to v - V' being PSD and V' physical.  Works on
-    the standard form of v.  Returns None when no grid point is feasible.
-
-    The grid uses `steps` subdivisions per axis with shared endpoints, so
-    doubling `steps` refines the previous grid and the returned value
-    never increases.
-    """
-    a, b, c1, c2 = _form(v, psd_tol)
-
+def _searched(a, b, c1, c2, steps: int, psd_tol: float) -> float | None:
+    """The searched upper bound of one physical standard form (a, b, c1, c2)."""
     m = np.linspace(1.0, min(a, b), steps + 1)
     t = np.linspace(0.0, 1.0, steps + 1)[1:]
     mg, tg = np.meshgrid(m, t, indexing="ij")
@@ -171,6 +166,56 @@ def searched_upper_bound(
     if not np.any(feasible):
         return None
     return float(np.min(entanglement_entropy_vec(nu_t[feasible])))
+
+
+def searched_upper_bound(
+    v: CovMat | StandardForm, steps: int = 64, psd_tol: float = PSD_TOL
+) -> float | None:
+    """Tightest upper bound over symmetric states with rescaled correlations.
+
+    Minimizes the symmetric-state EoF over the family V' with blocks m*I
+    and correlations t*diag(c1, c2), for m in [1, min(a, b)] and
+    t in (0, 1], subject to v - V' being PSD and V' physical.  Works on
+    the standard form of v, checked as by `bound_report`.  Returns None
+    when no grid point is feasible.
+
+    The grid uses `steps` subdivisions per axis with shared endpoints, so
+    doubling `steps` refines the previous grid and the returned value
+    never increases.
+    """
+    return _searched(*_checked(v, psd_tol)[0], steps, psd_tol)
+
+
+def eeof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> float:
+    """EoF estimator: the symmetric-state formula applied to a general state.
+
+    f of the PPT eigenvalue of the standard form.  Sandwiched by the same
+    symmetric-state bounds as the true EoF, but not proven equal to it
+    for non-symmetric states.
+    """
+    return float(_checked(v, psd_tol)[1].eeof)
+
+
+def eof_symmetric(v: CovMat | StandardForm, tol: float = 1e-9, psd_tol: float = PSD_TOL) -> float:
+    """Exact entanglement of formation of a symmetric two-mode Gaussian state.
+
+    The state is symmetric iff its standard form has |a - b| <= tol, in
+    whatever local frame v is given.
+
+    Raises
+    ------
+    NotSymmetricError
+        If |a - b| > tol.
+    """
+    sf, res = _checked(v, psd_tol)
+    if abs(sf.a - sf.b) > tol:
+        raise NotSymmetricError(f"standard form has |a - b| = {abs(sf.a - sf.b):.3e} > {tol:.3e}")
+    return float(res.eeof)
+
+
+def is_entangled(v: CovMat | StandardForm, tol: float = PSD_TOL) -> bool:
+    """PPT test: entangled iff the transposed spectrum dips below 1 - tol."""
+    return bool(_checked(v, tol)[1].entangled)
 
 
 @dataclass(frozen=True)
@@ -197,6 +242,7 @@ class BoundReport:
     geof: float | None
     entangled: bool
     flags: BoundFlags
+    standard_form: StandardForm
 
 
 def bound_report(
@@ -209,23 +255,23 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
-    A CovMat is checked once and reduced once to its standard form; a
-    StandardForm is taken as already checked.  `_standard_bounds` gives
-    every closed-form value, `searched_upper_bound` the searched one and
-    the array search `geof._geof_forms` the GeoF, all on that standard
-    form, as a scan does for a whole grid.  Violations of the expected
-    ordering are recorded in the flags rather than raised, so callers can
-    inspect borderline numerics.
+    A CovMat is checked once by `require_physical` and reduced once to its
+    standard form; a StandardForm is checked by the closed-form pass
+    itself.  `_standard_bounds` gives every closed-form value, the core
+    of `searched_upper_bound` the searched one and the array search
+    `geof._geof_forms` the GeoF, all on that standard form, as a scan
+    does for a whole grid, and the report carries it.  Violations of the
+    expected ordering are recorded in the flags rather than raised, so
+    callers can inspect borderline numerics.
 
     Raises
     ------
     NonPhysicalStateError
-        If a CovMat v is not physical within psd_tol.
+        If v is not physical within psd_tol.
     DomainError
         If include_geof and geof_budget < 1.
     """
-    sf = _form(v, psd_tol)
-    res = _standard_bounds(*sf, psd_tol)
+    sf, res = _checked(v, psd_tol)
     lower, sigma, estimate = (float(x) for x in (res.lower_natural, res.lower_sigma, res.eeof))
     upper_physical = bool(res.upper_physical)
     upper = float(res.upper_natural) if upper_physical else None
@@ -238,7 +284,7 @@ def bound_report(
         geof_feasible, exhausted = bool(feasible[0]), bool(cut[0])
         geof_value = float(value[0]) if geof_feasible else None
 
-    searched = searched_upper_bound(sf, psd_tol=psd_tol)
+    searched = _searched(*sf, 64, psd_tol)
 
     violations: list[str] = []
 
@@ -273,4 +319,5 @@ def bound_report(
         geof=geof_value,
         entangled=bool(res.entangled),
         flags=flags,
+        standard_form=sf,
     )

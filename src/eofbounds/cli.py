@@ -30,7 +30,6 @@ from .states import (
     _spectra,
     _standard_forms,
     invariants,
-    require_physical,
     standard_form_from_invariants,
 )
 
@@ -174,17 +173,15 @@ def run_analyze(args: argparse.Namespace) -> int:
     doc = _load_document(args.input)
     cm = resolve_state_document(doc)
 
-    require_physical(cm, args.tol_psd)
-    inv = invariants(cm)
-    sf = standard_form_from_invariants(inv)
     report = bound_report(
-        sf,
+        cm,
         include_geof=not args.no_geof,
         psd_tol=args.tol_psd,
         bound_tol=args.tol_bound,
         geof_tol=args.geof_tol,
         geof_budget=args.geof_budget,
     )
+    inv, sf = invariants(cm), report.standard_form
     mu_minus, mu_plus = _spectra(*sf)
     mu_t_minus, mu_t_plus = _spectra(sf.a, sf.b, sf.c1, -sf.c2)
 

@@ -32,6 +32,8 @@ witness G rebuilt from the returned parameters.
 from __future__ import annotations
 
 import math
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,3 +295,13 @@ def geof(
     value, params, feasible, evals, exhausted = _geof_forms(*sf, tol, budget, psd_tol)
     return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),
                       bool(exhausted[0]), sf.to_covmat().matrix)
+
+
+class _CallableModule(types.ModuleType):
+    """This module, callable as `geof` for `eofbounds.geof(v)` callers (bench/selftest.py)."""
+
+    def __call__(self, *args, **kwargs):
+        return geof(*args, **kwargs)
+
+
+sys.modules[__name__].__class__ = _CallableModule

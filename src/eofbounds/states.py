@@ -199,18 +199,6 @@ def is_physical(v: CovMat, tol: float = PSD_TOL) -> bool:
     return spec.mu_minus >= least_mu_minus(np.max(np.abs(v.matrix)), tol)
 
 
-def is_entangled(v: CovMat, tol: float = PSD_TOL) -> bool:
-    """PPT test: entangled iff the transposed spectrum dips below 1.
-
-    Raises
-    ------
-    NonPhysicalStateError
-        If v is not a physical state within tol.
-    """
-    require_physical(v, tol)
-    return ppt_eigenvalues(v, tol).mu_minus < 1.0 - tol
-
-
 def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
     """Return mu_minus of v, raising NonPhysicalStateError when below 1.
 
@@ -278,23 +266,6 @@ def standard_form_from_invariants(
 def standard_form(v: CovMat, tol: float = 1e-9) -> StandardForm:
     """Reduce a physical covariance matrix to its standard form parameters."""
     return standard_form_from_invariants(invariants(v), tol)
-
-
-def reduced_symmetric(v: CovMat, which: str) -> CovMat:
-    """Symmetric state built from one reduced block of v.
-
-    `which` selects the diagonal block: "a", "b", or "midpoint" for
-    (A + B)/2.  The correlation block C is kept unchanged.
-    """
-    if which == "a":
-        block = v.block_a
-    elif which == "b":
-        block = v.block_b
-    elif which == "midpoint":
-        block = (v.block_a + v.block_b) / 2.0
-    else:
-        raise DomainError(f"which must be 'a', 'b' or 'midpoint', got {which!r}")
-    return CovMat.from_blocks(block, block, v.block_c)
 
 
 # ---------------------------------------------------------------------------

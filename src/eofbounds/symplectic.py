@@ -28,26 +28,14 @@ def least_mu_minus(scale, tol: float = PSD_TOL):
     return 1.0 - tol - 16.0 * np.finfo(float).eps * np.square(scale)
 
 
-def symplectic_form(n_modes: int = 2) -> np.ndarray:
-    """Block-diagonal symplectic form with one [[0, 1], [-1, 0]] block per mode."""
-    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = j2
-    return out
-
-
 #: Single-mode symplectic form.
-J2 = symplectic_form(1)
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J2.setflags(write=False)
 
-#: Two-mode symplectic form.
-J4 = symplectic_form(2)
+#: Two-mode symplectic form, one J2 block per mode.
+J4 = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 J4.setflags(write=False)
-
-#: Partial transposition of the second mode: flips the sign of p2.
-PT_B = np.diag([1.0, 1.0, 1.0, -1.0])
-PT_B.setflags(write=False)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -56,29 +44,17 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(symmetrize(m))[0])
-
-
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff the minimum eigenvalue of m is >= -tol."""
-    return min_eigenvalue(m) >= -tol
-
-
-def loewner_ge(m1: np.ndarray, m2: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Loewner order: m1 >= m2 iff m1 - m2 is PSD within tol."""
-    return is_psd(np.asarray(m1, dtype=float) - np.asarray(m2, dtype=float), tol)
-
-
 def partial_transpose(m: np.ndarray) -> np.ndarray:
     """Conjugate a 4x4 matrix by the partial transposition of mode 2.
 
-    Involutive; for a standard-form covariance matrix it flips the sign
-    of the second correlation entry c2.
+    Flips the sign of p2: of row 3 and of column 3, so the diagonal
+    entry keeps its sign.  Involutive; for a standard-form covariance
+    matrix it flips the sign of the second correlation entry c2.
     """
-    m = np.asarray(m, dtype=float)
-    return PT_B @ m @ PT_B
+    m = np.array(m, dtype=float)
+    m[3] *= -1.0
+    m[:, 3] *= -1.0
+    return m
 
 
 @dataclass(frozen=True)

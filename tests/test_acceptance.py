@@ -10,13 +10,12 @@ import math
 
 import numpy as np
 
-from eofbounds.bounds import natural_bounds, sigma_lower_bound
+from eofbounds.bounds import eeof, eof_symmetric, is_entangled, natural_bounds, sigma_lower_bound
 from eofbounds.cli import SCAN_COLUMNS, main
-from eofbounds.entanglement import eeof, entanglement_entropy, eof_symmetric
+from eofbounds.entanglement import entanglement_entropy
 from eofbounds.geof import geof
 from eofbounds.states import (
     CovMat,
-    is_entangled,
     random_local_symplectic,
     random_sp2,
     random_standard_form,
@@ -68,10 +67,10 @@ def test_criterion_2_symmetric_collapse():
     worst = 0.0
     for _ in range(1_000):
         v = random_standard_form(rng, symmetric=True, entangled=True).to_covmat()
-        nb = natural_bounds(v)
+        lower, upper = natural_bounds(v)
         values = [
-            nb.lower,
-            nb.upper,
+            lower,
+            upper,
             sigma_lower_bound(v),
             eeof(v),
             geof(v).value,
@@ -91,18 +90,18 @@ def test_criterion_3_bound_sandwich():
         v = random_standard_form(
             rng, entangled=True, require_physical_upper=True, min_asymmetry=0.01
         ).to_covmat()
-        nb = natural_bounds(v)
-        assert nb.upper is not None
+        lower, upper = natural_bounds(v)
+        assert upper is not None
         sigma = sigma_lower_bound(v)
         g = geof(v).value
         ok = (
-            nb.lower <= sigma + 1e-9
+            lower <= sigma + 1e-9
             and sigma <= g + 1e-6
-            and g <= nb.upper + 1e-6
+            and g <= upper + 1e-6
         )
         violations += not ok
         gap_lo = min(gap_lo, g - sigma)
-        gap_hi = min(gap_hi, nb.upper - g)
+        gap_hi = min(gap_hi, upper - g)
     report(
         3,
         "bound sandwich",

@@ -3,25 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from eofbounds import states
 from eofbounds.bounds import (
     bound_report,
+    eeof,
+    eof_symmetric,
+    is_entangled,
     natural_bounds,
     searched_upper_bound,
     sigma_lower_bound,
 )
-from eofbounds.entanglement import entanglement_entropy, eof_symmetric
+from eofbounds.entanglement import entanglement_entropy
 from eofbounds.errors import NonPhysicalStateError
 from eofbounds.geof import geof
 from eofbounds.states import (
     CovMat,
+    StandardForm,
     is_physical,
     random_local_symplectic,
     random_standard_form,
-    reduced_symmetric,
 )
-from eofbounds.symplectic import loewner_ge
 
-from conftest import random_psd
+from conftest import loewner_ge, random_psd
 
 SQ02 = math.sqrt(0.2)
 
@@ -33,27 +36,27 @@ SQ02 = math.sqrt(0.2)
 
 def test_natural_bounds_symmetric_collapse(rng):
     v = random_standard_form(rng, symmetric=True).to_covmat()
-    nb = natural_bounds(v)
+    lower, upper = natural_bounds(v)
     expected = eof_symmetric(v)
-    assert nb.lower == pytest.approx(expected, abs=1e-12)
-    assert nb.upper == pytest.approx(expected, abs=1e-12)
+    assert lower == pytest.approx(expected, abs=1e-12)
+    assert upper == pytest.approx(expected, abs=1e-12)
 
 
 def test_natural_bounds_product_state_zero():
-    nb = natural_bounds(CovMat.from_standard_form(1.4, 2.0, 0.0, 0.0))
-    assert nb.lower == 0.0 and nb.upper == 0.0
+    lower, upper = natural_bounds(CovMat.from_standard_form(1.4, 2.0, 0.0, 0.0))
+    assert lower == 0.0 and upper == 0.0
 
 
 def test_natural_bounds_worked_example():
     # a=1.2, b=1.5, c1=-c2=sqrt(0.2): lower state has nu-tilde
     # 1.5-sqrt(0.2) >= 1 (bound 0), upper state 1.2-sqrt(0.2).
     v = CovMat.from_standard_form(1.2, 1.5, SQ02, -SQ02)
-    nb = natural_bounds(v)
-    assert nb.upper_physical
-    assert nb.lower == pytest.approx(entanglement_entropy(1.5 - SQ02), abs=1e-12)
-    assert nb.lower == 0.0
-    assert nb.upper == pytest.approx(entanglement_entropy(1.2 - SQ02), abs=1e-12)
-    assert nb.lower <= nb.upper
+    lower, upper = natural_bounds(v)
+    assert upper is not None
+    assert lower == pytest.approx(entanglement_entropy(1.5 - SQ02), abs=1e-12)
+    assert lower == 0.0
+    assert upper == pytest.approx(entanglement_entropy(1.2 - SQ02), abs=1e-12)
+    assert lower <= upper
 
 
 def test_natural_bounds_unphysical_upper_absent(rng):
@@ -61,14 +64,14 @@ def test_natural_bounds_unphysical_upper_absent(rng):
     for _ in range(3000):
         sf = random_standard_form(rng, entangled=True, min_asymmetry=0.1)
         v = sf.to_covmat()
-        nb = natural_bounds(v)
+        _, upper = natural_bounds(v)
         small = min(sf.a, sf.b)
         upper_state = CovMat.from_standard_form(small, small, sf.c1, sf.c2)
         if not is_physical(upper_state):
-            assert nb.upper is None and not nb.upper_physical
+            assert upper is None
             found = True
             break
-        assert nb.upper is not None
+        assert upper is not None
     assert found
 
 
@@ -81,13 +84,13 @@ def test_natural_bounds_incomparable_raw_blocks_fall_back(rng):
         v = sf.to_covmat().conjugate(random_local_symplectic(rng))
         a, b = v.block_a, v.block_b
         if not loewner_ge(a, b) and not loewner_ge(b, a):
-            nb = natural_bounds(v)
+            lower, upper = natural_bounds(v)
             big, small = max(sf.a, sf.b), min(sf.a, sf.b)
             expected = eof_symmetric(CovMat.from_standard_form(big, big, sf.c1, sf.c2))
-            assert nb.lower == pytest.approx(expected, abs=1e-9)
+            assert lower == pytest.approx(expected, abs=1e-9)
             upper_state = CovMat.from_standard_form(small, small, sf.c1, sf.c2)
             if is_physical(upper_state):
-                assert nb.upper == pytest.approx(eof_symmetric(upper_state), abs=1e-9)
+                assert upper == pytest.approx(eof_symmetric(upper_state), abs=1e-9)
             found = True
             break
     assert found
@@ -118,13 +121,14 @@ def test_sigma_worked_example():
 def test_sigma_dominates_natural_lower(rng):
     for _ in range(200):
         v = random_standard_form(rng).to_covmat()
-        assert sigma_lower_bound(v) >= natural_bounds(v).lower - 1e-9
+        assert sigma_lower_bound(v) >= natural_bounds(v)[0] - 1e-9
 
 
 def test_sigma_state_always_physical(rng):
     for _ in range(500):
         v = random_standard_form(rng).to_covmat()
-        assert is_physical(reduced_symmetric(v, "midpoint"))
+        mid = (v.block_a + v.block_b) / 2.0
+        assert is_physical(CovMat.from_blocks(mid, mid, v.block_c))
 
 
 def test_sigma_in_a_general_frame_is_the_standard_form_value():
@@ -187,8 +191,7 @@ def test_searched_upper_covers_unphysical_natural(rng):
     for _ in range(5000):
         sf = random_standard_form(rng, entangled=True, min_asymmetry=0.05)
         v = sf.to_covmat()
-        nb = natural_bounds(v)
-        if nb.upper_physical:
+        if natural_bounds(v)[1] is not None:
             continue
         examined += 1
         su = searched_upper_bound(v)
@@ -290,6 +293,41 @@ def test_sigma_is_best_channel_lower_bound(rng):
 def test_report_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
         bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
+
+
+ONE_STATE_FUNCTIONS = (
+    bound_report,
+    natural_bounds,
+    sigma_lower_bound,
+    searched_upper_bound,
+    eeof,
+    eof_symmetric,
+    is_entangled,
+)
+
+
+def test_one_state_functions_reject_unphysical_standard_form():
+    # A StandardForm is checked by the closed-form pass (mu_minus = 0.917).
+    sf = StandardForm(1.0, 1.0, 0.4, -0.4)
+    for func in ONE_STATE_FUNCTIONS:
+        with pytest.raises(NonPhysicalStateError):
+            func(sf)
+
+
+def test_one_state_functions_compute_one_spectrum(monkeypatch):
+    calls = []
+    spectrum = states.symplectic_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(states, "symplectic_spectrum", counted)
+    v = CovMat.two_mode_squeezed(0.5)
+    for func in (eeof, eof_symmetric, is_entangled):
+        calls.clear()
+        func(v)
+        assert len(calls) == 1, func.__name__
 
 
 SWAP = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])

@@ -9,7 +9,12 @@ from eofbounds.cli import SCAN_COLUMNS, build_parser, main, resolve_state_docume
 from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import DegenerateInvariantsError, NonPhysicalStateError, ParseError
 from eofbounds.geof import geof
-from eofbounds.states import CovMat, Invariants, standard_form_from_invariants
+from eofbounds.states import (
+    CovMat,
+    Invariants,
+    random_local_symplectic,
+    standard_form_from_invariants,
+)
 from eofbounds.symplectic import partial_transpose, symplectic_spectrum
 
 SQ02 = math.sqrt(0.2)
@@ -196,6 +201,20 @@ def test_analyze_pure_states_at_zero_tol_psd(tmp_path, capsys):
         exact = entanglement_entropy(math.exp(-2 * r))
         for key in ("lower_natural", "lower_sigma", "upper_natural", "eeof"):
             assert out["bounds"][key] == pytest.approx(exact, rel=1e-9), (r, key)
+
+
+def test_analyze_pure_states_in_squeezed_frames_at_zero_tol_psd(tmp_path, capsys):
+    # analyze decides physicality by the matrix check alone.  Reduced to
+    # its standard form, a pure state in a strongly squeezed local frame
+    # can fail the closed-form test at --tol-psd 0 (the first such draw
+    # here is number 435), and must still exit 0.
+    rng = np.random.default_rng(0)
+    for i in range(450):
+        r, squeeze = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.5)
+        v = CovMat.two_mode_squeezed(r).conjugate(random_local_symplectic(rng, squeeze))
+        path = write(tmp_path, "in.json", {"matrix": v.matrix.tolist()})
+        assert main(["analyze", "--input", path, "--tol-psd", "0", "--no-geof"]) == 0, i
+    capsys.readouterr()
 
 
 def test_analyze_slightly_unphysical_still_rejected(tmp_path, capsys):

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eofbounds.entanglement import (
-    eeof,
-    entanglement_entropy,
-    entanglement_entropy_vec,
-    eof_symmetric,
-)
+from eofbounds.bounds import eeof, eof_symmetric
+from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError, NotSymmetricError
 from eofbounds.states import (
     CovMat,
@@ -87,6 +83,9 @@ def test_eof_symmetric_separable_is_zero():
 def test_eof_symmetric_worked_example():
     v = CovMat.from_standard_form(1.2, 1.2, SQ02, -SQ02)
     assert eof_symmetric(v) == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-12)
+    # Symmetry is a property of the standard form, not of the local frame.
+    s = random_local_symplectic(np.random.default_rng(3), squeeze_max=0.6)
+    assert eof_symmetric(v.conjugate(s)) == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-12)
 
 
 def test_eof_symmetric_two_mode_squeezed():

@@ -1,23 +1,24 @@
+import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 
-from eofbounds.bounds import _standard_bounds, bound_report
-from eofbounds.entanglement import entanglement_entropy, eof_symmetric
+from eofbounds.bounds import _standard_bounds, bound_report, eof_symmetric, is_entangled
+from eofbounds.entanglement import entanglement_entropy
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import _geof_forms, geof, pure_cms_from_parameters
 from eofbounds.states import (
     CovMat,
     _standard_forms,
-    is_entangled,
     ppt_eigenvalues,
     random_local_symplectic,
     random_standard_form,
 )
-from eofbounds.symplectic import PSD_TOL, loewner_ge, symplectic_spectrum
+from eofbounds.symplectic import PSD_TOL, symplectic_spectrum
 
-from conftest import random_psd
+from conftest import loewner_ge, random_psd
 from reference_geof import reference_geof, scalar_geof
 
 
@@ -221,3 +222,11 @@ def test_array_search_matches_scalar_reference_on_random_states():
         assert (g.value, g.feasible, g.iterations, g.budget_exhausted) == (
             value[k], feasible[k], evals[k], exhausted[k])
         assert np.array_equal(g.argmin_parameters, params[k])
+
+
+def test_geof_submodule_import_gives_the_module():
+    import eofbounds.geof as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module is importlib.import_module("eofbounds.geof")
+    assert callable(module.geof)

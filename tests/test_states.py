@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eofbounds.bounds import is_entangled
 from eofbounds.errors import (
     DegenerateInvariantsError,
     DomainError,
@@ -14,12 +15,10 @@ from eofbounds.states import (
     StandardForm,
     _spectra,
     invariants,
-    is_entangled,
     is_physical,
     ppt_eigenvalues,
     random_local_symplectic,
     random_standard_form,
-    reduced_symmetric,
     standard_form,
     standard_form_from_invariants,
     symplectic_eigenvalues,
@@ -237,33 +236,6 @@ def test_is_entangled_requires_physical():
         is_entangled(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
 
 
-def test_reduced_symmetric_symmetric_input():
-    v = CovMat.from_standard_form(1.3, 1.3, 0.5, -0.2)
-    for which in ("a", "b", "midpoint"):
-        np.testing.assert_allclose(reduced_symmetric(v, which).matrix, v.matrix)
-
-
-def test_reduced_symmetric_midpoint_mean():
-    v = CovMat.from_blocks(1.2 * np.eye(2), 1.5 * np.eye(2), np.diag([0.3, -0.1]))
-    mid = reduced_symmetric(v, "midpoint")
-    np.testing.assert_allclose(mid.block_a, 1.35 * np.eye(2))
-    np.testing.assert_allclose(mid.block_b, 1.35 * np.eye(2))
-
-
-def test_reduced_symmetric_keeps_correlations(rng):
-    for which in ("a", "b", "midpoint"):
-        v = random_standard_form(rng).to_covmat().conjugate(random_local_symplectic(rng))
-        out = reduced_symmetric(v, which)
-        np.testing.assert_array_equal(out.block_c, v.block_c)
-        diff = out.matrix - v.matrix
-        np.testing.assert_array_equal(diff[:2, 2:], np.zeros((2, 2)))
-
-
-def test_reduced_symmetric_rejects_unknown_side():
-    with pytest.raises(DomainError):
-        reduced_symmetric(CovMat.vacuum(), "c")
-
-
 def test_physicality_cascade(rng):
     # If the smaller-block symmetric state is physical and B >= A, the
     # state itself and the larger-block symmetric state are physical too.
@@ -274,7 +246,7 @@ def test_physicality_cascade(rng):
         b = m + rng.uniform(0.0, 1.0)
         v = CovMat.from_standard_form(m, b, c1, c2)
         assert is_physical(v)
-        assert is_physical(reduced_symmetric(v, "b"))
+        assert is_physical(CovMat.from_blocks(v.block_b, v.block_b, v.block_c))
         count += 1
 
 
