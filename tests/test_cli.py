@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from eofbounds.bounds import bound_report
+from eofbounds.bounds import _standard_bounds, bound_report
 from eofbounds.cli import SCAN_COLUMNS, build_parser, main, resolve_state_document
 from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import DegenerateInvariantsError, NonPhysicalStateError, ParseError
-from eofbounds.geof import geof
+from eofbounds.geof import _geof_forms, geof
 from eofbounds.states import (
     CovMat,
     Invariants,
+    _standard_forms,
     random_local_symplectic,
     standard_form_from_invariants,
 )
@@ -236,6 +237,14 @@ def test_analyze_output_file(tmp_path):
     assert report["standard_form"]["a"] == pytest.approx(1.2)
 
 
+def test_analyze_unwritable_output_exit_code(tmp_path, capsys):
+    doc = {"standard_form": {"a": 1.2, "b": 1.2, "c1": SQ02, "c2": -SQ02}}
+    path = write(tmp_path, "in.json", doc)
+    out_path = tmp_path / "missing" / "report.json"
+    assert main(["analyze", "--input", path, "--output", str(out_path), "--no-geof"]) == 2
+    assert "cannot write output file" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -433,6 +442,82 @@ def test_scan_geof_matches_per_point_geof(tmp_path):
         assert float(row["geof"]) == pytest.approx(result.value, rel=1e-11, abs=1e-300), (i1, i2)
         searched += 1
     assert searched > 1000
+
+
+def test_scan_unwritable_output_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["scan", "--no-geof", "--output", str(out)]) == 2
+    assert "cannot write output file" in capsys.readouterr().err
+
+
+def reference_cell(x) -> str:
+    """The scan CSV's rule for one cell, applied cell by cell."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return x
+    return format(x, ".12g")
+
+
+def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
+    """The scan CSV of `spec`, built row by row from the closed-form arrays."""
+    axis = lambda key: np.linspace(spec.get(key, {}).get("min", 1.0), spec.get(key, {}).get("max", 4.0),
+                                   spec.get(key, {}).get("steps", 40))
+    i1, i2 = (x.ravel() for x in np.meshgrid(axis("i1"), axis("i2"), indexing="ij"))
+    i3 = np.full_like(i1, spec.get("i3", -0.2))
+    i4 = (2.0 * abs(spec.get("i3", -0.2)) * np.sqrt(i1 * i2) if "i4" not in spec
+          else np.full_like(i1, spec["i4"]))
+    forms = _standard_forms(i1, i2, i3, i4)
+    res = _standard_bounds(*forms)
+    ok = res.physical
+    g = np.full_like(i1, np.nan)
+    if with_geof:
+        value, _, feasible, _, _ = _geof_forms(*(x[ok] for x in forms))
+        g[ok] = np.where(feasible, value, np.nan)
+    entropy = lambda x: x / LN2 if units == "bits" else x
+    lines = [",".join(SCAN_COLUMNS)]
+    for k in range(len(i1)):
+        shown = bool(ok[k])
+        if shown:
+            status = "ok"
+        else:
+            status = "no_state" if math.isnan(forms[0][k]) else "unphysical"
+        row = [
+            float(i1[k]), float(i2[k]), float(i3[k]), float(i4[k]),
+            None if math.isnan(res.nu_t[k]) else float(res.nu_t[k]),
+            bool(res.entangled[k]) if shown else None,
+            float(entropy(res.lower_natural[k])) if shown else None,
+            float(entropy(res.lower_sigma[k])) if shown else None,
+            None if math.isnan(g[k]) else float(entropy(g[k])),
+            float(entropy(res.eeof[k])) if shown else None,
+            float(entropy(res.upper_natural[k])) if shown and res.upper_physical[k] else None,
+            bool(res.upper_physical[k]) if shown else None,
+            status,
+        ]
+        lines.append(",".join(map(reference_cell, row)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("spec, flags, marker", [
+    ({}, [], b",ok\n"),  # the README default grid, 40x40, with geof
+    (scan_spec(steps=30, i4=1.5), ["--no-geof"], b",unphysical\n"),
+    (scan_spec(steps=30, i4=1.5), ["--no-geof", "--units", "bits"], b",unphysical\n"),
+    ({"i1": {"min": 0.5, "max": 4.0, "steps": 8}, "i2": {"min": 1.0, "max": 4.0, "steps": 7}}, [], b",no_state\n"),
+    (scan_spec(steps=5, i3=-0.0, i4=-0.0), [], b",-0,-0,"),
+], ids=["readme-grid", "literal-i4-nats", "literal-i4-bits", "no-state", "negative-zero"])
+def test_scan_exact_bytes(tmp_path, capsys, spec, flags, marker):
+    path = write(tmp_path, "scan.json", spec)
+    out = tmp_path / "out.csv"
+    assert main(["scan", "--input", path, "--output", str(out), *flags]) == 0
+    units = "bits" if "bits" in flags else "nats"
+    want = reference_scan_csv(spec, "--no-geof" not in flags, units)
+    assert marker in want
+    assert out.read_bytes() == want
+    capsys.readouterr()
+    assert main(["scan", "--input", path, *flags]) == 0
+    assert capsys.readouterr().out.encode() == want
 
 
 def test_scan_budget_exhausted_exit_code(tmp_path):
