@@ -280,7 +280,7 @@ def bound_report(
     geof_feasible: bool | None = None
     exhausted = False
     if include_geof:
-        value, _, feasible, _, cut = _geof_forms(*sf, geof_tol, geof_budget, psd_tol)
+        value, _, feasible, _, cut = _geof_forms(*sf, geof_budget, psd_tol)
         geof_feasible, exhausted = bool(feasible[0]), bool(cut[0])
         geof_value = float(value[0]) if geof_feasible else None
 

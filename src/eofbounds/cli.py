@@ -255,9 +255,7 @@ def run_scan(args: argparse.Namespace) -> int:
     g = np.full_like(i1, np.nan)
     exhausted = False
     if spec["geof"]:
-        value, _, feasible, _, cut = _geof_forms(
-            *(x[ok] for x in forms), args.geof_tol, args.geof_budget, args.tol_psd
-        )
+        value, _, feasible, _, cut = _geof_forms(*(x[ok] for x in forms), args.geof_budget, args.tol_psd)
         g[ok] = np.where(feasible, value, np.nan)
         exhausted = bool(cut.any())
 
@@ -314,12 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-bound", type=float, default=1e-9,
                        help="tolerance for bound comparisons (default 1e-9)")
         p.add_argument("--geof-tol", type=float, default=1e-6,
-                       help="angle (radians) at which the geof search stops "
-                            "refining, its value error being of order the square; "
-                            "also the slack of the bound checks against geof "
-                            "(default 1e-6)")
+                       help="slack of the bound checks against geof (default 1e-6)")
         p.add_argument("--geof-budget", type=int, default=100_000,
-                       help="hard cap on geof objective evaluations, at least 1; "
+                       help="hard cap on the angles geof evaluates per state, at least 1; "
                             "a search cut short exits with code 4 (default 100000)")
         p.add_argument("--units", choices=("nats", "bits"), default="nats",
                        help="units for entanglement values")

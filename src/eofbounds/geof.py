@@ -1,4 +1,4 @@
-"""Numerical Gaussian entanglement of formation by a one-angle reduction.
+"""Numerical Gaussian entanglement of formation from exact stationary points.
 
 The Gaussian EoF of a two-mode state with covariance matrix V is the
 minimum entanglement over pure Gaussian covariance matrices dominated by
@@ -20,18 +20,38 @@ and Gx - P = w w^T, hence Vx - P = u u^T + w w^T.  Every such split is
 
     Gx(phi) = Vx - u(phi) u(phi)^T,   u(phi) = (Vx - P)^(1/2) (cos phi, sin phi),
 
-every point of which is feasible.  `_geof_forms` searches it for arrays of
-standard forms, each step over all states at once (`geof` is the case
-n = 1): rho on a coarse grid of phi, then a few rounds that refine every
-coarse local minimum.  A separable state's Gx12(phi) changes sign at
-angles known in closed form, where the product witness (r = 0) gives
-exactly 0.0.  A value is kept only if eigvalsh(V - G) >= -psd_tol for its
-witness G rebuilt from the returned parameters.
+every point of which is feasible.  With theta = 2 phi, S = (Vx - P)^(1/2),
+Z = diag(1, -1) and X = [[0, 1], [1, 0]],
+
+    Gx = (Vx + P)/2 - (S Z S cos theta + S X S sin theta)/2,
+
+and with t = tan(theta / 2), (1 + t^2) Gx has quadratic entries g11, g22
+and g12 in t.  So rho^2 = g12^2 / (g11 g22) is stationary only where
+g12 = 0 or where the quartic 2 g12' g11 g22 - g12 (g11 g22)' vanishes
+(' is d/dt; the t^5 terms cancel).  This is the degree-6 polynomial
+(1 + t^2)^3 Q of the degree-3 trigonometric polynomial
+Q = 2 Gx12' Gx11 Gx22 - Gx12 (Gx11 Gx22)' (' is d/dtheta) less its factor
+(1 + t^2)/2, whose roots +-i give no angle, so rho has at most two local
+minima away from Gx12 = 0.  `_geof_forms` finds them for
+arrays of standard forms, each step over all states at once (`geof` is
+the case n = 1):
+
+* a separable state's Gx12 changes sign at two angles known in closed
+  form, where the product witness (r = 0) gives exactly 0.0; they are
+  tried first;
+* every other state evaluates rho at the angles theta = 2 arctan t of the
+  real parts of the four roots of its quartic, the eigenvalues of one
+  (n, 4, 4) companion matrix, and keeps the least.  Taking the real part
+  of a complex pair costs an evaluation and loses no real root.
+
+At most 6 angles are evaluated per state, real local minima first, and
+`budget` caps them.  A value is kept only if its witness G, rebuilt from
+the returned parameters, passes V - G >= -allowance: for G = Gx (+) Gx^-1,
+two 2x2 tests on Vx - Gx and Vp - Gx^-1 (`_certified`).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 import types
 from dataclasses import dataclass
@@ -43,22 +63,6 @@ from .errors import DomainError
 from .states import CovMat, require_physical, standard_form
 from .symplectic import PSD_TOL
 
-#: Coarse angles over [0, pi).  rho^2 is a ratio of trigonometric polynomials
-#: whose stationary points are the zeros of one of degree 3 in 2 phi, so it has
-#: at most three local minima.  With 32 angles the refined minimum matched a
-#: 200001-angle grid within 1e-14 on 1600 entangled forms with a, b up to 50.
-_COARSE = 32
-
-#: At most this many coarse local minima are refined (see _COARSE).
-_MAX_BASINS = 3
-
-#: Narrowest bracket refined: within about 1e-8 of its minimum rho is
-#: flat to double precision, so narrower brackets only spend evaluations.
-_MIN_WIDTH = 1e-9
-
-#: Steps toward the interior for a witness failing the certificate on roundoff.
-_RETREATS = (0.0, 1e-12, 1e-9)
-
 
 @dataclass(frozen=True)
 class GeofResult:
@@ -68,7 +72,7 @@ class GeofResult:
     covariance matrix achieving `value`; they refer to the standard-form
     frame stored in `reference_matrix`, which the search ran against.
     The reduction always returns theta_a = theta_b = 0.  `iterations`
-    counts evaluations of the objective.
+    counts the candidate angles at which rho was evaluated.
     """
 
     value: float
@@ -110,13 +114,61 @@ def pure_cms_from_parameters(params: np.ndarray) -> np.ndarray:
     return out[0] if np.ndim(params) == 1 else out
 
 
-#: States searched together; the refinement's arrays do not grow beyond them.
-_BLOCK = 256
+#: (1 + t^2) (f0 + f1 cos theta + f2 sin theta) = f @ _HALF, a quadratic in
+#: t = tan(theta / 2) (ascending powers).
+_HALF = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
 
-#: Angles per bracket in one refinement round, evenly spaced inside it.  The
-#: next bracket is the two spacings around the best, 32.5 times narrower:
-#: four rounds take the coarse bracket 2 pi / _COARSE below 1e-6.
-_ROUND_POINTS = 64
+
+def _curve(a, b, c1, c2) -> np.ndarray:
+    """Rows (f0, f1, f2) of Gx11, Gx22 and Gx12 on the curve, shape (3, n, 3)."""
+    vx = np.array([[a, c1], [c1, b]]).transpose(2, 0, 1)
+    p = np.array([[b, -c2], [-c2, a]]).transpose(2, 0, 1) / (a * b - c2 * c2)[:, None, None]
+    w, q = np.linalg.eigh(vx - p)
+    # Roundoff can leave Vx - P a hair indefinite for (near) pure states.
+    s = (q * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ q.transpose(0, 2, 1)
+    # Gx = (Vx + P)/2 - (S Z S cos theta + S X S sin theta)/2.
+    f = np.stack([vx + p, -(s * [1.0, -1.0]) @ s, -s[:, :, ::-1] @ s]) / 2.0
+    return f[..., (0, 1, 0), (0, 1, 1)].transpose(2, 1, 0)
+
+
+def _at(rows, theta):
+    """The entries f0 + f1 cos theta + f2 sin theta of rows (..., n, 3) at theta (n, k)."""
+    return rows[..., :1] + rows[..., 1:2] * np.cos(theta) + rows[..., 2:] * np.sin(theta)
+
+
+def _mul(p, q):
+    """Products of the polynomials in the rows of p and q (ascending powers)."""
+    out = np.zeros((p.shape[0], p.shape[1] + q.shape[1] - 1))
+    for i in range(p.shape[1]):
+        out[:, i:i + q.shape[1]] += p[:, i, None] * q
+    return out
+
+
+def _stationary(rows) -> np.ndarray:
+    """Candidate angles theta (n, 4): the real parts of the roots of the quartic,
+    local minima of rho first."""
+    g11, g22, g12 = rows @ _HALF
+    g = _mul(g11, g22)
+    # 2 g12' g - g12 g', whose t^5 terms cancel.
+    quartic = _mul(2.0 * g12[:, 1:] * [1.0, 2.0], g) - _mul(g12, g[:, 1:] * [1.0, 2.0, 3.0, 4.0])
+    quartic = quartic[:, :5]
+    # A vanishing leading coefficient is a root at theta = pi (t = inf); the
+    # floor keeps that root finite and large, and a pure state's all-zero
+    # quartic (rho constant on a one-point curve) finite.
+    floor = np.finfo(float).eps * np.abs(quartic).max(axis=1) + np.finfo(float).tiny
+    quartic[:, 4] = np.where(np.abs(quartic[:, 4]) > floor, quartic[:, 4], floor)
+    companion = np.zeros((quartic.shape[0], 4, 4))
+    companion[:, np.arange(1, 4), np.arange(3)] = 1.0
+    companion[:, :, 3] = -quartic[:, :4] / quartic[:, 4:]
+    roots = np.linalg.eigvals(companion)
+    t = roots.real
+    q, c = quartic[:, :, None], g12[:, :, None]
+    # d(rho^2)/dt has the sign of g12 times the quartic, so a real root is a
+    # local minimum where g12 times the quartic's slope is positive.  A
+    # search cut short by its budget drops the other candidates first.
+    slope = q[:, 1] + t * (2.0 * q[:, 2] + t * (3.0 * q[:, 3] + t * 4.0 * q[:, 4]))
+    minimum = (roots.imag == 0.0) & ((c[:, 0] + t * (c[:, 1] + t * c[:, 2])) * slope > 0.0)
+    return 2.0 * np.arctan(np.take_along_axis(t, np.argsort(~minimum, axis=1, kind="stable"), axis=1))
 
 
 def _parameters(g11, g22, g12) -> np.ndarray:
@@ -128,13 +180,43 @@ def _parameters(g11, g22, g12) -> np.ndarray:
     return p
 
 
-def _geof_forms(a, b, c1, c2, tol: float = 1e-6, budget: int = 100_000, psd_tol: float = PSD_TOL):
+def _least_eigenvalue(d11, d22, d12):
+    """Smaller eigenvalue of the symmetric 2x2 matrices [[d11, d12], [d12, d22]]."""
+    return (d11 + d22 - np.hypot(d11 - d22, 2.0 * d12)) / 2.0
+
+
+def _certified(a, b, c1, c2, params, psd_tol: float) -> np.ndarray:
+    """Whether the witnesses G = Gx (+) Gx^-1 of the parameter rows are below V.
+
+    Gx = e^S [[ch, sh], [sh, ch]] e^S with S = diag(s_a, s_b) is rebuilt
+    from the parameters, and both Vx - Gx and Vp - Gx^-1 must have least
+    eigenvalue >= -(psd_tol + 16 eps max(a, b)^3).  An optimal witness
+    touches V, so roundoff decides the sign of these tests.  Converting Gx
+    to (s_a, s_b, r) takes sqrt(det Gx), and det Gx = Gx11 Gx22 - Gx12^2
+    loses about eps max(a, b)^2 to cancellation.  For det Gx of order 1, as
+    for a pure state, that moves 2r by about as much, and so cosh 2r and
+    the rebuilt entries, of size max(a, b), by about eps max(a, b)^3.  The
+    tests came out no lower than -9 eps max(a, b)^3 on 40000 TMSV states
+    (r up to 3, half in random local frames) and -2 on the README grids and
+    on random forms with a, b up to 50.  16 eps max(a, b)^3 is allowed, as
+    `least_mu_minus` allows 16 eps scale^2 for its own roundoff.  Rows with
+    non-finite parameters fail.
+    """
+    allowance = psd_tol + 16.0 * np.finfo(float).eps * np.maximum(a, b) ** 3
+    ch, sh = np.cosh(2 * params[:, 4]), np.sinh(2 * params[:, 4])
+    ea, eb = np.exp(2 * params[:, 1]), np.exp(2 * params[:, 3])
+    x = _least_eigenvalue(a - ch * ea, b - ch * eb, c1 - sh * np.sqrt(ea * eb))
+    p = _least_eigenvalue(a - ch / ea, b - ch / eb, c2 + sh / np.sqrt(ea * eb))
+    return np.minimum(x, p) >= -allowance
+
+
+def _geof_forms(a, b, c1, c2, budget: int = 100_000, psd_tol: float = PSD_TOL):
     """Gaussian EoF of physical standard forms (a, b, c1, c2), searched together.
 
     Takes numpy arrays of n standard forms and returns, per state, the value
-    (inf where no witness passed the certificate), the witness parameters
-    (n, 5), feasible, the evaluations of rho and budget_exhausted.  `tol`,
-    `budget` and `psd_tol` mean what they mean in `geof`, for each state.
+    (inf where the witness failed the certificate), the witness parameters
+    (n, 5), feasible, the angles evaluated and budget_exhausted.  `budget`
+    and `psd_tol` mean what they mean in `geof`, for each state.
 
     Raises
     ------
@@ -143,145 +225,64 @@ def _geof_forms(a, b, c1, c2, tol: float = 1e-6, budget: int = 100_000, psd_tol:
     """
     if budget < 1:
         raise DomainError(f"geof budget must be at least 1, got {budget}")
-    forms = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
-    blocks = [_search(forms[:, i:i + _BLOCK], tol, budget, psd_tol)
-              for i in range(0, max(forms.shape[1], 1), _BLOCK)]
-    params, feasible, evals, exhausted = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    a, b, c1, c2 = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
+    n = a.size
+    rows = _curve(a, b, c1, c2)
+    params, feasible = np.zeros((n, 5)), np.zeros(n, dtype=bool)
+    evals, exhausted = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+
+    def certify(k, g11, g22, g12):
+        """Keep the witnesses at Gx = (g11, g22, g12) of states k that pass."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p = _parameters(g11, g22, g12)
+            passed = _certified(a[k], b[k], c1[k], c2[k], p, psd_tol)
+        params[k[passed]], feasible[k[passed]] = p[passed], True
+
+    # Separable states: Gx12 = f0 + f1 cos theta + f2 sin theta changes
+    # sign, and the product witness at a zero gives exactly 0.0.
+    f0, f1, f2 = rows[2].T
+    amp = np.hypot(f1, f2)
+    crossing = np.abs(f0) <= amp
+    for sign in (-1.0, 1.0):
+        k = np.flatnonzero(crossing & ~feasible & (evals < budget))
+        if not k.size:
+            break
+        evals[k] += 1
+        with np.errstate(invalid="ignore", divide="ignore"):
+            half = np.where(amp[k] > 0.0, np.arccos(-f0[k] / amp[k]), 0.0)
+        g11, g22 = _at(rows[:2, k], (np.arctan2(f2[k], f1[k]) + sign * half)[:, None])[..., 0]
+        certify(k, g11, g22, np.zeros(k.size))
+
+    # Every other state: its stationary angles, or as many as the budget
+    # leaves of them after uncertified zero angles.
+    k = np.flatnonzero(~feasible)
+    count = np.minimum(4, budget - evals[k])
+    exhausted[k] = count < 4
+    k, count = k[count >= 1], count[count >= 1]
+    if k.size:
+        evals[k] += count
+        theta = _stationary(rows[:, k])
+        g11, g22, g12 = _at(rows[:, k], theta)
+        rho = np.abs(g12) / np.sqrt(g11 * g22)
+        rho[np.arange(4) >= count[:, None]] = np.inf
+        best = (np.arange(k.size), np.argmin(rho, axis=1))
+        certify(k, g11[best], g22[best], g12[best])
     value = np.where(feasible, entanglement_entropy_vec(np.exp(-2.0 * np.abs(params[:, 4]))), np.inf)
     return value, params, feasible, evals, exhausted
 
 
-def _witness(curve, phi):
-    """(Gx11, Gx22, Gx12) at the angles phi on the curves (a, b, c1, s11, s12, s22)."""
-    a, b, c1, s11, s12, s22 = curve
-    c, s = np.cos(phi), np.sin(phi)
-    u1 = s11 * c + s12 * s
-    u2 = s12 * c + s22 * s
-    return a - u1 * u1, b - u2 * u2, c1 - u1 * u2
-
-
-def _rho(curve, phi):
-    g11, g22, g12 = _witness(curve, phi)
-    return np.abs(g12) / np.sqrt(g11 * g22)
-
-
-def _search(forms: np.ndarray, tol: float, budget: int, psd_tol: float):
-    """Witnesses of one block of standard forms, the columns of `forms`."""
-    a, b, c1, c2 = forms
-    n = a.size
-    det_p = a * b - c2 * c2
-    d = np.empty((n, 2, 2))
-    d[:, 0, 0], d[:, 1, 1] = a - b / det_p, b - a / det_p
-    d[:, 0, 1] = d[:, 1, 0] = c1 + c2 / det_p
-    w, q = np.linalg.eigh(d)
-    # Roundoff can leave Vx - P a hair indefinite for (near) pure states.
-    root = (q * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ q.transpose(0, 2, 1)
-    curve = np.concatenate((forms[:3], root[:, (0, 0, 1), (0, 1, 1)].T))
-    s11, s12, s22 = curve[3:]
-    v = np.zeros((n, 16))
-    v[:, [0, 5, 10, 15, 2, 8, 7, 13]] = forms[[0, 0, 1, 1, 2, 2, 3, 3]].T
-    # (Vx + P)/2, strictly inside P <= Gx <= Vx when Vx - P is definite.
-    centre = ((a + b / det_p) / 2.0, (b + a / det_p) / 2.0, (c1 - c2 / det_p) / 2.0)
-    params, feasible = np.zeros((n, 5)), np.zeros(n, dtype=bool)
-    evals, exhausted = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-
-    def certify(k, g):
-        """Keep the witnesses at Gx = g of states k passing the certificate."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for eps in _RETREATS:
-                todo = np.flatnonzero(~feasible[k])
-                if not todo.size:
-                    break
-                p = _parameters(*(x[todo] + eps * (c[k[todo]] - x[todo]) for x, c in zip(g, centre)))
-                finite = np.isfinite(p).all(axis=1)
-                gamma = pure_cms_from_parameters(np.where(finite[:, None], p, 0.0))
-                lam = np.linalg.eigvalsh(v[k[todo]].reshape(-1, 4, 4) - gamma)[:, 0]
-                passed = finite & (lam >= -psd_tol)
-                params[k[todo[passed]]], feasible[k[todo[passed]]] = p[passed], True
-
-    # Separable states: Gx12 = c1 - u1 u2 = c1 - m0 - m1 cos 2phi - m2 sin 2phi
-    # changes sign, and the product witness at a zero gives exactly 0.0.
-    m0, m1 = s12 * (s11 + s22) / 2.0, s12 * (s11 - s22) / 2.0
-    m2 = (s11 * s22 + s12 * s12) / 2.0
-    amp = np.hypot(m1, m2)
-    crossing = np.abs(c1 - m0) <= amp
-    if crossing.any():
-        with np.errstate(invalid="ignore", divide="ignore"):
-            half = np.where(amp > 0.0, np.arccos((c1 - m0) / amp), 0.0)
-        for sign in (1.0, -1.0):
-            k = np.flatnonzero(crossing & ~feasible & (evals < budget))
-            evals[k] += 1
-            phi = ((np.arctan2(m2[k], m1[k]) + sign * half[k]) / 2.0) % math.pi
-            certify(k, _witness(curve[:, k], phi)[:2] + (np.zeros(k.size),))
-
-    # Coarse pass over _COARSE angles, or over what the budget leaves of it
-    # after uncertified zero angles.
-    k = np.flatnonzero(~feasible)
-    count = np.minimum(_COARSE, budget - evals[k])
-    exhausted[k] = count < _COARSE
-    k, count = k[count >= 1], count[count >= 1]
-    if not k.size:
-        return params, feasible, evals, exhausted
-    m, rows = k.size, np.arange(k.size)
-    curve = curve[:, k, None]
-    grid = np.arange(_COARSE) * (math.pi / count)[:, None]
-    r = _rho(curve, grid)
-    r[np.arange(_COARSE) >= count[:, None]] = np.inf
-    first = np.argmin(r, axis=1)
-    found_rho, found_phi = [r[rows, first]], [grid[rows, first]]
-
-    # Refine the best _MAX_BASINS coarse local minima of each state, or its
-    # coarse minimum when rho has no strict local minimum, with as many
-    # brackets per state as the state with the most.
-    basin = (r < np.roll(r, 1, axis=1)) & (r <= np.roll(r, -1, axis=1))
-    order = np.argsort(np.where(basin, r, np.inf), axis=1, kind="stable")[:, :_MAX_BASINS]
-    live = basin[rows[:, None], order]
-    order[:, 0], live[:, 0] = np.where(live[:, 0], order[:, 0], first), True
-    need = live.sum(axis=1) * _ROUND_POINTS
-    slots = np.arange(need.max()).reshape(-1, _ROUND_POINTS)
-    step = math.pi / _COARSE
-    lo = order[:, :len(slots)] * step - step
-    width, rounds = 2.0 * step, 0
-    while width * (2.0 / (_ROUND_POINTS + 1)) ** rounds > max(tol, _MIN_WIDTH):
-        rounds += 1
-    # Each round, a state evaluates its brackets in order up to its budget;
-    # one whose coarse pass was cut short has none left.
-    allowed = np.minimum(np.maximum(budget - count - need * np.arange(rounds)[:, None], 0), need)
-    evals[k] += count + allowed.sum(axis=0)
-    exhausted[k] |= (allowed < need).any(axis=0)
-    for i in range(int(np.count_nonzero(allowed.any(axis=1)))):
-        h = width / (_ROUND_POINTS + 1)
-        phi = lo[:, :, None] + h * np.arange(1, _ROUND_POINTS + 1)
-        r = _rho(curve, phi.reshape(m, -1)).reshape(phi.shape)
-        r[slots >= allowed[i, :, None, None]] = np.inf
-        lo, width = lo + h * np.argmin(r, axis=2), 2.0 * h
-        r, phi = r.reshape(m, -1), phi.reshape(m, -1)
-        at = np.argmin(r, axis=1)
-        found_rho.append(r[rows, at])
-        found_phi.append(phi[rows, at])
-    g = _witness(curve, np.asarray(found_phi)[np.argmin(found_rho, axis=0), rows][:, None])
-    certify(k, [x[:, 0] for x in g])
-    return params, feasible, evals, exhausted
-
-
-def geof(
-    v: CovMat,
-    tol: float = 1e-6,
-    budget: int = 100_000,
-    psd_tol: float = PSD_TOL,
-) -> GeofResult:
+def geof(v: CovMat, budget: int = 100_000, psd_tol: float = PSD_TOL) -> GeofResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
     Checks v, reduces it to its standard form and runs `_geof_forms` on
     it at n = 1; `bound_report` and `scan`, which hold standard forms
     already, call `_geof_forms` directly.  Deterministic.
 
-    `tol` is the width, in radians of phi, below which a bracket counts
-    as converged (at least 1e-9); the value error is of order tol^2.
-    `budget` is a hard cap on evaluations of rho.  A separable state
-    returns exactly 0.0 from a product witness.  The returned value is
-    that of a witness G with eigvalsh(V - G) >= -psd_tol; when no
-    evaluated witness passes, the result is infeasible with value inf.
+    `budget` is a hard cap on the angles at which rho is evaluated (at
+    most 6 are needed).  A separable state returns exactly 0.0 from a
+    product witness.  The returned value is that of a witness G that
+    passes the certificate V - G >= -(psd_tol + 16 eps max(a, b)^3); when
+    it fails, the result is infeasible with value inf.
 
     Raises
     ------
@@ -292,7 +293,7 @@ def geof(
     """
     require_physical(v, psd_tol)
     sf = standard_form(v)
-    value, params, feasible, evals, exhausted = _geof_forms(*sf, tol, budget, psd_tol)
+    value, params, feasible, evals, exhausted = _geof_forms(*sf, budget, psd_tol)
     return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),
                       bool(exhausted[0]), sf.to_covmat().matrix)
 

@@ -10,9 +10,9 @@ the comparison.
 
 `scalar_geof` is the one-angle reduction searched one state at a time:
 the 32-angle coarse pass, then golden-section steps on each coarse basin.
-The array search `eofbounds.geof._geof_forms` runs the same reduction over
-many states at once and refines by grid rounds instead, so the two must
-agree to within the refinement error.
+The array search `eofbounds.geof._geof_forms` takes the exact stationary
+points of the same reduction instead, so the two must agree to within the
+golden-section bracket's error.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from scipy.optimize import minimize
 
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError
-from eofbounds.geof import (
-    _COARSE,
-    _MAX_BASINS,
-    _MIN_WIDTH,
-    _RETREATS,
-    GeofResult,
-    pure_cms_from_parameters,
-)
+from eofbounds.geof import GeofResult, pure_cms_from_parameters
 from eofbounds.states import (
     CovMat,
     is_physical,
@@ -327,6 +320,20 @@ def reference_geof(
 # ---------------------------------------------------------------------------
 # The one-angle reduction, one state at a time.
 # ---------------------------------------------------------------------------
+
+#: Coarse angles over [0, pi); the coarse pass has to find the basin of the
+#: least local minimum of rho.
+_COARSE = 32
+
+#: At most this many coarse local minima are refined.
+_MAX_BASINS = 3
+
+#: Narrowest bracket refined: within about 1e-8 of its minimum rho is
+#: flat to double precision, so narrower brackets only spend evaluations.
+_MIN_WIDTH = 1e-9
+
+#: Steps toward the interior for a witness failing the certificate on roundoff.
+_RETREATS = (0.0, 1e-12, 1e-9)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -97,6 +97,23 @@ def test_result_invariants(rng):
         assert res.value == pytest.approx(entanglement_entropy(nu), abs=1e-9)
 
 
+def test_pure_states_are_their_own_witness():
+    # A pure V is the only witness, so the certificate decides on roundoff
+    # alone: the conversion of Gx to (s_a, s_b, r) moves the rebuilt entries
+    # by about eps max(a, b)^3, and the certificate must allow it.
+    rng = np.random.default_rng(3)
+    states = []
+    for i in range(300):
+        r = rng.uniform(0.0, 3.0)
+        v = CovMat.two_mode_squeezed(r)
+        states.append((r, v.conjugate(random_local_symplectic(rng, 0.3)) if i % 2 else v))
+    for psd_tol in (PSD_TOL, 0.0):
+        for r, v in states:
+            res = geof(v, psd_tol=psd_tol)
+            assert res.feasible, (r, psd_tol)
+            assert res.value == pytest.approx(entanglement_entropy(math.exp(-2 * r)), abs=1e-6)
+
+
 def test_zero_psd_tol_still_certifies(rng):
     # The optimal witness touches V, so roundoff alone decides the sign of
     # min eig(V - G); with no tolerance the search must still certify one.
@@ -204,9 +221,9 @@ def assert_matches_reference(forms, refs):
     grid_forms(30, -0.2, 1.5),
 ], ids=["readme-grid", "i4-1.5-grid"])
 def test_array_search_matches_scalar_reference_on_grids(forms):
-    # The grid search refines by rounds of grid points, the reference by
-    # golden-section steps; both stop at brackets below 1e-6 radians.
-    refs = [scalar_geof(CovMat.from_standard_form(*f)) for f in forms.T]
+    # The array search takes the exact stationary points, the reference
+    # golden-section steps down to brackets of 1e-9 radians.
+    refs = [scalar_geof(CovMat.from_standard_form(*f), tol=1e-9) for f in forms.T]
     assert_matches_reference(forms, refs)
 
 
@@ -215,7 +232,7 @@ def test_array_search_matches_scalar_reference_on_random_states():
     single = [geof(v) for v in states]
     # The standard forms geof searched, after its reduction.
     forms = np.array([[g.reference_matrix[i, j] for g in single] for i, j in ((0, 0), (2, 2), (0, 2), (1, 3))])
-    assert_matches_reference(forms, [scalar_geof(v) for v in states])
+    assert_matches_reference(forms, [scalar_geof(v, tol=1e-9) for v in states])
     # geof is the array search at n = 1: the same row, bit for bit.
     value, params, feasible, evals, exhausted = _geof_forms(*forms)
     for k, g in enumerate(single):
@@ -230,3 +247,24 @@ def test_geof_submodule_import_gives_the_module():
     assert isinstance(module, types.ModuleType)
     assert module is importlib.import_module("eofbounds.geof")
     assert callable(module.geof)
+
+
+def test_never_above_dense_angle_grid():
+    # Independent of any search: rho on 20001 angles of the same curve,
+    # built from its own square root of Vx - P.
+    rng = np.random.default_rng(23)
+    forms = [tuple(random_standard_form(rng, a_max=50.0, symmetric=sym, entangled=True))
+             for sym in (True, False) for _ in range(200)]
+    a, b = rng.uniform(1.0, 50.0, (2, 200))
+    c1 = rng.uniform(0.0, 1.0, 200) * np.sqrt(a * b)
+    ok = _standard_bounds(a, b, c1, 0.0 * a).physical
+    forms += list(zip(a[ok], b[ok], c1[ok], 0.0 * a[ok]))
+    value, _, feasible, _, _ = _geof_forms(*np.array(forms).T)
+    assert feasible.all()
+    phi = np.linspace(0.0, math.pi, 20001)
+    for (a, b, c1, c2), v in zip(forms, value):
+        vx = np.array([[a, c1], [c1, b]])
+        w, q = np.linalg.eigh(vx - np.linalg.inv(np.array([[a, c2], [c2, b]])))
+        u = (q * np.sqrt(np.maximum(w, 0.0))) @ q.T @ np.array([np.cos(phi), np.sin(phi)])
+        rho = np.min(np.abs(c1 - u[0] * u[1]) / np.sqrt((a - u[0] ** 2) * (b - u[1] ** 2)))
+        assert v <= entanglement_entropy(math.sqrt((1.0 - rho) / (1.0 + rho))) + 1e-12
