@@ -225,7 +225,6 @@ class BoundFlags:
     upper_natural_physical: bool
     searched_feasible: bool
     geof_feasible: bool | None
-    geof_budget_exhausted: bool
     hierarchy_ok: bool
     violations: tuple[str, ...] = ()
 
@@ -251,7 +250,6 @@ def bound_report(
     psd_tol: float = PSD_TOL,
     bound_tol: float = BOUND_TOL,
     geof_tol: float = 1e-6,
-    geof_budget: int = 100_000,
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
@@ -268,8 +266,6 @@ def bound_report(
     ------
     NonPhysicalStateError
         If v is not physical within psd_tol.
-    DomainError
-        If include_geof and geof_budget < 1.
     """
     sf, res = _checked(v, psd_tol)
     lower, sigma, estimate = (float(x) for x in (res.lower_natural, res.lower_sigma, res.eeof))
@@ -278,10 +274,9 @@ def bound_report(
 
     geof_value: float | None = None
     geof_feasible: bool | None = None
-    exhausted = False
     if include_geof:
-        value, _, feasible, _, cut = _geof_forms(*sf, geof_budget, psd_tol)
-        geof_feasible, exhausted = bool(feasible[0]), bool(cut[0])
+        value, _, feasible, _ = _geof_forms(*sf, psd_tol)
+        geof_feasible = bool(feasible[0])
         geof_value = float(value[0]) if geof_feasible else None
 
     searched = _searched(*sf, 64, psd_tol)
@@ -306,7 +301,6 @@ def bound_report(
         upper_natural_physical=upper_physical,
         searched_feasible=searched is not None,
         geof_feasible=geof_feasible,
-        geof_budget_exhausted=exhausted,
         hierarchy_ok=not violations,
         violations=tuple(violations),
     )

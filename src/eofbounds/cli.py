@@ -1,7 +1,7 @@
 """Command-line interface: single-state reports and invariant-grid scans.
 
 Exit codes: 0 success, 2 parse error or an unreadable input or unwritable
-output file, 3 unphysical input, 4 optimizer budget exhausted.
+output file, 3 unphysical input.
 """
 
 from __future__ import annotations
@@ -104,15 +104,11 @@ def resolve_state_document(doc: dict) -> CovMat:
     key = keys.pop()
     body = doc[key]
     if key == "matrix":
-        try:
-            m = np.asarray(body, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"matrix entries must be numeric: {exc}") from exc
-        if m.shape != (4, 4):
-            raise ParseError(f"matrix must be 4x4 (row-major), got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ParseError("matrix entries must be finite")
-        return CovMat(m)
+        if not (isinstance(body, list) and len(body) == 4
+                and all(isinstance(row, list) and len(row) == 4 for row in body)):
+            raise ParseError("matrix must be a 4x4 list of rows (row-major)")
+        return CovMat(np.array([[_as_float(x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
+                                for i, row in enumerate(body)]))
     if not isinstance(body, dict):
         raise ParseError(f"'{key}' must be an object")
     if key == "standard_form":
@@ -152,7 +148,6 @@ def _report_dict(report: BoundReport, units: str) -> dict:
             "upper_natural_physical": report.flags.upper_natural_physical,
             "searched_feasible": report.flags.searched_feasible,
             "geof_feasible": report.flags.geof_feasible,
-            "geof_budget_exhausted": report.flags.geof_budget_exhausted,
             "hierarchy_ok": report.flags.hierarchy_ok,
             "violations": list(report.flags.violations),
         },
@@ -170,7 +165,7 @@ def _write_text(path: str | None, text: str) -> None:
         raise ParseError(f"cannot write output file: {exc}") from exc
 
 
-def run_analyze(args: argparse.Namespace) -> int:
+def run_analyze(args: argparse.Namespace) -> None:
     if args.input is None:
         raise ParseError("analyze requires --input PATH")
     doc = _load_document(args.input)
@@ -182,7 +177,6 @@ def run_analyze(args: argparse.Namespace) -> int:
         psd_tol=args.tol_psd,
         bound_tol=args.tol_bound,
         geof_tol=args.geof_tol,
-        geof_budget=args.geof_budget,
     )
     inv, sf = invariants(cm), report.standard_form
     mu_minus, mu_plus = _spectra(*sf)
@@ -198,7 +192,6 @@ def run_analyze(args: argparse.Namespace) -> int:
         "bounds": _report_dict(report, args.units),
     }
     _write_text(args.output, json.dumps(out, indent=2) + "\n")
-    return 4 if report.flags.geof_budget_exhausted else 0
 
 
 def _parse_axis(doc: dict, key: str) -> np.ndarray:
@@ -243,7 +236,7 @@ def _parse_scan_spec(args: argparse.Namespace) -> dict:
     }
 
 
-def run_scan(args: argparse.Namespace) -> int:
+def run_scan(args: argparse.Namespace) -> None:
     spec = _parse_scan_spec(args)
     i1, i2 = (x.ravel() for x in np.meshgrid(spec["i1"], spec["i2"], indexing="ij"))
     i3 = np.full_like(i1, spec["i3"])
@@ -253,11 +246,9 @@ def run_scan(args: argparse.Namespace) -> int:
     res = _standard_bounds(*forms, args.tol_psd)
     ok = res.physical  # False where there is no standard form (NaN)
     g = np.full_like(i1, np.nan)
-    exhausted = False
     if spec["geof"]:
-        value, _, feasible, _, cut = _geof_forms(*(x[ok] for x in forms), args.geof_budget, args.tol_psd)
+        value, _, feasible, _ = _geof_forms(*(x[ok] for x in forms), args.tol_psd)
         g[ok] = np.where(feasible, value, np.nan)
-        exhausted = bool(cut.any())
 
     def numbers(values: np.ndarray, shown: np.ndarray = ok) -> list[str]:
         column = _formatted(values)
@@ -289,7 +280,6 @@ def run_scan(args: argparse.Namespace) -> int:
     ]
     lines = [",".join(SCAN_COLUMNS), *map(",".join, zip(*columns))]
     _write_text(args.output, "\n".join(lines) + "\n")
-    return 4 if exhausted else 0
 
 
 @functools.cache
@@ -309,13 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--tol-psd", type=float, default=1e-10,
                        help="PSD / physicality tolerance (default 1e-10)")
-        p.add_argument("--tol-bound", type=float, default=1e-9,
-                       help="tolerance for bound comparisons (default 1e-9)")
-        p.add_argument("--geof-tol", type=float, default=1e-6,
-                       help="slack of the bound checks against geof (default 1e-6)")
-        p.add_argument("--geof-budget", type=int, default=100_000,
-                       help="hard cap on the angles geof evaluates per state, at least 1; "
-                            "a search cut short exits with code 4 (default 100000)")
+        if name == "analyze":  # a scan checks no bound hierarchy
+            p.add_argument("--tol-bound", type=float, default=1e-9,
+                           help="tolerance for bound comparisons (default 1e-9)")
+            p.add_argument("--geof-tol", type=float, default=1e-6,
+                           help="slack of the bound checks against geof (default 1e-6)")
         p.add_argument("--units", choices=("nats", "bits"), default="nats",
                        help="units for entanglement values")
         p.add_argument("--no-geof", action="store_true",
@@ -328,11 +316,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.geof_budget < 1:
-            raise ParseError(f"--geof-budget must be at least 1, got {args.geof_budget}")
         if not args.tol_psd >= 0.0:
             raise ParseError(f"--tol-psd must be non-negative, got {args.tol_psd}")
-        return args.func(args)
+        args.func(args)
+        return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

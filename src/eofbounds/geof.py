@@ -44,8 +44,9 @@ the case n = 1):
   (n, 4, 4) companion matrix, and keeps the least.  Taking the real part
   of a complex pair costs an evaluation and loses no real root.
 
-At most 6 angles are evaluated per state, real local minima first, and
-`budget` caps them.  A value is kept only if its witness G, rebuilt from
+So at most 6 angles are evaluated per state: at most 2 for a separable
+state certified at a zero angle, the zero-angle tries plus 4 for every
+other.  A value is kept only if its witness G, rebuilt from
 the returned parameters, passes V - G >= -allowance: for G = Gx (+) Gx^-1,
 two 2x2 tests on Vx - Gx and Vp - Gx^-1 (`_certified`).
 """
@@ -59,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .errors import DomainError
 from .states import CovMat, require_physical, standard_form
 from .symplectic import PSD_TOL
 
@@ -79,7 +79,6 @@ class GeofResult:
     argmin_parameters: np.ndarray
     feasible: bool
     iterations: int
-    budget_exhausted: bool = False
     reference_matrix: np.ndarray | None = None
 
 
@@ -145,8 +144,7 @@ def _mul(p, q):
 
 
 def _stationary(rows) -> np.ndarray:
-    """Candidate angles theta (n, 4): the real parts of the roots of the quartic,
-    local minima of rho first."""
+    """Candidate angles theta (n, 4): the real parts of the roots of the quartic."""
     g11, g22, g12 = rows @ _HALF
     g = _mul(g11, g22)
     # 2 g12' g - g12 g', whose t^5 terms cancel.
@@ -160,15 +158,7 @@ def _stationary(rows) -> np.ndarray:
     companion = np.zeros((quartic.shape[0], 4, 4))
     companion[:, np.arange(1, 4), np.arange(3)] = 1.0
     companion[:, :, 3] = -quartic[:, :4] / quartic[:, 4:]
-    roots = np.linalg.eigvals(companion)
-    t = roots.real
-    q, c = quartic[:, :, None], g12[:, :, None]
-    # d(rho^2)/dt has the sign of g12 times the quartic, so a real root is a
-    # local minimum where g12 times the quartic's slope is positive.  A
-    # search cut short by its budget drops the other candidates first.
-    slope = q[:, 1] + t * (2.0 * q[:, 2] + t * (3.0 * q[:, 3] + t * 4.0 * q[:, 4]))
-    minimum = (roots.imag == 0.0) & ((c[:, 0] + t * (c[:, 1] + t * c[:, 2])) * slope > 0.0)
-    return 2.0 * np.arctan(np.take_along_axis(t, np.argsort(~minimum, axis=1, kind="stable"), axis=1))
+    return 2.0 * np.arctan(np.linalg.eigvals(companion).real)
 
 
 def _parameters(g11, g22, g12) -> np.ndarray:
@@ -210,26 +200,19 @@ def _certified(a, b, c1, c2, params, psd_tol: float) -> np.ndarray:
     return np.minimum(x, p) >= -allowance
 
 
-def _geof_forms(a, b, c1, c2, budget: int = 100_000, psd_tol: float = PSD_TOL):
+def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     """Gaussian EoF of physical standard forms (a, b, c1, c2), searched together.
 
     Takes numpy arrays of n standard forms and returns, per state, the value
     (inf where the witness failed the certificate), the witness parameters
-    (n, 5), feasible, the angles evaluated and budget_exhausted.  `budget`
-    and `psd_tol` mean what they mean in `geof`, for each state.
-
-    Raises
-    ------
-    DomainError
-        If budget < 1.
+    (n, 5), feasible and the angles evaluated.  `psd_tol` means what it
+    means in `geof`, for each state.
     """
-    if budget < 1:
-        raise DomainError(f"geof budget must be at least 1, got {budget}")
     a, b, c1, c2 = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
     n = a.size
     rows = _curve(a, b, c1, c2)
     params, feasible = np.zeros((n, 5)), np.zeros(n, dtype=bool)
-    evals, exhausted = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    evals = np.zeros(n, dtype=np.int64)
 
     def certify(k, g11, g22, g12):
         """Keep the witnesses at Gx = (g11, g22, g12) of states k that pass."""
@@ -244,7 +227,7 @@ def _geof_forms(a, b, c1, c2, budget: int = 100_000, psd_tol: float = PSD_TOL):
     amp = np.hypot(f1, f2)
     crossing = np.abs(f0) <= amp
     for sign in (-1.0, 1.0):
-        k = np.flatnonzero(crossing & ~feasible & (evals < budget))
+        k = np.flatnonzero(crossing & ~feasible)
         if not k.size:
             break
         evals[k] += 1
@@ -253,49 +236,39 @@ def _geof_forms(a, b, c1, c2, budget: int = 100_000, psd_tol: float = PSD_TOL):
         g11, g22 = _at(rows[:2, k], (np.arctan2(f2[k], f1[k]) + sign * half)[:, None])[..., 0]
         certify(k, g11, g22, np.zeros(k.size))
 
-    # Every other state: its stationary angles, or as many as the budget
-    # leaves of them after uncertified zero angles.
+    # Every other state: the least rho of its stationary angles.
     k = np.flatnonzero(~feasible)
-    count = np.minimum(4, budget - evals[k])
-    exhausted[k] = count < 4
-    k, count = k[count >= 1], count[count >= 1]
     if k.size:
-        evals[k] += count
-        theta = _stationary(rows[:, k])
-        g11, g22, g12 = _at(rows[:, k], theta)
-        rho = np.abs(g12) / np.sqrt(g11 * g22)
-        rho[np.arange(4) >= count[:, None]] = np.inf
-        best = (np.arange(k.size), np.argmin(rho, axis=1))
+        evals[k] += 4
+        g11, g22, g12 = _at(rows[:, k], _stationary(rows[:, k]))
+        best = (np.arange(k.size), np.argmin(np.abs(g12) / np.sqrt(g11 * g22), axis=1))
         certify(k, g11[best], g22[best], g12[best])
     value = np.where(feasible, entanglement_entropy_vec(np.exp(-2.0 * np.abs(params[:, 4]))), np.inf)
-    return value, params, feasible, evals, exhausted
+    return value, params, feasible, evals
 
 
-def geof(v: CovMat, budget: int = 100_000, psd_tol: float = PSD_TOL) -> GeofResult:
+def geof(v: CovMat, psd_tol: float = PSD_TOL) -> GeofResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
     Checks v, reduces it to its standard form and runs `_geof_forms` on
     it at n = 1; `bound_report` and `scan`, which hold standard forms
     already, call `_geof_forms` directly.  Deterministic.
 
-    `budget` is a hard cap on the angles at which rho is evaluated (at
-    most 6 are needed).  A separable state returns exactly 0.0 from a
-    product witness.  The returned value is that of a witness G that
-    passes the certificate V - G >= -(psd_tol + 16 eps max(a, b)^3); when
-    it fails, the result is infeasible with value inf.
+    At most 6 angles are evaluated.  A separable state returns exactly 0.0
+    from a product witness.  The returned value is that of a witness G
+    that passes the certificate V - G >= -(psd_tol + 16 eps max(a, b)^3);
+    when it fails, the result is infeasible with value inf.
 
     Raises
     ------
     NonPhysicalStateError
         If v is not physical within psd_tol.
-    DomainError
-        If budget < 1.
     """
     require_physical(v, psd_tol)
     sf = standard_form(v)
-    value, params, feasible, evals, exhausted = _geof_forms(*sf, budget, psd_tol)
+    value, params, feasible, evals = _geof_forms(*sf, psd_tol)
     return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),
-                      bool(exhausted[0]), sf.to_covmat().matrix)
+                      sf.to_covmat().matrix)
 
 
 class _CallableModule(types.ModuleType):

@@ -221,8 +221,10 @@ def _standard_forms(i1, i2, i3, i4, tol: float = 1e-9):
 
     c1^2 and c2^2 are the roots of t^2 - s*t + I3^2 with s = I4/(a*b);
     the sign of c2 is inherited from I3 and c1 >= |c2| by construction.
-    All four are NaN where no standard form exists: I1 or I2 below 1, or
-    I4/(a*b) < 2|I3| beyond tol (no real correlations).
+    All four are NaN where no standard form exists: I1 or I2 below 1
+    beyond the slack, or I4/(a*b) < 2|I3| beyond tol (no real
+    correlations).  a or b within the slack below 1 is returned as it is,
+    for the physicality test to judge.
     """
     i1, i2, i3, i4 = (np.asarray(x, dtype=float) for x in (i1, i2, i3, i4))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -241,7 +243,7 @@ def _standard_forms(i1, i2, i3, i4, tol: float = 1e-9):
         ok = (i1 >= (1.0 - _FORM_SLACK) ** 2) & (i2 >= (1.0 - _FORM_SLACK) ** 2)
         ok &= s >= 2.0 * np.abs(i3) - tol
     keep = np.where(ok, 1.0, np.nan)
-    return np.maximum(a, 1.0) * keep, np.maximum(b, 1.0) * keep, c1 * keep, c2 * keep
+    return a * keep, b * keep, c1 * keep, c2 * keep
 
 
 def standard_form_from_invariants(

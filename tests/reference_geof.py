@@ -297,14 +297,12 @@ def reference_geof(
             if before - search.best_value < tol:
                 break
 
-    exhausted = search.remaining <= 0
     if search.best_params is None:
         return GeofResult(
             value=math.inf,
             argmin_parameters=np.zeros(5),
             feasible=False,
             iterations=search.evals,
-            budget_exhausted=exhausted,
             reference_matrix=search.v,
         )
     return GeofResult(
@@ -312,7 +310,6 @@ def reference_geof(
         argmin_parameters=search.best_params,
         feasible=True,
         iterations=search.evals,
-        budget_exhausted=exhausted,
         reference_matrix=search.v,
     )
 
@@ -475,28 +472,27 @@ def scalar_geof(
         delta *= 4.0
     curve = _Curve(a, b, c1, c2, budget)
 
-    def finish(g: tuple[float, float, float], exhausted: bool) -> GeofResult:
+    def finish(g: tuple[float, float, float]) -> GeofResult:
         params = curve.certify(ref.matrix, g, psd_tol)
         if params is None:
-            return GeofResult(math.inf, np.zeros(5), False, curve.evals, exhausted, ref.matrix)
+            return GeofResult(math.inf, np.zeros(5), False, curve.evals, ref.matrix)
         value = entanglement_entropy(math.exp(-2 * abs(float(params[4]))))
-        return GeofResult(value, params, True, curve.evals, exhausted, ref.matrix)
+        return GeofResult(value, params, True, curve.evals, ref.matrix)
 
     for phi in curve.zero_angles()[:budget]:
         curve.evals += 1
         g11, g22, _ = curve.witness(phi)
-        product = finish((g11, g22, 0.0), False)
+        product = finish((g11, g22, 0.0))
         if product.feasible:
             return product
 
     n = min(_COARSE, budget - curve.evals)
     if n < 1:  # uncertified zero angles used up the whole budget
-        return GeofResult(math.inf, np.zeros(5), False, curve.evals, True, ref.matrix)
+        return GeofResult(math.inf, np.zeros(5), False, curve.evals, ref.matrix)
     grid = np.arange(n) * (math.pi / n)
     rho = curve.rho(grid)
-    exhausted = n < _COARSE
     best = (float(np.min(rho)), float(grid[np.argmin(rho)]))
-    if not exhausted:
+    if n == _COARSE:
         step = math.pi / n
         basins = np.flatnonzero((rho < np.roll(rho, 1)) & (rho <= np.roll(rho, -1)))
         basins = basins[np.argsort(rho[basins], kind="stable")][:_MAX_BASINS]
@@ -506,6 +502,5 @@ def scalar_geof(
             )
             best = min(best, (value, phi))
             if not converged:
-                exhausted = True
                 break
-    return finish(tuple(float(x) for x in curve.witness(best[1])), exhausted)
+    return finish(tuple(float(x) for x in curve.witness(best[1])))

@@ -350,8 +350,7 @@ def checked_report(v):
     """bound_report(v), after checking that its GeoF is geof(v) bit for bit."""
     rep = bound_report(v)
     g = geof(v)
-    assert (rep.geof, rep.flags.geof_feasible, rep.flags.geof_budget_exhausted) == (
-        g.value if g.feasible else None, g.feasible, g.budget_exhausted)
+    assert (rep.geof, rep.flags.geof_feasible) == (g.value if g.feasible else None, g.feasible)
     return rep
 
 

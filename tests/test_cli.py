@@ -76,6 +76,15 @@ def test_resolve_rejects_bad_matrix():
         resolve_state_document({"matrix": [[1, 2], [3, 4]]})
     with pytest.raises(ParseError):
         resolve_state_document({"matrix": [["x"] * 4] * 4})
+    # Strings and booleans are not numbers, as for the other representations.
+    for bad in ("1.5", True, None, [1.0]):
+        m = np.eye(4).tolist()
+        m[3][3] = bad
+        with pytest.raises(ParseError):
+            resolve_state_document({"matrix": m})
+    for bad in ([[1.0] * 4] * 3, [[1.0] * 4] * 3 + [[1.0] * 5], {"0": [1.0] * 4}, [1.0] * 16):
+        with pytest.raises(ParseError):
+            resolve_state_document({"matrix": bad})
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +159,6 @@ def test_analyze_units_bits(tmp_path, capsys):
     assert out["bounds"]["geof"] is None
 
 
-def test_analyze_budget_exhausted_exit_code(tmp_path, capsys):
-    doc = {"standard_form": {"a": 1.2, "b": 1.2, "c1": SQ02, "c2": -SQ02}}
-    path = write(tmp_path, "in.json", doc)
-    needed = geof(resolve_state_document(doc)).iterations
-    assert main(["analyze", "--input", path, "--geof-budget", str(needed - 1)]) == 4
-    out = json.loads(capsys.readouterr().out)
-    assert out["bounds"]["flags"]["geof_budget_exhausted"] is True
-    assert out["bounds"]["flags"]["geof_feasible"] is True
-    assert out["bounds"]["geof"] == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-6)
-
-
-def test_analyze_rejects_budget_below_one(tmp_path, capsys):
-    path = write(tmp_path, "in.json", {"standard_form": {"a": 1, "b": 1, "c1": 0, "c2": 0}})
-    for budget in ("0", "-5"):
-        assert main(["analyze", "--input", path, "--geof-budget", budget]) == 2
-    assert "--geof-budget" in capsys.readouterr().err
-
-
 def test_analyze_rejects_negative_tol_psd(tmp_path, capsys):
     path = write(tmp_path, "in.json", {"standard_form": {"a": 1, "b": 1, "c1": 0, "c2": 0}})
     assert main(["analyze", "--input", path, "--tol-psd", "-1"]) == 2
@@ -219,13 +210,20 @@ def test_analyze_pure_states_in_squeezed_frames_at_zero_tol_psd(tmp_path, capsys
 
 
 def test_analyze_slightly_unphysical_still_rejected(tmp_path, capsys):
-    # mu_minus = 1 - 1e-9 stays below the threshold at the default and at zero tolerance.
+    # mu_minus = 1 - 1e-9 stays below the threshold at the default and at
+    # zero tolerance, and so does mu_minus = a = sqrt(1 - 1e-9), whether
+    # given by its invariants or as a matrix.
     a = 1.3
     c = math.sqrt(a * a - (1.0 - 1e-9) ** 2)
-    path = write(tmp_path, "in.json", {"standard_form": {"a": a, "b": a, "c1": c, "c2": -c}})
-    for tol in ("1e-10", "0"):
-        assert main(["analyze", "--input", path, "--tol-psd", tol]) == 3
-        assert "mu_minus" in capsys.readouterr().err
+    below = math.sqrt(0.999999999)
+    docs = [{"standard_form": {"a": a, "b": a, "c1": c, "c2": -c}},
+            {"invariants": {"I1": 0.999999999, "I2": 1, "I3": 0, "I4": 0}},
+            {"matrix": np.diag([below, below, 1.0, 1.0]).tolist()}]
+    for doc in docs:
+        path = write(tmp_path, "in.json", doc)
+        for tol in ("1e-10", "0"):
+            assert main(["analyze", "--input", path, "--tol-psd", tol]) == 3, (doc, tol)
+            assert "mu_minus" in capsys.readouterr().err
 
 
 def test_analyze_output_file(tmp_path):
@@ -444,6 +442,25 @@ def test_scan_geof_matches_per_point_geof(tmp_path):
     assert searched > 1000
 
 
+def test_scan_invariants_below_one_unphysical(tmp_path):
+    spec = {"i1": {"min": 0.999999999, "max": 0.999999999, "steps": 1},
+            "i2": {"min": 2.0, "max": 2.0, "steps": 1}, "i3": 0.0, "i4": 0.0}
+    out = tmp_path / "out.csv"
+    assert main(["scan", "--input", write(tmp_path, "scan.json", spec), "--output", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert row["status"] == "unphysical"
+    assert row["geof"] == row["eof_sigma"] == ""
+
+
+def test_scan_rejects_analyze_only_flags(tmp_path, capsys):
+    # A scan checks no bound hierarchy, so it takes no tolerance for one.
+    for flag in ("--tol-bound", "--geof-tol"):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--no-geof", flag, "1e-9", "--output", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 def test_scan_unwritable_output_exit_code(tmp_path, capsys):
     out = tmp_path / "missing" / "out.csv"
     assert main(["scan", "--no-geof", "--output", str(out)]) == 2
@@ -474,7 +491,7 @@ def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
     ok = res.physical
     g = np.full_like(i1, np.nan)
     if with_geof:
-        value, _, feasible, _, _ = _geof_forms(*(x[ok] for x in forms))
+        value, _, feasible, _ = _geof_forms(*(x[ok] for x in forms))
         g[ok] = np.where(feasible, value, np.nan)
     entropy = lambda x: x / LN2 if units == "bits" else x
     lines = [",".join(SCAN_COLUMNS)]
@@ -518,33 +535,6 @@ def test_scan_exact_bytes(tmp_path, capsys, spec, flags, marker):
     capsys.readouterr()
     assert main(["scan", "--input", path, *flags]) == 0
     assert capsys.readouterr().out.encode() == want
-
-
-def test_scan_budget_exhausted_exit_code(tmp_path):
-    path = write(tmp_path, "scan.json", scan_spec(steps=4, i3=-0.5))
-    out = tmp_path / "out.csv"
-    assert main(["scan", "--input", path, "--output", str(out)]) == 0
-    full = {}
-    for row in read_rows(out):
-        if row["status"] == "ok":
-            inv = Invariants(*(float(row[k]) for k in ("I1", "I2", "I3", "I4")))
-            full[inv] = geof(CovMat.from_standard_form(*standard_form_from_invariants(inv)))
-    needed = max(r.iterations for r in full.values())
-    assert needed > 1  # an entangled point, searched beyond its coarse pass
-    assert main(["scan", "--input", path, "--output", str(out), "--geof-budget", str(needed - 1)]) == 4
-    for row in read_rows(out):
-        if row["status"] != "ok":
-            continue
-        inv = Invariants(*(float(row[k]) for k in ("I1", "I2", "I3", "I4")))
-        capped = geof(CovMat.from_standard_form(*standard_form_from_invariants(inv)), budget=needed - 1)
-        # Best-so-far values of certified witnesses: never below the
-        # uncapped minimum, and what geof reports under the same cap (a
-        # search cut short is not converged, so roundoff in the standard
-        # form moves its value more than that of a converged one).
-        assert capped.feasible
-        assert float(row["geof"]) == pytest.approx(capped.value, abs=1e-9)
-        assert float(row["geof"]) >= full[inv].value - 1e-12
-        assert float(row["geof"]) <= full[inv].value + 1e-6
 
 
 def test_consecutive_main_calls_share_no_state(tmp_path, capsys):

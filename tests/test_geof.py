@@ -5,9 +5,9 @@ import types
 import numpy as np
 import pytest
 
-from eofbounds.bounds import _standard_bounds, bound_report, eof_symmetric, is_entangled
+from eofbounds.bounds import _standard_bounds, eof_symmetric, is_entangled
 from eofbounds.entanglement import entanglement_entropy
-from eofbounds.errors import DomainError, NonPhysicalStateError
+from eofbounds.errors import NonPhysicalStateError
 from eofbounds.geof import _geof_forms, geof, pure_cms_from_parameters
 from eofbounds.states import (
     CovMat,
@@ -131,7 +131,7 @@ def test_never_above_reference_search():
     # strictly feasible point, an upper bound on the minimum.
     for kind, sf, v in general_frame_corpus(11, 99):
         res = geof(v)
-        assert res.feasible and not res.budget_exhausted
+        assert res.feasible
         assert res.value <= reference_geof(v).value + 1e-9
         if kind == "sym":
             assert res.value == pytest.approx(eof_symmetric(sf.to_covmat()), abs=1e-9)
@@ -154,21 +154,6 @@ def test_monotone_under_noise(rng):
         v = random_standard_form(rng, entangled=True).to_covmat()
         noisy = CovMat(v.matrix + random_psd(rng, scale=0.2))
         assert geof(noisy).value <= geof(v).value + 2e-6
-
-
-def test_budget_exhaustion_flagged():
-    v = CovMat.two_mode_squeezed(0.4)
-    full = geof(v)
-    assert not full.budget_exhausted
-    res = geof(v, budget=full.iterations - 1)
-    assert res.budget_exhausted
-    assert res.iterations == full.iterations - 1
-    assert res.feasible  # best-so-far still returned
-    assert loewner_ge(res.reference_matrix, pure_cms_from_parameters(res.argmin_parameters), 1e-9)
-    with pytest.raises(DomainError):
-        geof(v, budget=0)
-    with pytest.raises(DomainError):
-        bound_report(v, geof_budget=0)
 
 
 def test_rejects_unphysical():
@@ -207,9 +192,8 @@ def standard_matrices(forms):
 
 
 def assert_matches_reference(forms, refs):
-    value, params, feasible, _, exhausted = _geof_forms(*forms)
+    value, params, feasible, _ = _geof_forms(*forms)
     assert np.array_equal(feasible, [r.feasible for r in refs])
-    assert not exhausted.any()
     np.testing.assert_allclose(value[feasible], [r.value for r in refs if r.feasible], rtol=0, atol=1e-12)
     gamma = pure_cms_from_parameters(params[feasible])
     lam = np.linalg.eigvalsh(standard_matrices(forms)[feasible] - gamma)[:, 0]
@@ -234,11 +218,34 @@ def test_array_search_matches_scalar_reference_on_random_states():
     forms = np.array([[g.reference_matrix[i, j] for g in single] for i, j in ((0, 0), (2, 2), (0, 2), (1, 3))])
     assert_matches_reference(forms, [scalar_geof(v, tol=1e-9) for v in states])
     # geof is the array search at n = 1: the same row, bit for bit.
-    value, params, feasible, evals, exhausted = _geof_forms(*forms)
+    value, params, feasible, evals = _geof_forms(*forms)
     for k, g in enumerate(single):
-        assert (g.value, g.feasible, g.iterations, g.budget_exhausted) == (
-            value[k], feasible[k], evals[k], exhausted[k])
+        assert (g.value, g.feasible, g.iterations) == (value[k], feasible[k], evals[k])
         assert np.array_equal(g.argmin_parameters, params[k])
+
+
+def random_standard_forms(seed, n):
+    """Arrays (a, b, c1, c2) of n random standard forms with a, b up to 10,
+    entangled and separable in turn, every third one symmetric."""
+    rng = np.random.default_rng(seed)
+    return np.array([tuple(random_standard_form(rng, a_max=10.0, symmetric=i % 3 == 0, entangled=i % 2 == 0))
+                     for i in range(n)]).T
+
+
+@pytest.mark.parametrize("forms", [grid_forms(40, -0.2), random_standard_forms(29, 2000)],
+                         ids=["readme-grid", "random-forms"])
+def test_at_most_six_angles_per_state(forms):
+    # At most 2 zero-angle tries, then the 4 roots of the quartic unless
+    # a zero angle certified a product witness.
+    value, params, feasible, evals = _geof_forms(*forms)
+    assert feasible.all() and evals.max() <= 6
+    product = evals <= 2
+    assert np.all(evals[product] >= 1)
+    assert np.all(value[product] == 0.0) and np.all(params[product, 4] == 0.0)
+    assert np.all(np.isin(evals[~product] - 4, (0, 2)))
+    entangled = _standard_bounds(*forms).entangled
+    assert not np.any(product & entangled)
+    assert np.any(product) and np.any(entangled)
 
 
 def test_geof_submodule_import_gives_the_module():
@@ -259,7 +266,7 @@ def test_never_above_dense_angle_grid():
     c1 = rng.uniform(0.0, 1.0, 200) * np.sqrt(a * b)
     ok = _standard_bounds(a, b, c1, 0.0 * a).physical
     forms += list(zip(a[ok], b[ok], c1[ok], 0.0 * a[ok]))
-    value, _, feasible, _, _ = _geof_forms(*np.array(forms).T)
+    value, _, feasible, _ = _geof_forms(*np.array(forms).T)
     assert feasible.all()
     phi = np.linspace(0.0, math.pi, 20001)
     for (a, b, c1, c2), v in zip(forms, value):
