@@ -10,15 +10,18 @@ computable bounds:
 * a tighter lower bound from the midpoint m = (a + b)/2,
 * upper bound from the symmetric state with m = min(a, b), when that
   state is physical,
-* a searched upper bound over symmetric states with rescaled
-  correlations, covering the case where the natural upper state is
-  unphysical.
+* a searched upper bound, the least EoF of the symmetric states
+  (m, m, t c1, t c2) on the PSD boundary of V - V', a line in t that
+  also covers many states whose natural upper state is unphysical.
 
-All of them are closed forms in (a, b, c1, c2).  `_standard_bounds`
+The first four are closed forms in (a, b, c1, c2).  `_standard_bounds`
 evaluates them, with the physicality and PPT tests of the state and the
 EeoF estimator, in one pass over numpy arrays of standard forms: one
-state for `bound_report`, a whole grid for a scan.  Every value is
+state for `bound_report`, a whole grid for a scan.  The searched bound
+evaluates the same closed forms at the nodes of its line.  Every value is
 therefore invariant under local symplectics and under swapping the modes.
+The certified GeoF of `geof._geof_forms` is an upper bound as well, and
+never above the symmetric-state ones (see `bound_report`).
 
 Every one-state function (`bound_report`, the single bounds, `eeof`,
 `eof_symmetric`, `is_entangled`) checks and reduces its CovMat or
@@ -34,7 +37,15 @@ import numpy as np
 from .entanglement import entanglement_entropy_vec
 from .errors import NonPhysicalStateError, NotSymmetricError
 from .geof import _geof_forms
-from .states import CovMat, StandardForm, _spectra, require_physical, standard_form
+from .states import (
+    CovMat,
+    Invariants,
+    StandardForm,
+    _spectra,
+    invariants,
+    require_physical,
+    standard_form_from_invariants,
+)
 from .symplectic import PSD_TOL, least_mu_minus
 
 #: Default tolerance for comparisons between entanglement values.
@@ -77,7 +88,7 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
     least = least_mu_minus(np.maximum(a, b), psd_tol)
     ab = a * b
-    nu_minus, nu_t = _spectra(a, b, c1, np.stack((c2, -c2)))[0]
+    nu_minus, nu_t = _spectra(a, b, c1, np.array((c2, -c2)))[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         lam_min = 2.0 * (ab - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
         physical = (lam_min > psd_tol) & (nu_minus >= least)
@@ -85,7 +96,7 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
         nu_sigma, _ = _symmetric((a + b) / 2.0, c1, c2, psd_tol, least)
         nu_upper, upper_physical = _symmetric(np.minimum(a, b), c1, c2, psd_tol, least)
     lower, sigma, upper, estimate = entanglement_entropy_vec(
-        np.stack([nu_lower, nu_sigma, nu_upper, nu_t])
+        np.array((nu_lower, nu_sigma, nu_upper, nu_t))
     )
     return _StandardBounds(
         physical=physical,
@@ -99,24 +110,34 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
     )
 
 
-def _checked(v: CovMat | StandardForm, psd_tol: float) -> tuple[StandardForm, _StandardBounds]:
-    """Standard form of one physical state and its closed-form pass.
+def _reduced(
+    v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = None
+) -> tuple[StandardForm, _StandardBounds | None]:
+    """Standard form of one physical state, and the closed-form pass if it ran.
 
-    A CovMat is checked once by `require_physical` and reduced once; its
-    standard form is not tested again, since at psd_tol = 0 the closed
-    form can fail the roundoff of a reduced pure state.  A StandardForm
-    is checked by the pass's own `physical` flag.
+    A CovMat is checked once by `require_physical` and reduced once, from
+    its invariants `inv` when the caller has them; the pass does not run,
+    and its standard form is not tested again, since at psd_tol = 0 the
+    closed form can fail the roundoff of a reduced pure state.  A
+    StandardForm is checked by the pass's own `physical` flag.
     """
-    sf = v
     if isinstance(v, CovMat):
         require_physical(v, psd_tol)
-        sf = standard_form(v)
-    res = _standard_bounds(*sf, psd_tol)
-    if sf is v and not res.physical:
-        mu = float(_spectra(*sf)[0])
+        return standard_form_from_invariants(invariants(v) if inv is None else inv), None
+    res = _standard_bounds(*v, psd_tol)
+    if not res.physical:
+        mu = float(_spectra(*v)[0])
         raise NonPhysicalStateError(
-            f"standard form {tuple(sf)} is not physical: mu_minus = {mu:.12g}", mu)
-    return sf, res
+            f"standard form {tuple(v)} is not physical: mu_minus = {mu:.12g}", mu)
+    return v, res
+
+
+def _checked(
+    v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = None
+) -> tuple[StandardForm, _StandardBounds]:
+    """Standard form of one physical state (`_reduced`) and its closed-form pass."""
+    sf, res = _reduced(v, psd_tol, inv)
+    return sf, _standard_bounds(*sf, psd_tol) if res is None else res
 
 
 def natural_bounds(
@@ -146,23 +167,22 @@ def sigma_lower_bound(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> flo
 
 
 def _searched(a, b, c1, c2, steps: int, psd_tol: float) -> float | None:
-    """The searched upper bound of one physical standard form (a, b, c1, c2)."""
-    m = np.linspace(1.0, min(a, b), steps + 1)
+    """The searched upper bound of one physical standard form (a, b, c1, c2).
+
+    v - V' splits into an x sector [[a - m, k], [k, b - m]], k = (1 - t) c1,
+    and a p sector with (1 - t) c2, |c2| <= c1; both are PSD iff
+    m <= m(t), the smaller root of (a - m)(b - m) = k^2.  With
+    d = |a - b| that root is min(a, b) - (hypot(d, 2k) - d)/2, exactly
+    min(a, b) at t = 1.  While m > t c1, both the squared PPT eigenvalue
+    (m - t c1)(m + t c2) and (m - t c1)(m - t c2) of the physicality test
+    rise with m, so at each t the boundary point m(t) is the best one.
+    Physicality implies m >= 1 within its allowance, so m is not tested
+    against 1.
+    """
     t = np.linspace(0.0, 1.0, steps + 1)[1:]
-    mg, tg = np.meshgrid(m, t, indexing="ij")
-    mg, tg = mg.ravel(), tg.ravel()
-
-    # Feasibility of v - V' in closed form: the difference splits into an
-    # x-sector [[a-m, (1-t)c1], [., b-m]] and a p-sector with c2; both are
-    # PSD iff the diagonals and the binding determinant are nonnegative.
-    da, db = a - mg, b - mg
-    off = np.maximum((1.0 - tg) * np.abs(c1), (1.0 - tg) * np.abs(c2))
-    psd_ok = (da >= -psd_tol) & (db >= -psd_tol) & (da * db - off**2 >= -psd_tol)
-
-    # Physicality of V' as for every symmetric state of the pass.
-    least = least_mu_minus(max(a, b), psd_tol)
-    nu_t, phys_ok = _symmetric(mg, tg * c1, tg * c2, psd_tol, least)
-    feasible = psd_ok & phys_ok
+    d = abs(a - b)
+    m = min(a, b) - (np.hypot(d, 2.0 * (1.0 - t) * c1) - d) / 2.0
+    nu_t, feasible = _symmetric(m, t * c1, t * c2, psd_tol, least_mu_minus(max(a, b), psd_tol))
     if not np.any(feasible):
         return None
     return float(np.min(entanglement_entropy_vec(nu_t[feasible])))
@@ -174,16 +194,14 @@ def searched_upper_bound(
     """Tightest upper bound over symmetric states with rescaled correlations.
 
     Minimizes the symmetric-state EoF over the family V' with blocks m*I
-    and correlations t*diag(c1, c2), for m in [1, min(a, b)] and
-    t in (0, 1], subject to v - V' being PSD and V' physical.  Works on
-    the standard form of v, checked as by `bound_report`.  Returns None
-    when no grid point is feasible.
-
-    The grid uses `steps` subdivisions per axis with shared endpoints, so
-    doubling `steps` refines the previous grid and the returned value
-    never increases.
+    and correlations t*diag(c1, c2), t in (0, 1], subject to v - V' being
+    PSD and V' physical.  The best V' at each t lies on the PSD boundary
+    m = m(t) (see `_searched`), evaluated at the nodes t = 1/steps, ..., 1;
+    t = 1 is the natural upper state.  Doubling `steps` refines the nodes,
+    so the value never increases.  Works on the standard form of v, checked
+    as by `bound_report`.  Returns None when no node is feasible.
     """
-    return _searched(*_checked(v, psd_tol)[0], steps, psd_tol)
+    return _searched(*_reduced(v, psd_tol)[0], steps, psd_tol)
 
 
 def eeof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> float:
@@ -262,12 +280,28 @@ def bound_report(
     expected ordering are recorded in the flags rather than raised, so
     callers can inspect borderline numerics.
 
+    A certified `geof` is an upper bound on the EoF: its witness G <= V
+    gives E(G) >= GEoF(V) >= EoF(V).  It is also never above
+    `upper_natural` or `upper_searched`: for a symmetric V' <= V,
+    EoF(V') = GEoF(V') >= GEoF(V), since every pure G <= V' is below V.
+
     Raises
     ------
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
-    sf, res = _checked(v, psd_tol)
+    return _report(*_checked(v, psd_tol), include_geof, psd_tol, bound_tol, geof_tol)
+
+
+def _report(
+    sf: StandardForm,
+    res: _StandardBounds,
+    include_geof: bool,
+    psd_tol: float,
+    bound_tol: float,
+    geof_tol: float,
+) -> BoundReport:
+    """`bound_report` of a checked standard form sf and its closed-form pass res."""
     lower, sigma, estimate = (float(x) for x in (res.lower_natural, res.lower_sigma, res.eeof))
     upper_physical = bool(res.upper_physical)
     upper = float(res.upper_natural) if upper_physical else None

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bounds import BoundReport, _standard_bounds, bound_report
+from .bounds import BoundReport, _checked, _report, _standard_bounds
 from .entanglement import LN2
 from .errors import (
     DegenerateInvariantsError,
@@ -171,14 +171,12 @@ def run_analyze(args: argparse.Namespace) -> None:
     doc = _load_document(args.input)
     cm = resolve_state_document(doc)
 
-    report = bound_report(
-        cm,
-        include_geof=not args.no_geof,
-        psd_tol=args.tol_psd,
-        bound_tol=args.tol_bound,
-        geof_tol=args.geof_tol,
-    )
-    inv, sf = invariants(cm), report.standard_form
+    # The invariants are printed and reduced to the standard form, so they
+    # are computed once, here.
+    inv = invariants(cm)
+    report = _report(*_checked(cm, args.tol_psd, inv), not args.no_geof,
+                     args.tol_psd, args.tol_bound, args.geof_tol)
+    sf = report.standard_form
     mu_minus, mu_plus = _spectra(*sf)
     mu_t_minus, mu_t_plus = _spectra(sf.a, sf.b, sf.c1, -sf.c2)
 

@@ -13,7 +13,7 @@ from eofbounds.bounds import (
     searched_upper_bound,
     sigma_lower_bound,
 )
-from eofbounds.entanglement import entanglement_entropy
+from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import NonPhysicalStateError
 from eofbounds.geof import geof
 from eofbounds.states import (
@@ -23,6 +23,7 @@ from eofbounds.states import (
     random_local_symplectic,
     random_standard_form,
 )
+from eofbounds.symplectic import PSD_TOL, least_mu_minus
 
 from conftest import loewner_ge, random_psd
 
@@ -202,6 +203,44 @@ def test_searched_upper_covers_unphysical_natural(rng):
             break
     assert examined > 0
     assert restored > 0
+
+
+def mesh_searched(a, b, c1, c2, steps=64, psd_tol=PSD_TOL):
+    """The searched bound over a (steps + 1) x steps mesh of (m, t), m in [1, min(a, b)].
+
+    The brute-force search the boundary line replaced, kept as a
+    reference: every mesh point with v - V' >= -psd_tol (x and p sectors,
+    c1 >= |c2|) and V' physical is a candidate.
+    """
+    m, t = (x.ravel() for x in np.meshgrid(
+        np.linspace(1.0, min(a, b), steps + 1), np.linspace(0.0, 1.0, steps + 1)[1:],
+        indexing="ij"))
+    da, db, off = a - m, b - m, (1.0 - t) * max(abs(c1), abs(c2))
+    psd_ok = (da >= -psd_tol) & (db >= -psd_tol) & (da * db - off**2 >= -psd_tol)
+    with np.errstate(invalid="ignore"):
+        physical = (m - t * c1 > psd_tol) & (
+            np.sqrt((m - t * c1) * (m - t * c2)) >= least_mu_minus(max(a, b), psd_tol))
+        nu_t = np.sqrt((m - t * c1) * (m + t * c2))
+    feasible = psd_ok & physical
+    return float(np.min(entanglement_entropy_vec(nu_t[feasible]))) if feasible.any() else None
+
+
+def test_searched_upper_never_above_the_mesh():
+    # The boundary line at the mesh's t nodes is never looser than the
+    # mesh, and feasible wherever the mesh is.
+    rng = np.random.default_rng(7)
+    entangled_covered = lowered = 0
+    for i in range(2000):
+        sf = random_standard_form(rng, a_max=5.0, entangled=bool(i % 2))
+        mesh, line = mesh_searched(*sf), searched_upper_bound(sf)
+        if mesh is None:
+            continue
+        assert line is not None, sf
+        assert line <= mesh + 1e-12, (sf, line, mesh)
+        entangled_covered += mesh > 0.0
+        lowered += line < mesh
+    assert entangled_covered > 300
+    assert lowered > 300
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eofbounds.bounds import _standard_bounds, eof_symmetric, is_entangled
-from eofbounds.entanglement import entanglement_entropy
+from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import NonPhysicalStateError
 from eofbounds.geof import _geof_forms, geof, pure_cms_from_parameters
 from eofbounds.states import (
@@ -275,3 +275,31 @@ def test_never_above_dense_angle_grid():
         u = (q * np.sqrt(np.maximum(w, 0.0))) @ q.T @ np.array([np.cos(phi), np.sin(phi)])
         rho = np.min(np.abs(c1 - u[0] * u[1]) / np.sqrt((a - u[0] ** 2) * (b - u[1] ** 2)))
         assert v <= entanglement_entropy(math.sqrt((1.0 - rho) / (1.0 + rho))) + 1e-12
+
+
+def test_no_full_family_witness_below_geof():
+    # Outside the block-diagonal reduction: pure G <= V from the whole
+    # 5-parameter family (pure_cms_from_parameters), drawn at random and as
+    # local perturbations of the returned witness, never have less
+    # entanglement than geof.
+    rng = np.random.default_rng(31)
+    n, feasible = 200, 0
+    for i in range(150):
+        sf = random_standard_form(rng, a_max=5.0, symmetric=i % 3 == 0, entangled=True)
+        res = geof(sf.to_covmat())
+        assert res.feasible
+        s_max, r_max = 0.25 * math.log(max(sf.a, sf.b)), 2.0 * abs(res.argmin_parameters[4])
+        drawn = np.column_stack([
+            rng.uniform(0.0, math.pi, n), rng.uniform(-s_max, s_max, n),
+            rng.uniform(0.0, math.pi, n), rng.uniform(-s_max, s_max, n),
+            rng.uniform(-r_max, r_max, n),
+        ])
+        nearby = res.argmin_parameters + 10.0 ** rng.uniform(-7.0, -1.0, (n, 1)) * rng.normal(
+            size=(n, 5))
+        params = np.vstack([drawn, nearby])
+        g = pure_cms_from_parameters(params)
+        below = np.linalg.eigvalsh(res.reference_matrix - g)[:, 0] >= 0.0
+        ent = entanglement_entropy_vec(np.exp(-2.0 * np.abs(params[below, 4])))
+        assert np.all(ent >= res.value - 1e-9), (sf, res.value, ent.min())
+        feasible += below.sum()
+    assert feasible > 5000
