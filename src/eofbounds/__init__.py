@@ -21,27 +21,21 @@ from .errors import (
     NotSymmetricError,
     ParseError,
 )
-from .geof import GeofResult, pure_cms_from_parameters
+from .geof import GeofResult
 from .states import (
     CovMat,
     Invariants,
     StandardForm,
     invariants,
-    is_physical,
-    ppt_eigenvalues,
-    random_local_symplectic,
-    random_standard_form,
     require_physical,
     standard_form,
     standard_form_from_invariants,
-    symplectic_eigenvalues,
 )
 from .symplectic import (
     J2,
     J4,
     PSD_TOL,
     SympSpectrum,
-    partial_transpose,
     symmetrize,
     symplectic_spectrum,
 )

@@ -57,7 +57,12 @@ class _StandardBounds:
     """Closed-form results of `_standard_bounds`, one entry per standard form."""
 
     physical: np.ndarray
-    nu_t: np.ndarray  # smallest PPT symplectic eigenvalue; NaN if det V < 0
+    # Symplectic eigenvalues of the state and of its partial transpose
+    # (c2 -> -c2); nu_minus and nu_t are NaN where det V < 0.
+    nu_minus: np.ndarray
+    nu_plus: np.ndarray
+    nu_t: np.ndarray
+    nu_t_plus: np.ndarray
     entangled: np.ndarray
     lower_natural: np.ndarray
     lower_sigma: np.ndarray
@@ -88,7 +93,7 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
     least = least_mu_minus(np.maximum(a, b), psd_tol)
     ab = a * b
-    nu_minus, nu_t = _spectra(a, b, c1, np.array((c2, -c2)))[0]
+    (nu_minus, nu_t), (nu_plus, nu_t_plus) = _spectra(a, b, c1, np.array((c2, -c2)))
     with np.errstate(invalid="ignore", divide="ignore"):
         lam_min = 2.0 * (ab - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
         physical = (lam_min > psd_tol) & (nu_minus >= least)
@@ -100,7 +105,10 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
     )
     return _StandardBounds(
         physical=physical,
+        nu_minus=nu_minus,
+        nu_plus=nu_plus,
         nu_t=nu_t,
+        nu_t_plus=nu_t_plus,
         entangled=nu_t < 1.0 - psd_tol,
         lower_natural=lower,
         lower_sigma=sigma,

@@ -28,7 +28,6 @@ from .geof import _geof_forms
 from .states import (
     CovMat,
     Invariants,
-    _spectra,
     _standard_forms,
     invariants,
     standard_form_from_invariants,
@@ -174,18 +173,15 @@ def run_analyze(args: argparse.Namespace) -> None:
     # The invariants are printed and reduced to the standard form, so they
     # are computed once, here.
     inv = invariants(cm)
-    report = _report(*_checked(cm, args.tol_psd, inv), not args.no_geof,
-                     args.tol_psd, args.tol_bound, args.geof_tol)
-    sf = report.standard_form
-    mu_minus, mu_plus = _spectra(*sf)
-    mu_t_minus, mu_t_plus = _spectra(sf.a, sf.b, sf.c1, -sf.c2)
+    sf, res = _checked(cm, args.tol_psd, inv)
+    report = _report(sf, res, not args.no_geof, args.tol_psd, args.tol_bound, args.geof_tol)
 
     out = {
         "units": args.units,
         "invariants": {"I1": inv.i1, "I2": inv.i2, "I3": inv.i3, "I4": inv.i4},
         "standard_form": {"a": sf.a, "b": sf.b, "c1": sf.c1, "c2": sf.c2},
-        "symplectic_eigenvalues": {"mu_minus": float(mu_minus), "mu_plus": float(mu_plus)},
-        "ppt_symplectic_eigenvalues": {"mu_minus": float(mu_t_minus), "mu_plus": float(mu_t_plus)},
+        "symplectic_eigenvalues": {"mu_minus": float(res.nu_minus), "mu_plus": float(res.nu_plus)},
+        "ppt_symplectic_eigenvalues": {"mu_minus": float(res.nu_t), "mu_plus": float(res.nu_t_plus)},
         "entangled": report.entangled,
         "bounds": _report_dict(report, args.units),
     }
@@ -314,8 +310,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not args.tol_psd >= 0.0:
-            raise ParseError(f"--tol-psd must be non-negative, got {args.tol_psd}")
+        for name in ("tol_psd", "tol_bound", "geof_tol"):
+            value = getattr(args, name, 0.0)  # a scan has only --tol-psd
+            if not 0.0 <= value < math.inf:
+                flag = "--" + name.replace("_", "-")
+                raise ParseError(f"{flag} must be finite and non-negative, got {value}")
         args.func(args)
         return 0
     except ParseError as exc:

@@ -82,37 +82,6 @@ class GeofResult:
     reference_matrix: np.ndarray | None = None
 
 
-def pure_cms_from_parameters(params: np.ndarray) -> np.ndarray:
-    """Build pure covariance matrices from parameter rows.
-
-    Accepts shape (5,) or (N, 5); returns (4, 4) or (N, 4, 4).  Every
-    output is exactly pure (both symplectic eigenvalues 1) because it is
-    S S^T for a symplectic S.
-    """
-    p = np.atleast_2d(np.asarray(params, dtype=float))
-    ta, sa, tb, sb, r = p[:, 0], p[:, 1], p[:, 2], p[:, 3], p[:, 4]
-    n = p.shape[0]
-
-    ch = np.cosh(2 * r)
-    sh = np.sinh(2 * r)
-    core = np.zeros((n, 4, 4))
-    core[:, 0, 0] = core[:, 1, 1] = core[:, 2, 2] = core[:, 3, 3] = ch
-    core[:, 0, 2] = core[:, 2, 0] = sh
-    core[:, 1, 3] = core[:, 3, 1] = -sh
-
-    loc = np.zeros((n, 4, 4))
-    for (ti, si, off) in ((ta, sa, 0), (tb, sb, 2)):
-        c, s = np.cos(ti), np.sin(ti)
-        ep, em = np.exp(si), np.exp(-si)
-        loc[:, off, off] = c * ep
-        loc[:, off, off + 1] = s * em
-        loc[:, off + 1, off] = -s * ep
-        loc[:, off + 1, off + 1] = c * em
-
-    out = loc @ core @ loc.transpose(0, 2, 1)
-    return out[0] if np.ndim(params) == 1 else out
-
-
 #: (1 + t^2) (f0 + f1 cos theta + f2 sin theta) = f @ _HALF, a quadratic in
 #: t = tan(theta / 2) (ascending powers).
 _HALF = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])

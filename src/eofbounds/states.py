@@ -27,15 +27,7 @@ from .errors import (
     NonPhysicalStateError,
     NonPositiveMatrixError,
 )
-from .symplectic import (
-    J2,
-    PSD_TOL,
-    SympSpectrum,
-    least_mu_minus,
-    partial_transpose,
-    symmetrize,
-    symplectic_spectrum,
-)
+from .symplectic import J2, PSD_TOL, least_mu_minus, symmetrize, symplectic_spectrum
 
 # Slack for the >= 1 and c1 >= |c2| conventions, absorbing roundoff from
 # invariant arithmetic.
@@ -175,34 +167,12 @@ def _spectra(a, b, c1, c2):
         return np.sqrt((ab - c1 * c1) * (ab - c2 * c2) / plus), np.sqrt(plus)
 
 
-def symplectic_eigenvalues(v: CovMat, tol: float = PSD_TOL) -> SympSpectrum:
-    """Symplectic eigenvalues of the state (see `symplectic_spectrum`)."""
-    return symplectic_spectrum(v.matrix, tol)
-
-
-def ppt_eigenvalues(v: CovMat, tol: float = PSD_TOL) -> SympSpectrum:
-    """Symplectic eigenvalues of the partially transposed state."""
-    return symplectic_spectrum(partial_transpose(v.matrix), tol)
-
-
-def is_physical(v: CovMat, tol: float = PSD_TOL) -> bool:
-    """True iff v is positive definite and its smallest symplectic eigenvalue >= 1 - tol.
-
-    Uses the general spectral route `symplectic_spectrum`, which takes
-    any frame.  The threshold allows the roundoff of that route, so pure
-    states pass at tol = 0.
-    """
-    try:
-        spec = symplectic_spectrum(v.matrix, tol)
-    except NonPositiveMatrixError:
-        return False
-    return spec.mu_minus >= least_mu_minus(np.max(np.abs(v.matrix)), tol)
-
-
 def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
     """Return mu_minus of v, raising NonPhysicalStateError when below 1.
 
-    Same spectral route and threshold as `is_physical`.
+    Uses the general spectral route `symplectic_spectrum`, which takes
+    any frame.  The threshold `least_mu_minus` allows the roundoff of that
+    route, so pure states pass at tol = 0.
     """
     try:
         spec = symplectic_spectrum(v.matrix, tol)
@@ -268,85 +238,3 @@ def standard_form_from_invariants(
 def standard_form(v: CovMat, tol: float = 1e-9) -> StandardForm:
     """Reduce a physical covariance matrix to its standard form parameters."""
     return standard_form_from_invariants(invariants(v), tol)
-
-
-# ---------------------------------------------------------------------------
-# Random-state plumbing for tests and scans.
-# ---------------------------------------------------------------------------
-
-
-def random_sp2(rng: np.random.Generator, squeeze_max: float = 0.6) -> np.ndarray:
-    """Random single-mode symplectic: rotation * squeezer * rotation."""
-
-    def rot(t: float) -> np.ndarray:
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, s], [-s, c]])
-
-    s = rng.uniform(-squeeze_max, squeeze_max)
-    z = np.diag([math.exp(s), math.exp(-s)])
-    return rot(rng.uniform(0, 2 * math.pi)) @ z @ rot(rng.uniform(0, 2 * math.pi))
-
-
-def random_local_symplectic(
-    rng: np.random.Generator, squeeze_max: float = 0.6
-) -> np.ndarray:
-    """Random S_A (+) S_B acting locally on the two modes."""
-    s = np.zeros((4, 4))
-    s[:2, :2] = random_sp2(rng, squeeze_max)
-    s[2:, 2:] = random_sp2(rng, squeeze_max)
-    return s
-
-
-def random_standard_form(
-    rng: np.random.Generator,
-    a_max: float = 3.0,
-    symmetric: bool = False,
-    entangled: bool | None = None,
-    require_physical_upper: bool = False,
-    min_asymmetry: float = 0.0,
-    gap: float = 1e-6,
-    phys_margin: float = 1e-8,
-    max_tries: int = 200_000,
-) -> StandardForm:
-    """Rejection-sample standard-form parameters of a physical state.
-
-    Draws a, b uniformly from [1, a_max] and correlations (c1, c2) with
-    c1 >= |c2|, keeping only draws whose smallest symplectic eigenvalue
-    stays >= 1 + phys_margin, so every returned state is physical by
-    construction.
-
-    Parameters
-    ----------
-    symmetric : force a == b.
-    entangled : if True/False, additionally require the PPT eigenvalue to
-        sit below/above 1 by at least `gap`; None leaves it free.
-    require_physical_upper : also require the symmetric state built from
-        the smaller block (the natural upper-bound state) to be physical.
-    min_asymmetry : lower bound on |a - b| (ignored when symmetric).
-    """
-    for _ in range(max_tries):
-        a = rng.uniform(1.0, a_max)
-        if symmetric:
-            b = a
-        else:
-            b = rng.uniform(1.0, a_max)
-            if abs(a - b) < min_asymmetry:
-                continue
-        c_cap = math.sqrt(a * b) * 0.999
-        c1 = rng.uniform(0.0, c_cap)
-        c2 = rng.uniform(-c1, c1)
-        # Every test below is written so that a NaN eigenvalue (det <= 0) rejects.
-        if not _spectra(a, b, c1, c2)[0] >= 1.0 + phys_margin:
-            continue
-        if entangled is not None:
-            mu_t = _spectra(a, b, c1, -c2)[0]
-            if not (mu_t < 1.0 - gap if entangled else mu_t > 1.0 + gap):
-                continue
-        if require_physical_upper:
-            small = min(a, b)
-            if small - c1 <= phys_margin:  # block positivity of the upper state
-                continue
-            if not _spectra(small, small, c1, c2)[0] >= 1.0 + phys_margin:
-                continue
-        return StandardForm(a, b, c1, c2)
-    raise RuntimeError("rejection sampler exhausted max_tries")

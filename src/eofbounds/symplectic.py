@@ -44,19 +44,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def partial_transpose(m: np.ndarray) -> np.ndarray:
-    """Conjugate a 4x4 matrix by the partial transposition of mode 2.
-
-    Flips the sign of p2: of row 3 and of column 3, so the diagonal
-    entry keeps its sign.  Involutive; for a standard-form covariance
-    matrix it flips the sign of the second correlation entry c2.
-    """
-    m = np.array(m, dtype=float)
-    m[3] *= -1.0
-    m[:, 3] *= -1.0
-    return m
-
-
 @dataclass(frozen=True)
 class SympSpectrum:
     """Symplectic eigenvalue pair of a two-mode matrix, sorted ascending."""

@@ -1,5 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+
+from eofbounds.errors import NonPhysicalStateError
+from eofbounds.states import StandardForm, _spectra, require_physical
+from eofbounds.symplectic import PSD_TOL
 
 
 @pytest.fixture
@@ -23,3 +29,102 @@ def random_psd(rng, n=4, scale=1.0):
     """Random symmetric positive-semidefinite matrix."""
     g = rng.normal(size=(n, n)) * scale
     return g @ g.T
+
+
+def partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Conjugate a 4x4 matrix by the partial transposition of mode 2.
+
+    Flips the sign of p2: of row 3 and of column 3, so the diagonal
+    entry keeps its sign.  Involutive; for a standard-form covariance
+    matrix it flips the sign of the second correlation entry c2.
+    """
+    m = np.array(m, dtype=float)
+    m[3] *= -1.0
+    m[:, 3] *= -1.0
+    return m
+
+
+def is_physical(v, tol=PSD_TOL):
+    """True iff `require_physical` accepts v."""
+    try:
+        require_physical(v, tol)
+    except NonPhysicalStateError:
+        return False
+    return True
+
+
+def random_sp2(rng: np.random.Generator, squeeze_max: float = 0.6) -> np.ndarray:
+    """Random single-mode symplectic: rotation * squeezer * rotation."""
+
+    def rot(t: float) -> np.ndarray:
+        c, s = math.cos(t), math.sin(t)
+        return np.array([[c, s], [-s, c]])
+
+    s = rng.uniform(-squeeze_max, squeeze_max)
+    z = np.diag([math.exp(s), math.exp(-s)])
+    return rot(rng.uniform(0, 2 * math.pi)) @ z @ rot(rng.uniform(0, 2 * math.pi))
+
+
+def random_local_symplectic(
+    rng: np.random.Generator, squeeze_max: float = 0.6
+) -> np.ndarray:
+    """Random S_A (+) S_B acting locally on the two modes."""
+    s = np.zeros((4, 4))
+    s[:2, :2] = random_sp2(rng, squeeze_max)
+    s[2:, 2:] = random_sp2(rng, squeeze_max)
+    return s
+
+
+def random_standard_form(
+    rng: np.random.Generator,
+    a_max: float = 3.0,
+    symmetric: bool = False,
+    entangled: bool | None = None,
+    require_physical_upper: bool = False,
+    min_asymmetry: float = 0.0,
+    gap: float = 1e-6,
+    phys_margin: float = 1e-8,
+    max_tries: int = 200_000,
+) -> StandardForm:
+    """Rejection-sample standard-form parameters of a physical state.
+
+    Draws a, b uniformly from [1, a_max] and correlations (c1, c2) with
+    c1 >= |c2|, keeping only draws whose smallest symplectic eigenvalue
+    stays >= 1 + phys_margin, so every returned state is physical by
+    construction.
+
+    Parameters
+    ----------
+    symmetric : force a == b.
+    entangled : if True/False, additionally require the PPT eigenvalue to
+        sit below/above 1 by at least `gap`; None leaves it free.
+    require_physical_upper : also require the symmetric state built from
+        the smaller block (the natural upper-bound state) to be physical.
+    min_asymmetry : lower bound on |a - b| (ignored when symmetric).
+    """
+    for _ in range(max_tries):
+        a = rng.uniform(1.0, a_max)
+        if symmetric:
+            b = a
+        else:
+            b = rng.uniform(1.0, a_max)
+            if abs(a - b) < min_asymmetry:
+                continue
+        c_cap = math.sqrt(a * b) * 0.999
+        c1 = rng.uniform(0.0, c_cap)
+        c2 = rng.uniform(-c1, c1)
+        # Every test below is written so that a NaN eigenvalue (det <= 0) rejects.
+        if not _spectra(a, b, c1, c2)[0] >= 1.0 + phys_margin:
+            continue
+        if entangled is not None:
+            mu_t = _spectra(a, b, c1, -c2)[0]
+            if not (mu_t < 1.0 - gap if entangled else mu_t > 1.0 + gap):
+                continue
+        if require_physical_upper:
+            small = min(a, b)
+            if small - c1 <= phys_margin:  # block positivity of the upper state
+                continue
+            if not _spectra(small, small, c1, c2)[0] >= 1.0 + phys_margin:
+                continue
+        return StandardForm(a, b, c1, c2)
+    raise RuntimeError("rejection sampler exhausted max_tries")

@@ -13,6 +13,9 @@ the 32-angle coarse pass, then golden-section steps on each coarse basin.
 The array search `eofbounds.geof._geof_forms` takes the exact stationary
 points of the same reduction instead, so the two must agree to within the
 golden-section bracket's error.
+
+`pure_cms_from_parameters` builds the 5-parameter pure family that
+`reference_geof` searches.
 """
 
 from __future__ import annotations
@@ -24,15 +27,43 @@ from scipy.optimize import minimize
 
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError
-from eofbounds.geof import GeofResult, pure_cms_from_parameters
-from eofbounds.states import (
-    CovMat,
-    is_physical,
-    ppt_eigenvalues,
-    require_physical,
-    standard_form,
-)
-from eofbounds.symplectic import PSD_TOL
+from eofbounds.geof import GeofResult
+from eofbounds.states import CovMat, require_physical, standard_form
+from eofbounds.symplectic import PSD_TOL, symplectic_spectrum
+
+from conftest import is_physical, partial_transpose
+
+
+def pure_cms_from_parameters(params: np.ndarray) -> np.ndarray:
+    """Build pure covariance matrices from parameter rows.
+
+    Accepts shape (5,) or (N, 5); returns (4, 4) or (N, 4, 4).  Every
+    output is exactly pure (both symplectic eigenvalues 1) because it is
+    S S^T for a symplectic S.
+    """
+    p = np.atleast_2d(np.asarray(params, dtype=float))
+    ta, sa, tb, sb, r = p[:, 0], p[:, 1], p[:, 2], p[:, 3], p[:, 4]
+    n = p.shape[0]
+
+    ch = np.cosh(2 * r)
+    sh = np.sinh(2 * r)
+    core = np.zeros((n, 4, 4))
+    core[:, 0, 0] = core[:, 1, 1] = core[:, 2, 2] = core[:, 3, 3] = ch
+    core[:, 0, 2] = core[:, 2, 0] = sh
+    core[:, 1, 3] = core[:, 3, 1] = -sh
+
+    loc = np.zeros((n, 4, 4))
+    for (ti, si, off) in ((ta, sa, 0), (tb, sb, 2)):
+        c, s = np.cos(ti), np.sin(ti)
+        ep, em = np.exp(si), np.exp(-si)
+        loc[:, off, off] = c * ep
+        loc[:, off, off + 1] = s * em
+        loc[:, off + 1, off] = -s * ep
+        loc[:, off + 1, off + 1] = c * em
+
+    out = loc @ core @ loc.transpose(0, 2, 1)
+    return out[0] if np.ndim(params) == 1 else out
+
 
 #: Weight of the feasibility violation in the refinement merit function.
 _PENALTY = 100.0
@@ -224,7 +255,7 @@ def reference_geof(
     """
     require_physical(v, psd_tol)
     sf = standard_form(v)
-    nu_t = ppt_eigenvalues(sf.to_covmat(), psd_tol).mu_minus
+    nu_t = symplectic_spectrum(partial_transpose(sf.to_covmat().matrix), psd_tol).mu_minus
 
     search = _Search(sf, psd_tol, budget)
     # Reconstruction roundoff can leave the standard-form matrix a hair

@@ -14,13 +14,10 @@ from eofbounds.bounds import eeof, eof_symmetric, is_entangled, natural_bounds, 
 from eofbounds.cli import SCAN_COLUMNS, main
 from eofbounds.entanglement import entanglement_entropy
 from eofbounds.geof import geof
-from eofbounds.states import (
-    CovMat,
-    random_local_symplectic,
-    random_sp2,
-    random_standard_form,
-)
-from eofbounds.symplectic import partial_transpose, symplectic_spectrum
+from eofbounds.states import CovMat
+from eofbounds.symplectic import symplectic_spectrum
+
+from conftest import partial_transpose, random_local_symplectic, random_sp2, random_standard_form
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -9,14 +9,10 @@ from eofbounds.cli import SCAN_COLUMNS, build_parser, main, resolve_state_docume
 from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import DegenerateInvariantsError, NonPhysicalStateError, ParseError
 from eofbounds.geof import _geof_forms, geof
-from eofbounds.states import (
-    CovMat,
-    Invariants,
-    _standard_forms,
-    random_local_symplectic,
-    standard_form_from_invariants,
-)
-from eofbounds.symplectic import partial_transpose, symplectic_spectrum
+from eofbounds.states import CovMat, Invariants, _standard_forms, standard_form_from_invariants
+from eofbounds.symplectic import symplectic_spectrum
+
+from conftest import partial_transpose, random_local_symplectic
 
 SQ02 = math.sqrt(0.2)
 F_SYMMETRIC_EXAMPLE = 0.09960127938888494
@@ -163,6 +159,18 @@ def test_analyze_rejects_negative_tol_psd(tmp_path, capsys):
     path = write(tmp_path, "in.json", {"standard_form": {"a": 1, "b": 1, "c1": 0, "c2": 0}})
     assert main(["analyze", "--input", path, "--tol-psd", "-1"]) == 2
     assert "--tol-psd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command, flag", [("analyze", "--tol-psd"), ("analyze", "--tol-bound"),
+                                           ("analyze", "--geof-tol"), ("scan", "--tol-psd")])
+def test_rejects_non_finite_or_negative_tolerances(tmp_path, capsys, command, flag, value):
+    # A NaN tolerance turns every check it enters off, a negative one fails
+    # healthy states, and an infinite --tol-psd rejects every state.
+    path = write(tmp_path, "in.json", {"standard_form": {"a": 1.2, "b": 1.5, "c1": 0.3, "c2": -0.2}}
+                 if command == "analyze" else {})
+    assert main([command, "--input", path, flag, value]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_analyze_non_finite_input_exit_code(tmp_path, capsys):

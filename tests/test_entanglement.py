@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from eofbounds.bounds import eeof, eof_symmetric
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError, NotSymmetricError
-from eofbounds.states import (
-    CovMat,
-    random_local_symplectic,
-    random_standard_form,
-)
+from eofbounds.states import CovMat
 
-from conftest import random_psd
+from conftest import random_local_symplectic, random_psd, random_standard_form
 
 SQ02 = math.sqrt(0.2)
 

@@ -8,18 +8,18 @@ import pytest
 from eofbounds.bounds import _standard_bounds, eof_symmetric, is_entangled
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import NonPhysicalStateError
-from eofbounds.geof import _geof_forms, geof, pure_cms_from_parameters
-from eofbounds.states import (
-    CovMat,
-    _standard_forms,
-    ppt_eigenvalues,
-    random_local_symplectic,
-    random_standard_form,
-)
+from eofbounds.geof import _geof_forms, geof
+from eofbounds.states import CovMat, _standard_forms
 from eofbounds.symplectic import PSD_TOL, symplectic_spectrum
 
-from conftest import loewner_ge, random_psd
-from reference_geof import reference_geof, scalar_geof
+from conftest import (
+    loewner_ge,
+    partial_transpose,
+    random_local_symplectic,
+    random_psd,
+    random_standard_form,
+)
+from reference_geof import pure_cms_from_parameters, reference_geof, scalar_geof
 
 
 def general_frame_corpus(seed, n):
@@ -48,7 +48,7 @@ def test_pure_parametrization_ppt_eigenvalue(rng):
     for _ in range(50):
         params = rng.uniform(-0.8, 0.8, size=5)
         g = pure_cms_from_parameters(params)
-        nu = ppt_eigenvalues(CovMat(g)).mu_minus
+        nu = symplectic_spectrum(partial_transpose(g)).mu_minus
         assert nu == pytest.approx(math.exp(-2 * abs(params[4])), rel=1e-9)
 
 
@@ -93,7 +93,7 @@ def test_result_invariants(rng):
         # feasibility against the frame it optimized in
         assert loewner_ge(res.reference_matrix, g, 1e-9)
         # reported value is the entanglement of the reconstructed matrix
-        nu = ppt_eigenvalues(CovMat(g)).mu_minus
+        nu = symplectic_spectrum(partial_transpose(g)).mu_minus
         assert res.value == pytest.approx(entanglement_entropy(nu), abs=1e-9)
 
 
@@ -144,7 +144,7 @@ def test_value_nonnegative_and_zero_iff_separable(rng):
         v = random_standard_form(rng).to_covmat()
         value = geof(v).value
         assert value >= 0.0
-        mu_t = ppt_eigenvalues(v).mu_minus
+        mu_t = symplectic_spectrum(partial_transpose(v.matrix)).mu_minus
         if abs(mu_t - 1.0) > 1e-6:
             assert (value > 1e-9) == is_entangled(v)
 

@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eofbounds.errors import NonPositiveMatrixError
-from eofbounds.symplectic import (
-    J2,
-    J4,
-    partial_transpose,
-    symmetrize,
-    symplectic_spectrum,
-)
+from eofbounds.symplectic import J2, J4, symmetrize, symplectic_spectrum
 
-from conftest import loewner_ge, random_pd, random_psd
+from conftest import loewner_ge, partial_transpose, random_pd, random_psd
 
 ZERO = np.zeros((4, 4))
 
