@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     EofBoundsError,
     NonPhysicalStateError,
-    NonPositiveMatrixError,
     NotSymmetricError,
     ParseError,
 )
@@ -31,13 +30,6 @@ from .states import (
     standard_form,
     standard_form_from_invariants,
 )
-from .symplectic import (
-    J2,
-    J4,
-    PSD_TOL,
-    SympSpectrum,
-    symmetrize,
-    symplectic_spectrum,
-)
+from .symplectic import J2, PSD_TOL, symmetrize
 
 __version__ = "0.1.0"

@@ -25,28 +25,30 @@ never above the symmetric-state ones (see `bound_report`).
 
 Every one-state function (`bound_report`, the single bounds, `eeof`,
 `eof_symmetric`, `is_entangled`) checks and reduces its CovMat or
-StandardForm in `_checked`, raising NonPhysicalStateError if unphysical.
+StandardForm once, by `states._physical_form`, raising
+NonPhysicalStateError if unphysical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .errors import NonPhysicalStateError, NotSymmetricError
+from .errors import DomainError, NotSymmetricError
 from .geof import _geof_forms
 from .states import (
     CovMat,
     Invariants,
     StandardForm,
+    _least_eigenvalue,
+    _physical,
+    _physical_form,
     _spectra,
-    invariants,
-    require_physical,
-    standard_form_from_invariants,
 )
-from .symplectic import PSD_TOL, least_mu_minus
+from .symplectic import PSD_TOL
 
 #: Default tolerance for comparisons between entanglement values.
 BOUND_TOL = 1e-9
@@ -71,38 +73,33 @@ class _StandardBounds:
     eeof: np.ndarray
 
 
-def _symmetric(m, c1, c2, psd_tol: float, least):
+def _symmetric(m, c1, c2, psd_tol: float, scale):
     """(PPT eigenvalue, physical) of the symmetric states (m, m, c1, c2), c1 >= |c2|."""
     with np.errstate(invalid="ignore"):
         nu_minus = np.sqrt((m - c1) * (m - c2))
-        return np.sqrt((m - c1) * (m + c2)), (m - c1 > psd_tol) & (nu_minus >= least)
+        return np.sqrt((m - c1) * (m + c2)), _physical(m - c1, nu_minus, scale, psd_tol)
 
 
 def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
     """Every closed-form bound of the standard forms (a, b, c1, c2), c1 >= |c2|.
 
-    The standard form is positive definite iff lambda_min(Vx) > psd_tol,
-    with Vx = [[a, c1], [c1, b]]; its symplectic eigenvalues and those of
-    its partial transpose (c2 -> -c2) come from `states._spectra`.  The
-    symmetric state (m, m, c1, c2) has PPT eigenvalue
-    sqrt((m - c1)(m + c2)) and is physical iff m - c1 > psd_tol and
-    sqrt((m - c1)(m - c2)) >= 1 - psd_tol.  Each test
-    nu_minus >= 1 - psd_tol also allows the roundoff of its own
-    arithmetic (`least_mu_minus` with scale max(a, b)).
+    Each state, the standard form and the symmetric states
+    (m, m, c1, c2), takes the physicality test `states._physical`, with
+    scale max(a, b); the standard form's symplectic eigenvalues and those
+    of its partial transpose (c2 -> -c2) come from `states._spectra`.  The
+    symmetric state has least eigenvalue m - c1, nu_minus
+    sqrt((m - c1)(m - c2)) and PPT eigenvalue sqrt((m - c1)(m + c2)).
     """
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
-    least = least_mu_minus(np.maximum(a, b), psd_tol)
-    ab = a * b
+    scale = np.maximum(a, b)
     (nu_minus, nu_t), (nu_plus, nu_t_plus) = _spectra(a, b, c1, np.array((c2, -c2)))
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam_min = 2.0 * (ab - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
-        physical = (lam_min > psd_tol) & (nu_minus >= least)
-        nu_lower, _ = _symmetric(np.maximum(a, b), c1, c2, psd_tol, least)
-        nu_sigma, _ = _symmetric((a + b) / 2.0, c1, c2, psd_tol, least)
-        nu_upper, upper_physical = _symmetric(np.minimum(a, b), c1, c2, psd_tol, least)
-    lower, sigma, upper, estimate = entanglement_entropy_vec(
-        np.array((nu_lower, nu_sigma, nu_upper, nu_t))
-    )
+        physical = _physical(_least_eigenvalue(a, b, c1), nu_minus, scale, psd_tol)
+        # The symmetric states with m = max(a, b), (a + b)/2 and min(a, b), together.
+        m = np.array((scale, (a + b) / 2.0, np.minimum(a, b)))
+        nu_sym, physical_sym = _symmetric(m, c1, c2, psd_tol, scale)
+    lower, sigma, upper, estimate = entanglement_entropy_vec(np.array((*nu_sym, nu_t)))
+    upper_physical = physical_sym[2]
     return _StandardBounds(
         physical=physical,
         nu_minus=nu_minus,
@@ -118,34 +115,12 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
     )
 
 
-def _reduced(
-    v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = None
-) -> tuple[StandardForm, _StandardBounds | None]:
-    """Standard form of one physical state, and the closed-form pass if it ran.
-
-    A CovMat is checked once by `require_physical` and reduced once, from
-    its invariants `inv` when the caller has them; the pass does not run,
-    and its standard form is not tested again, since at psd_tol = 0 the
-    closed form can fail the roundoff of a reduced pure state.  A
-    StandardForm is checked by the pass's own `physical` flag.
-    """
-    if isinstance(v, CovMat):
-        require_physical(v, psd_tol)
-        return standard_form_from_invariants(invariants(v) if inv is None else inv), None
-    res = _standard_bounds(*v, psd_tol)
-    if not res.physical:
-        mu = float(_spectra(*v)[0])
-        raise NonPhysicalStateError(
-            f"standard form {tuple(v)} is not physical: mu_minus = {mu:.12g}", mu)
-    return v, res
-
-
 def _checked(
     v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = None
 ) -> tuple[StandardForm, _StandardBounds]:
-    """Standard form of one physical state (`_reduced`) and its closed-form pass."""
-    sf, res = _reduced(v, psd_tol, inv)
-    return sf, _standard_bounds(*sf, psd_tol) if res is None else res
+    """Standard form of one physical state (`states._physical_form`) and its closed-form pass."""
+    sf = _physical_form(v, psd_tol, inv)
+    return sf, _standard_bounds(*sf, psd_tol)
 
 
 def natural_bounds(
@@ -190,7 +165,7 @@ def _searched(a, b, c1, c2, steps: int, psd_tol: float) -> float | None:
     t = np.linspace(0.0, 1.0, steps + 1)[1:]
     d = abs(a - b)
     m = min(a, b) - (np.hypot(d, 2.0 * (1.0 - t) * c1) - d) / 2.0
-    nu_t, feasible = _symmetric(m, t * c1, t * c2, psd_tol, least_mu_minus(max(a, b), psd_tol))
+    nu_t, feasible = _symmetric(m, t * c1, t * c2, psd_tol, max(a, b))
     if not np.any(feasible):
         return None
     return float(np.min(entanglement_entropy_vec(nu_t[feasible])))
@@ -207,9 +182,12 @@ def searched_upper_bound(
     m = m(t) (see `_searched`), evaluated at the nodes t = 1/steps, ..., 1;
     t = 1 is the natural upper state.  Doubling `steps` refines the nodes,
     so the value never increases.  Works on the standard form of v, checked
-    as by `bound_report`.  Returns None when no node is feasible.
+    as by `bound_report`.  Returns None when no node is feasible; raises
+    DomainError if steps < 1.
     """
-    return _searched(*_reduced(v, psd_tol)[0], steps, psd_tol)
+    if not steps >= 1:
+        raise DomainError(f"steps must be at least 1, got {steps}")
+    return _searched(*_physical_form(v, psd_tol), steps, psd_tol)
 
 
 def eeof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> float:
@@ -230,9 +208,13 @@ def eof_symmetric(v: CovMat | StandardForm, tol: float = 1e-9, psd_tol: float = 
 
     Raises
     ------
+    DomainError
+        If tol is not finite and non-negative.
     NotSymmetricError
         If |a - b| > tol.
     """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and non-negative, got {tol}")
     sf, res = _checked(v, psd_tol)
     if abs(sf.a - sf.b) > tol:
         raise NotSymmetricError(f"standard form has |a - b| = {abs(sf.a - sf.b):.3e} > {tol:.3e}")
@@ -279,14 +261,13 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
-    A CovMat is checked once by `require_physical` and reduced once to its
-    standard form; a StandardForm is checked by the closed-form pass
-    itself.  `_standard_bounds` gives every closed-form value, the core
-    of `searched_upper_bound` the searched one and the array search
-    `geof._geof_forms` the GeoF, all on that standard form, as a scan
-    does for a whole grid, and the report carries it.  Violations of the
-    expected ordering are recorded in the flags rather than raised, so
-    callers can inspect borderline numerics.
+    The state is checked and reduced to its standard form once, by
+    `states._physical_form`.  `_standard_bounds` gives every closed-form
+    value, the core of `searched_upper_bound` the searched one and the
+    array search `geof._geof_forms` the GeoF, all on that standard form,
+    as a scan does for a whole grid, and the report carries it.
+    Violations of the expected ordering are recorded in the flags rather
+    than raised, so callers can inspect borderline numerics.
 
     A certified `geof` is an upper bound on the EoF: its witness G <= V
     gives E(G) >= GEoF(V) >= EoF(V).  It is also never above

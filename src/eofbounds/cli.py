@@ -17,13 +17,7 @@ import numpy as np
 
 from .bounds import BoundReport, _checked, _report, _standard_bounds
 from .entanglement import LN2
-from .errors import (
-    DegenerateInvariantsError,
-    DomainError,
-    NonPhysicalStateError,
-    NonPositiveMatrixError,
-    ParseError,
-)
+from .errors import DegenerateInvariantsError, DomainError, NonPhysicalStateError, ParseError
 from .geof import _geof_forms
 from .states import (
     CovMat,
@@ -236,7 +230,8 @@ def run_scan(args: argparse.Namespace) -> None:
     i3 = np.full_like(i1, spec["i3"])
     i4 = (2.0 * abs(spec["i3"]) * np.sqrt(i1 * i2) if spec["i4_literal"] is None
           else np.full_like(i1, spec["i4_literal"]))
-    forms = _standard_forms(i1, i2, i3, i4)
+    forms, solved = _standard_forms(i1, i2, i3, i4)
+    forms = np.where(solved, forms, np.nan)
     res = _standard_bounds(*forms, args.tol_psd)
     ok = res.physical  # False where there is no standard form (NaN)
     g = np.full_like(i1, np.nan)
@@ -270,7 +265,7 @@ def run_scan(args: argparse.Namespace) -> None:
         entropy(res.eeof),
         entropy(res.upper_natural, ok & res.upper_physical),
         flags(res.upper_physical),
-        np.where(ok, "ok", np.where(np.isnan(forms[0]), "no_state", "unphysical")).tolist(),
+        np.where(ok, "ok", np.where(solved, "unphysical", "no_state")).tolist(),
     ]
     lines = [",".join(SCAN_COLUMNS), *map(",".join, zip(*columns))]
     _write_text(args.output, "\n".join(lines) + "\n")
@@ -320,8 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonPhysicalStateError, DegenerateInvariantsError, NonPositiveMatrixError,
-            DomainError) as exc:
+    except (NonPhysicalStateError, DegenerateInvariantsError, DomainError) as exc:
         print(f"error: unphysical input: {exc}", file=sys.stderr)
         return 3
 

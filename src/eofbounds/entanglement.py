@@ -42,8 +42,8 @@ def entanglement_entropy(nu: float) -> float:
     Raises
     ------
     DomainError
-        If nu <= 0.
+        If nu is not positive (nu <= 0 or NaN).
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise DomainError(f"argument must be positive, got {nu}")
     return float(entanglement_entropy_vec(nu))

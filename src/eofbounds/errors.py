@@ -9,10 +9,6 @@ class DomainError(EofBoundsError, ValueError):
     """Argument lies outside the mathematical domain of a function."""
 
 
-class NonPositiveMatrixError(EofBoundsError):
-    """A matrix that must be positive definite is not (within tolerance)."""
-
-
 class NonPhysicalStateError(EofBoundsError):
     """Covariance matrix violates the uncertainty bound.
 

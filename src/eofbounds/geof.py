@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .states import CovMat, require_physical, standard_form
+from .states import CovMat, _physical_form
 from .symplectic import PSD_TOL
 
 
@@ -219,9 +219,10 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
 def geof(v: CovMat, psd_tol: float = PSD_TOL) -> GeofResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
-    Checks v, reduces it to its standard form and runs `_geof_forms` on
-    it at n = 1; `bound_report` and `scan`, which hold standard forms
-    already, call `_geof_forms` directly.  Deterministic.
+    Checks v and reduces it to its standard form once
+    (`states._physical_form`), then runs `_geof_forms` on it at n = 1;
+    `bound_report` and `scan`, which hold standard forms already, call
+    `_geof_forms` directly.  Deterministic.
 
     At most 6 angles are evaluated.  A separable state returns exactly 0.0
     from a product witness.  The returned value is that of a witness G
@@ -233,8 +234,7 @@ def geof(v: CovMat, psd_tol: float = PSD_TOL) -> GeofResult:
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
-    require_physical(v, psd_tol)
-    sf = standard_form(v)
+    sf = _physical_form(v, psd_tol)
     value, params, feasible, evals = _geof_forms(*sf, psd_tol)
     return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),
                       sf.to_covmat().matrix)

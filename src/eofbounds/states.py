@@ -21,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInvariantsError,
-    DomainError,
-    NonPhysicalStateError,
-    NonPositiveMatrixError,
-)
-from .symplectic import J2, PSD_TOL, least_mu_minus, symmetrize, symplectic_spectrum
+from .errors import DegenerateInvariantsError, DomainError, NonPhysicalStateError
+from .symplectic import J2, PSD_TOL, least_mu_minus, symmetrize
 
 # Slack for the >= 1 and c1 >= |c2| conventions, absorbing roundoff from
 # invariant arithmetic.
@@ -57,6 +52,8 @@ class StandardForm:
     c2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self)):
+            raise DomainError(f"standard form contains non-finite entries: {tuple(self)}")
         if self.a < 1.0 - _FORM_SLACK or self.b < 1.0 - _FORM_SLACK:
             raise DomainError(
                 f"standard form requires a, b >= 1, got a={self.a}, b={self.b}"
@@ -167,34 +164,63 @@ def _spectra(a, b, c1, c2):
         return np.sqrt((ab - c1 * c1) * (ab - c2 * c2) / plus), np.sqrt(plus)
 
 
-def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
-    """Return mu_minus of v, raising NonPhysicalStateError when below 1.
+def _least_eigenvalue(a, b, c1):
+    """Least eigenvalue of standard forms, that of Vx: det Vx over the larger one."""
+    return 2.0 * (a * b - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
 
-    Uses the general spectral route `symplectic_spectrum`, which takes
-    any frame.  The threshold `least_mu_minus` allows the roundoff of that
-    route, so pure states pass at tol = 0.
+
+def _physical(lam_min, nu_minus, scale, tol: float):
+    """The physicality test, for least eigenvalue lam_min, least symplectic
+    eigenvalue nu_minus (False where NaN) and largest |entry| scale."""
+    return (lam_min > tol) & (nu_minus >= least_mu_minus(scale, tol))
+
+
+def _physical_form(
+    v: CovMat | StandardForm, tol: float = PSD_TOL, inv: Invariants | None = None
+) -> StandardForm:
+    """Standard form of one state, raising NonPhysicalStateError if it is unphysical.
+
+    The check of every one-state function: `_physical` with nu_minus of
+    the standard form and the scale of v as given.  A CovMat's lam_min
+    comes from one eigvalsh of its matrix, since -V has the invariants of
+    V, and its standard form is solved from the invariants `inv`; below
+    the vacuum there is none, and nu_minus is that of the unmasked solution.
     """
-    try:
-        spec = symplectic_spectrum(v.matrix, tol)
-    except NonPositiveMatrixError as exc:
-        raise NonPhysicalStateError(str(exc)) from exc
-    if spec.mu_minus < least_mu_minus(np.max(np.abs(v.matrix)), tol):
-        raise NonPhysicalStateError(
-            f"state violates the uncertainty bound: mu_minus = {spec.mu_minus:.12g} < 1",
-            mu_minus=spec.mu_minus,
-        )
-    return spec.mu_minus
+    if isinstance(v, StandardForm):
+        form, ok = tuple(v), True
+        lam_min, scale = _least_eigenvalue(v.a, v.b, v.c1), max(map(abs, v))
+    else:
+        inv = invariants(v) if inv is None else inv
+        form, ok = _standard_forms(*inv)
+        lam_min, scale = np.linalg.eigvalsh(v.matrix)[0], np.max(np.abs(v.matrix))
+    nu_minus = float(_spectra(*form)[0])
+    if not _physical(lam_min, nu_minus, scale, tol):
+        if lam_min > tol:
+            raise NonPhysicalStateError(
+                f"state violates the uncertainty bound: mu_minus = {nu_minus:.12g} < 1",
+                mu_minus=nu_minus,
+            )
+        raise NonPhysicalStateError(f"matrix is not positive definite: min eigenvalue {lam_min:.3e}")
+    # A solution that is no standard form (ok False) raises DegenerateInvariantsError.
+    return StandardForm(*map(float, form)) if ok else standard_form_from_invariants(inv)
+
+
+def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
+    """Return mu_minus of v, raising NonPhysicalStateError when below 1 (`_physical_form`).
+
+    The threshold `least_mu_minus` allows roundoff, so pure states pass at tol = 0.
+    """
+    return float(_spectra(*_physical_form(v, tol))[0])
 
 
 def _standard_forms(i1, i2, i3, i4, tol: float = 1e-9):
-    """Arrays (a, b, c1, c2) solved from arrays of invariants.
+    """Arrays (a, b, c1, c2) solved from arrays of invariants, and the mask of standard forms.
 
     c1^2 and c2^2 are the roots of t^2 - s*t + I3^2 with s = I4/(a*b);
     the sign of c2 is inherited from I3 and c1 >= |c2| by construction.
-    All four are NaN where no standard form exists: I1 or I2 below 1
-    beyond the slack, or I4/(a*b) < 2|I3| beyond tol (no real
-    correlations).  a or b within the slack below 1 is returned as it is,
-    for the physicality test to judge.
+    No standard form exists where I1 or I2 is below 1 beyond the slack,
+    or I4/(a*b) < 2|I3| beyond tol (no real correlations).  a or b within
+    the slack below 1 is a standard form, for the physicality test to judge.
     """
     i1, i2, i3, i4 = (np.asarray(x, dtype=float) for x in (i1, i2, i3, i4))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -212,8 +238,7 @@ def _standard_forms(i1, i2, i3, i4, tol: float = 1e-9):
         c2 = np.where(i3 == 0.0, 0.0, c2)
         ok = (i1 >= (1.0 - _FORM_SLACK) ** 2) & (i2 >= (1.0 - _FORM_SLACK) ** 2)
         ok &= s >= 2.0 * np.abs(i3) - tol
-    keep = np.where(ok, 1.0, np.nan)
-    return a * keep, b * keep, c1 * keep, c2 * keep
+    return np.array((a, b, c1, c2)), ok
 
 
 def standard_form_from_invariants(
@@ -227,12 +252,12 @@ def standard_form_from_invariants(
         If I1 or I2 is below 1, or I4/(a*b) < 2|I3| beyond tol (no real
         correlations).
     """
-    a, b, c1, c2 = (float(x) for x in _standard_forms(*inv, tol))
-    if math.isnan(c1):
+    form, ok = _standard_forms(*inv, tol)
+    if not ok:
         raise DegenerateInvariantsError(
             f"no standard form: need I1, I2 >= 1 and I4/sqrt(I1*I2) >= 2|I3|, got {inv}"
         )
-    return StandardForm(a, b, c1, c2)
+    return StandardForm(*map(float, form))
 
 
 def standard_form(v: CovMat, tol: float = 1e-9) -> StandardForm:

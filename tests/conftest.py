@@ -1,11 +1,46 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from eofbounds.errors import NonPhysicalStateError
 from eofbounds.states import StandardForm, _spectra, require_physical
-from eofbounds.symplectic import PSD_TOL
+from eofbounds.symplectic import PSD_TOL, symmetrize
+
+#: Two-mode symplectic form, one J2 block per mode.
+J4 = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+J4.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class SympSpectrum:
+    """Symplectic eigenvalue pair of a two-mode matrix, sorted ascending."""
+
+    mu_minus: float
+    mu_plus: float
+
+    def __iter__(self):
+        return iter((self.mu_minus, self.mu_plus))
+
+
+def symplectic_spectrum(m: np.ndarray, tol: float = PSD_TOL) -> SympSpectrum:
+    """Symplectic eigenvalues of a symmetric positive-definite 4x4 matrix.
+
+    The reference the tests compare the package's closed forms against:
+    the positive eigenvalues of i*J*m, computed in any frame via the
+    similar Hermitian matrix i*sqrt(m)*J*sqrt(m).  Raises ValueError if m
+    is not positive definite within tol.
+    """
+    m = symmetrize(m)
+    w, q = np.linalg.eigh(m)
+    if w[0] <= tol:
+        raise ValueError(f"matrix is not positive definite: min eigenvalue {w[0]:.3e}")
+    root = (q * np.sqrt(w)) @ q.T
+    herm = 1j * (root @ J4 @ root)
+    mus = np.linalg.eigvalsh(herm)  # sorted: -mu+, -mu-, mu-, mu+
+    return SympSpectrum(float(mus[2]), float(mus[3]))
 
 
 @pytest.fixture
@@ -51,6 +86,21 @@ def is_physical(v, tol=PSD_TOL):
     except NonPhysicalStateError:
         return False
     return True
+
+
+def unphysical_matrices():
+    """(matrix, message) of three unphysical matrices and the check's message.
+
+    The first two are the state (1.2, 1.5, 0.3, -0.2) as -V and with both
+    local blocks negated, [[-A, C], [C^T, -B]]: not positive, but with the
+    invariants of V.  The third, 0.5 I, is positive but below the vacuum,
+    so it has no standard form.
+    """
+    v = np.array(StandardForm(1.2, 1.5, 0.3, -0.2).to_covmat().matrix)
+    blocks = v * np.kron([[-1.0, 1.0], [1.0, -1.0]], np.ones((2, 2)))
+    not_positive = "matrix is not positive definite: min eigenvalue -1.685e+00"
+    return [(-v, not_positive), (blocks, not_positive),
+            (0.5 * np.eye(4), "state violates the uncertainty bound: mu_minus = 0.5 < 1")]
 
 
 def random_sp2(rng: np.random.Generator, squeeze_max: float = 0.6) -> np.ndarray:

@@ -29,9 +29,9 @@ from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_ve
 from eofbounds.errors import DomainError
 from eofbounds.geof import GeofResult
 from eofbounds.states import CovMat, require_physical, standard_form
-from eofbounds.symplectic import PSD_TOL, symplectic_spectrum
+from eofbounds.symplectic import PSD_TOL
 
-from conftest import is_physical, partial_transpose
+from conftest import is_physical, partial_transpose, symplectic_spectrum
 
 
 def pure_cms_from_parameters(params: np.ndarray) -> np.ndarray:

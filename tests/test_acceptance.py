@@ -15,9 +15,14 @@ from eofbounds.cli import SCAN_COLUMNS, main
 from eofbounds.entanglement import entanglement_entropy
 from eofbounds.geof import geof
 from eofbounds.states import CovMat
-from eofbounds.symplectic import symplectic_spectrum
 
-from conftest import partial_transpose, random_local_symplectic, random_sp2, random_standard_form
+from conftest import (
+    partial_transpose,
+    random_local_symplectic,
+    random_sp2,
+    random_standard_form,
+    symplectic_spectrum,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from eofbounds import states
 from eofbounds.bounds import (
+    _standard_bounds,
     bound_report,
     eeof,
     eof_symmetric,
@@ -14,9 +16,9 @@ from eofbounds.bounds import (
     sigma_lower_bound,
 )
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
-from eofbounds.errors import NonPhysicalStateError
+from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import geof
-from eofbounds.states import CovMat, StandardForm
+from eofbounds.states import CovMat, StandardForm, invariants, standard_form
 from eofbounds.symplectic import PSD_TOL, least_mu_minus
 
 from conftest import (
@@ -25,6 +27,7 @@ from conftest import (
     random_local_symplectic,
     random_psd,
     random_standard_form,
+    unphysical_matrices,
 )
 
 SQ02 = math.sqrt(0.2)
@@ -347,28 +350,63 @@ ONE_STATE_FUNCTIONS = (
 )
 
 
+def test_check_rejects_non_positive_and_subvacuum_matrices():
+    # Only the positivity test rejects the first two: they have the
+    # invariants of V, and the closed-form pass calls their standard form
+    # physical.
+    v = CovMat.from_standard_form(1.2, 1.5, 0.3, -0.2)
+    for m, message in unphysical_matrices():
+        w = CovMat(m)
+        if "positive" in message:
+            assert invariants(w) == invariants(v)
+            assert _standard_bounds(*standard_form(w)).physical
+        for func in (states.require_physical, bound_report, geof):
+            with pytest.raises(NonPhysicalStateError, match=re.escape(message)):
+                func(w)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eof_symmetric(StandardForm(1.2, 1.5, 0.447, -0.3), tol=math.nan),
+    lambda: eof_symmetric(StandardForm(1.2, 1.2, 0.4, -0.3), tol=-1.0),
+    lambda: eof_symmetric(StandardForm(1.2, 1.2, 0.4, -0.3), tol=math.inf),
+    lambda: entanglement_entropy(math.nan),
+    lambda: searched_upper_bound(StandardForm(1.2, 1.5, 0.3, -0.2), steps=0),
+    lambda: searched_upper_bound(StandardForm(1.2, 1.5, 0.3, -0.2), steps=-1),
+], ids=["eof_symmetric-tol-nan", "eof_symmetric-tol-negative", "eof_symmetric-tol-inf",
+        "entanglement_entropy-nan", "searched-steps-0", "searched-steps-negative"])
+def test_arguments_that_switch_checks_off_are_rejected(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_one_state_functions_reject_unphysical_standard_form():
-    # A StandardForm is checked by the closed-form pass (mu_minus = 0.917).
+    # A StandardForm is checked in closed form (mu_minus = 0.917).
     sf = StandardForm(1.0, 1.0, 0.4, -0.4)
     for func in ONE_STATE_FUNCTIONS:
         with pytest.raises(NonPhysicalStateError):
             func(sf)
 
 
-def test_one_state_functions_compute_one_spectrum(monkeypatch):
+def test_one_state_functions_solve_one_eigenproblem_per_covmat(monkeypatch):
+    # The check tests a CovMat for positivity with one eigvalsh and then
+    # works on its standard form; a StandardForm needs no eigen-solver.
     calls = []
-    spectrum = states.symplectic_spectrum
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return spectrum(*args, **kwargs)
+        return eigvalsh(*args, **kwargs)
 
-    monkeypatch.setattr(states, "symplectic_spectrum", counted)
-    v = CovMat.two_mode_squeezed(0.5)
-    for func in (eeof, eof_symmetric, is_entangled):
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    ch, sh = math.cosh(1.0), math.sinh(1.0)
+    for func in ONE_STATE_FUNCTIONS + (geof, states.require_physical):
         calls.clear()
-        func(v)
+        func(CovMat.two_mode_squeezed(0.5))
         assert len(calls) == 1, func.__name__
+    for func in ONE_STATE_FUNCTIONS:
+        calls.clear()
+        func(StandardForm(ch, ch, sh, -sh))
+        assert not calls, func.__name__
 
 
 SWAP = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])

@@ -10,9 +10,13 @@ from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import DegenerateInvariantsError, NonPhysicalStateError, ParseError
 from eofbounds.geof import _geof_forms, geof
 from eofbounds.states import CovMat, Invariants, _standard_forms, standard_form_from_invariants
-from eofbounds.symplectic import symplectic_spectrum
 
-from conftest import partial_transpose, random_local_symplectic
+from conftest import (
+    partial_transpose,
+    random_local_symplectic,
+    symplectic_spectrum,
+    unphysical_matrices,
+)
 
 SQ02 = math.sqrt(0.2)
 F_SYMMETRIC_EXAMPLE = 0.09960127938888494
@@ -132,6 +136,13 @@ def test_analyze_unphysical_exit_code(tmp_path, capsys):
     assert main(["analyze", "--input", path]) == 3
     err = capsys.readouterr().err
     assert "mu_minus" in err  # the violating eigenvalue is reported
+
+
+def test_analyze_non_positive_and_subvacuum_matrices_exit_3(tmp_path, capsys):
+    for m, message in unphysical_matrices():
+        path = write(tmp_path, "in.json", {"matrix": m.tolist()})
+        assert main(["analyze", "--input", path]) == 3
+        assert capsys.readouterr().err == f"error: unphysical input: {message}\n"
 
 
 def test_analyze_parse_error_exit_code(tmp_path, capsys):
@@ -494,7 +505,8 @@ def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
     i3 = np.full_like(i1, spec.get("i3", -0.2))
     i4 = (2.0 * abs(spec.get("i3", -0.2)) * np.sqrt(i1 * i2) if "i4" not in spec
           else np.full_like(i1, spec["i4"]))
-    forms = _standard_forms(i1, i2, i3, i4)
+    forms, solved = _standard_forms(i1, i2, i3, i4)
+    forms = np.where(solved, forms, np.nan)
     res = _standard_bounds(*forms)
     ok = res.physical
     g = np.full_like(i1, np.nan)

@@ -10,7 +10,7 @@ from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_ve
 from eofbounds.errors import NonPhysicalStateError
 from eofbounds.geof import _geof_forms, geof
 from eofbounds.states import CovMat, _standard_forms
-from eofbounds.symplectic import PSD_TOL, symplectic_spectrum
+from eofbounds.symplectic import PSD_TOL
 
 from conftest import (
     loewner_ge,
@@ -18,6 +18,7 @@ from conftest import (
     random_local_symplectic,
     random_psd,
     random_standard_form,
+    symplectic_spectrum,
 )
 from reference_geof import pure_cms_from_parameters, reference_geof, scalar_geof
 
@@ -166,8 +167,8 @@ def grid_forms(steps, i3, i4=None):
     axis = np.linspace(1.0, 4.0, steps)
     i1, i2 = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
     i4 = 2.0 * abs(i3) * np.sqrt(i1 * i2) if i4 is None else np.full_like(i1, i4)
-    forms = _standard_forms(i1, i2, np.full_like(i1, i3), i4)
-    ok = _standard_bounds(*forms).physical
+    forms, solved = _standard_forms(i1, i2, np.full_like(i1, i3), i4)
+    ok = solved & _standard_bounds(*forms).physical
     return np.array([x[ok] for x in forms])
 
 

@@ -18,9 +18,15 @@ from eofbounds.states import (
     standard_form,
     standard_form_from_invariants,
 )
-from eofbounds.symplectic import J4, symplectic_spectrum
 
-from conftest import is_physical, partial_transpose, random_local_symplectic, random_standard_form
+from conftest import (
+    J4,
+    is_physical,
+    partial_transpose,
+    random_local_symplectic,
+    random_standard_form,
+    symplectic_spectrum,
+)
 
 SQ02 = math.sqrt(0.2)
 
@@ -124,6 +130,14 @@ def test_standard_form_convention_validation():
         StandardForm(0.8, 1.2, 0.0, 0.0)
     with pytest.raises(DomainError):
         StandardForm(1.2, 1.2, 0.1, 0.4)
+
+
+@pytest.mark.parametrize("entries", [(math.nan, 1.0, 0.0, 0.0), (math.inf, 2.0, 0.0, 0.0),
+                                     (1.2, 1.5, math.nan, 0.0), (1.2, 1.5, 0.3, -math.inf)])
+def test_standard_form_rejects_non_finite_entries(entries):
+    # NaN fails every comparison, so without this test these would construct.
+    with pytest.raises(DomainError, match="non-finite"):
+        StandardForm(*entries)
 
 
 def test_symplectic_eigenvalues_vacuum():
