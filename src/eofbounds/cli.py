@@ -53,8 +53,24 @@ _FLOAT = ".12g"
 
 
 def _formatted(values: np.ndarray) -> list[str]:
-    # format() with a repeated spec is about twice as fast as "{:.12g}".format.
+    # The costliest step of a scan without geof: _cells passes only cells with digits.
     return list(map(format, values.tolist(), itertools.repeat(_FLOAT)))
+
+
+def _cells(values: np.ndarray, shown: np.ndarray) -> list[list[str]]:
+    """Rows of cells of a 2-D array: "" where not shown, else format(x, _FLOAT).
+
+    An exact +0.0 prints "0", as format would, without formatting; -0.0
+    has its sign bit set and prints "-0".
+    """
+    cells = np.where(shown, "0", "").astype(object)
+    plain = shown & ((values != 0.0) | np.signbit(values))
+    cells[plain] = _formatted(values[plain])
+    return cells.tolist()
+
+
+#: Cells of the flag and status columns, by the codes run_scan gives them.
+_LABELS = np.array(["", "false", "true", "no_state", "unphysical", "ok"], dtype=object)
 
 
 def _reject_constant(name: str):
@@ -239,17 +255,16 @@ def run_scan(args: argparse.Namespace) -> None:
         value, _, feasible, _ = _geof_forms(*(x[ok] for x in forms), args.tol_psd)
         g[ok] = np.where(feasible, value, np.nan)
 
-    def numbers(values: np.ndarray, shown: np.ndarray = ok) -> list[str]:
-        column = _formatted(values)
-        for i in np.flatnonzero(~shown).tolist():
-            column[i] = ""
-        return column
-
-    def entropy(values: np.ndarray, shown: np.ndarray = ok) -> list[str]:
-        return numbers(_convert(values, args.units), shown)
-
-    def flags(values: np.ndarray) -> list[str]:
-        return np.where(ok, np.where(values, "true", "false"), "").tolist()
+    # mu_tilde_minus and the five entropy columns, formatted in one pass.
+    values = np.array((res.nu_t, res.lower_natural, res.lower_sigma, g, res.eeof, res.upper_natural))
+    values[1:] = _convert(values[1:], args.units)
+    shown = np.array((~np.isnan(res.nu_t), ok, ok, ~np.isnan(g), ok, ok & res.upper_physical))
+    nu_t, lower, sigma, geof, eeof, upper = _cells(values, shown)
+    # A flag is "" (0) off the physical rows, else "false" (1) or "true" (2);
+    # every physical row is solved, so the status is 3 + solved + ok.
+    entangled, upper_flag, status = _LABELS[np.array(
+        (ok * (1 + res.entangled), ok * (1 + res.upper_physical), 3 + solved + ok)
+    )].tolist()
 
     # Grid order is I1-major, so each axis value is formatted only once.
     columns = [
@@ -257,15 +272,7 @@ def run_scan(args: argparse.Namespace) -> None:
         _formatted(spec["i2"]) * len(spec["i1"]),
         [format(spec["i3"], _FLOAT)] * len(i1),
         _formatted(i4),
-        numbers(res.nu_t, ~np.isnan(res.nu_t)),
-        flags(res.entangled),
-        entropy(res.lower_natural),
-        entropy(res.lower_sigma),
-        entropy(g, ~np.isnan(g)),
-        entropy(res.eeof),
-        entropy(res.upper_natural, ok & res.upper_physical),
-        flags(res.upper_physical),
-        np.where(ok, "ok", np.where(solved, "unphysical", "no_state")).tolist(),
+        nu_t, entangled, lower, sigma, geof, eeof, upper, upper_flag, status,
     ]
     lines = [",".join(SCAN_COLUMNS), *map(",".join, zip(*columns))]
     _write_text(args.output, "\n".join(lines) + "\n")

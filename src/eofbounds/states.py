@@ -180,11 +180,11 @@ def _physical_form(
 ) -> StandardForm:
     """Standard form of one state, raising NonPhysicalStateError if it is unphysical.
 
-    The check of every one-state function: `_physical` with nu_minus of
-    the standard form and the scale of v as given.  A CovMat's lam_min
-    comes from one eigvalsh of its matrix, since -V has the invariants of
-    V, and its standard form is solved from the invariants `inv`; below
-    the vacuum there is none, and nu_minus is that of the unmasked solution.
+    The check of every one-state function: `_physical` with lam_min and
+    nu_minus of the standard form (of a CovMat, solved from the invariants
+    `inv` and unmasked below the vacuum) and the scale of v as given.  -V
+    has the invariants of V, so one eigvalsh of a CovMat tests the sign of
+    lam_min, which no local symplectic changes, and tol is frame-invariant.
     """
     if isinstance(v, StandardForm):
         form, ok = tuple(v), True
@@ -193,6 +193,8 @@ def _physical_form(
         inv = invariants(v) if inv is None else inv
         form, ok = _standard_forms(*inv)
         lam_min, scale = np.linalg.eigvalsh(v.matrix)[0], np.max(np.abs(v.matrix))
+        if lam_min > 0.0:
+            lam_min = _least_eigenvalue(*form[:3])
     nu_minus = float(_spectra(*form)[0])
     if not _physical(lam_min, nu_minus, scale, tol):
         if lam_min > tol:

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eofbounds.bounds import _standard_bounds, bound_report
-from eofbounds.cli import SCAN_COLUMNS, build_parser, main, resolve_state_document
+from eofbounds.cli import SCAN_COLUMNS, _cells, build_parser, main, resolve_state_document
 from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import DegenerateInvariantsError, NonPhysicalStateError, ParseError
 from eofbounds.geof import _geof_forms, geof
@@ -243,6 +246,20 @@ def test_analyze_slightly_unphysical_still_rejected(tmp_path, capsys):
         for tol in ("1e-10", "0"):
             assert main(["analyze", "--input", path, "--tol-psd", tol]) == 3, (doc, tol)
             assert "mu_minus" in capsys.readouterr().err
+
+
+def test_analyze_tol_psd_is_frame_invariant(tmp_path, capsys):
+    # The vacuum in a locally squeezed frame has a least eigenvalue of
+    # 1e-4 < --tol-psd; --tol-psd applies to the standard form's, so it
+    # gets the vacuum's report.
+    reports = []
+    for doc in ({"matrix": np.diag([1e4, 1e-4, 1.0, 1.0]).tolist()},
+                {"standard_form": {"a": 1, "b": 1, "c1": 0, "c2": 0}}):
+        path = write(tmp_path, "in.json", doc)
+        assert main(["analyze", "--input", path, "--tol-psd", "1e-3"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert reports[0]["bounds"]["geof"] == 0.0
 
 
 def test_analyze_output_file(tmp_path):
@@ -537,13 +554,39 @@ def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+#: Cells at the edges of formatting: signed zeros, subnormals, the ends of
+#: the float range and the values run_scan prints most.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300,
+               -1.7976931348623157e308, 1.0, 0.1, 0.0568428962343, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cells_match_reference_cell(data):
+    shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12))
+    values = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(EDGE_VALUES), st.floats(), st.floats(-1e-300, 1e-300),
+        st.floats(1e295, 1e305), st.floats(-1e305, -1e295))))
+    shown = data.draw(hnp.arrays(np.bool_, shape))
+    want = [[reference_cell(x if s else None) for x, s in zip(row, mask)]
+            for row, mask in zip(values.tolist(), shown.tolist())]
+    assert _cells(values, shown) == want
+
+
 @pytest.mark.parametrize("spec, flags, marker", [
     ({}, [], b",ok\n"),  # the README default grid, 40x40, with geof
     (scan_spec(steps=30, i4=1.5), ["--no-geof"], b",unphysical\n"),
     (scan_spec(steps=30, i4=1.5), ["--no-geof", "--units", "bits"], b",unphysical\n"),
     ({"i1": {"min": 0.5, "max": 4.0, "steps": 8}, "i2": {"min": 1.0, "max": 4.0, "steps": 7}}, [], b",no_state\n"),
     (scan_spec(steps=5, i3=-0.0, i4=-0.0), [], b",-0,-0,"),
-], ids=["readme-grid", "literal-i4-nats", "literal-i4-bits", "no-state", "negative-zero"])
+    # The shapes of the benchmark's calls: an I1 row of the 200x200 grid
+    # without geof, and a tile of 4 points with it.
+    ({"i1": {"min": 1.6, "max": 1.6, "steps": 1}, "i2": {"min": 1.0, "max": 4.0, "steps": 200}},
+     ["--no-geof"], b",false,0,0,,0,"),
+    ({"i1": {"min": 1.6, "max": 1.6, "steps": 1}, "i2": {"min": 1.0, "max": 2.2, "steps": 4}},
+     [], b",true,0,"),
+], ids=["readme-grid", "literal-i4-nats", "literal-i4-bits", "no-state", "negative-zero", "row-200",
+        "tile-4"])
 def test_scan_exact_bytes(tmp_path, capsys, spec, flags, marker):
     path = write(tmp_path, "scan.json", spec)
     out = tmp_path / "out.csv"

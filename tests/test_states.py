@@ -13,6 +13,7 @@ from eofbounds.states import (
     CovMat,
     Invariants,
     StandardForm,
+    _least_eigenvalue,
     _spectra,
     invariants,
     standard_form,
@@ -221,6 +222,31 @@ def test_is_physical_squeezed_below_heisenberg():
 def test_is_physical_sampler_guarantee(rng):
     for _ in range(200):
         assert is_physical(random_standard_form(rng).to_covmat())
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-3])
+def test_is_physical_verdict_does_not_depend_on_the_frame(rng, tol):
+    # tol applies to the least eigenvalue of the standard form, so a state
+    # in any local frame gets the verdict of its standard form, also where
+    # its matrix has a least eigenvalue in (0, tol].  Mixed draws, some of
+    # them unphysical, skip those within 1e-6 of a threshold (roundoff).
+    below_tol = 0
+    for i in range(900):
+        if i % 3:
+            a, b = rng.uniform(1.0, 5.0, 2)
+            c1 = rng.uniform(0.0, math.sqrt(a * b))
+            sf, squeeze = StandardForm(a, b, c1, rng.uniform(-c1, c1)), 2.0
+            lam, nu = _least_eigenvalue(a, b, c1), _spectra(*sf)[0]
+            if abs(lam - tol) < 1e-6 or abs(nu - (1.0 - tol)) < 1e-6:
+                continue
+        else:
+            r = rng.uniform(0.0, 3.0)
+            ch, sh = math.cosh(2 * r), math.sinh(2 * r)
+            sf, squeeze = StandardForm(ch, ch, sh, -sh), 1.5
+        v = sf.to_covmat().conjugate(random_local_symplectic(rng, squeeze))
+        assert is_physical(v, tol) == is_physical(sf, tol), (i, tuple(sf))
+        below_tol += 0.0 < np.linalg.eigvalsh(v.matrix)[0] <= tol < _least_eigenvalue(sf.a, sf.b, sf.c1)
+    assert below_tol > 0 or tol < 1e-6
 
 
 def test_is_entangled_product_state():
