@@ -15,18 +15,17 @@ computable bounds:
   also covers many states whose natural upper state is unphysical.
 
 The first four are closed forms in (a, b, c1, c2).  `_standard_bounds`
-evaluates them, with the physicality and PPT tests of the state and the
-EeoF estimator, in one pass over numpy arrays of standard forms: one
-state for `bound_report`, a whole grid for a scan.  The searched bound
-evaluates the same closed forms at the nodes of its line.  Every value is
-therefore invariant under local symplectics and under swapping the modes.
-The certified GeoF of `geof._geof_forms` is an upper bound as well, and
-never above the symmetric-state ones (see `bound_report`).
+evaluates them, with the physicality and PPT tests of the state, the EeoF
+estimator and the certified GeoF of `geof._geof_forms`, in one pass over
+numpy arrays of standard forms: one state for `bound_report`, a whole grid
+for a scan.  The searched bound evaluates the same closed forms at the
+nodes of its line.  Every value is therefore invariant under local
+symplectics and under swapping the modes.  The GeoF is an upper bound as
+well, and never above the symmetric-state ones (see `bound_report`).
 
 Every one-state function (`bound_report`, the single bounds, `eeof`,
-`eof_symmetric`, `is_entangled`) checks and reduces its CovMat or
-StandardForm once, by `states._physical_form`, raising
-NonPhysicalStateError if unphysical.
+`eof_symmetric`, `is_entangled`) reduces its CovMat or StandardForm once
+and raises NonPhysicalStateError on the verdict of that pass (`_checked`).
 """
 
 from __future__ import annotations
@@ -46,6 +45,8 @@ from .states import (
     _least_eigenvalue,
     _physical,
     _physical_form,
+    _reduced,
+    _rejected,
     _spectra,
 )
 from .symplectic import PSD_TOL
@@ -71,6 +72,7 @@ class _StandardBounds:
     upper_natural: np.ndarray  # NaN where upper_physical is False
     upper_physical: np.ndarray
     eeof: np.ndarray
+    geof: np.ndarray  # NaN where not asked for, not physical or not certified
 
 
 def _symmetric(m, c1, c2, psd_tol: float, scale):
@@ -80,26 +82,33 @@ def _symmetric(m, c1, c2, psd_tol: float, scale):
         return np.sqrt((m - c1) * (m + c2)), _physical(m - c1, nu_minus, scale, psd_tol)
 
 
-def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
+def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
+                     include_geof: bool = False) -> _StandardBounds:
     """Every closed-form bound of the standard forms (a, b, c1, c2), c1 >= |c2|.
 
-    Each state, the standard form and the symmetric states
-    (m, m, c1, c2), takes the physicality test `states._physical`, with
-    scale max(a, b); the standard form's symplectic eigenvalues and those
-    of its partial transpose (c2 -> -c2) come from `states._spectra`.  The
-    symmetric state has least eigenvalue m - c1, nu_minus
-    sqrt((m - c1)(m - c2)) and PPT eigenvalue sqrt((m - c1)(m + c2)).
+    Each state takes the physicality test `states._physical`: the standard
+    form with the scale of the input (max(a, b) if None), the symmetric
+    states (m, m, c1, c2) with max(a, b).  The symmetric state has least
+    eigenvalue m - c1, nu_minus sqrt((m - c1)(m - c2)) and PPT eigenvalue
+    sqrt((m - c1)(m + c2)); the standard form's spectra, and those of its
+    partial transpose (c2 -> -c2), come from `states._spectra`.  With
+    include_geof, `_geof_forms` searches the physical states together.
     """
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
-    scale = np.maximum(a, b)
+    top = np.maximum(a, b)
+    scale = top if scale is None else scale
     (nu_minus, nu_t), (nu_plus, nu_t_plus) = _spectra(a, b, c1, np.array((c2, -c2)))
     with np.errstate(invalid="ignore", divide="ignore"):
         physical = _physical(_least_eigenvalue(a, b, c1), nu_minus, scale, psd_tol)
         # The symmetric states with m = max(a, b), (a + b)/2 and min(a, b), together.
-        m = np.array((scale, (a + b) / 2.0, np.minimum(a, b)))
-        nu_sym, physical_sym = _symmetric(m, c1, c2, psd_tol, scale)
+        m = np.array((top, (a + b) / 2.0, np.minimum(a, b)))
+        nu_sym, physical_sym = _symmetric(m, c1, c2, psd_tol, top)
     lower, sigma, upper, estimate = entanglement_entropy_vec(np.array((*nu_sym, nu_t)))
     upper_physical = physical_sym[2]
+    geof = np.full(physical.shape, np.nan)
+    if include_geof:
+        value, _, feasible, _ = _geof_forms(*(x[physical] for x in (a, b, c1, c2)), psd_tol)
+        geof[physical] = np.where(feasible, value, np.nan)
     return _StandardBounds(
         physical=physical,
         nu_minus=nu_minus,
@@ -112,15 +121,18 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL) -> _StandardBounds:
         upper_natural=np.where(upper_physical, upper, np.nan),
         upper_physical=upper_physical,
         eeof=estimate,
+        geof=geof,
     )
 
 
-def _checked(
-    v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = None
-) -> tuple[StandardForm, _StandardBounds]:
-    """Standard form of one physical state (`states._physical_form`) and its closed-form pass."""
-    sf = _physical_form(v, psd_tol, inv)
-    return sf, _standard_bounds(*sf, psd_tol)
+def _checked(v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = None,
+             include_geof: bool = False) -> tuple[StandardForm, _StandardBounds]:
+    """Standard form of one state and its closed-form pass, raising on its verdict."""
+    form, scale = _reduced(v, inv)
+    res = _standard_bounds(*form, psd_tol, scale, include_geof)
+    if not res.physical:
+        _rejected(_least_eigenvalue(*form[:3]), res.nu_minus, psd_tol)
+    return StandardForm(*map(float, form)), res
 
 
 def natural_bounds(
@@ -261,11 +273,11 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
-    The state is checked and reduced to its standard form once, by
-    `states._physical_form`.  `_standard_bounds` gives every closed-form
-    value, the core of `searched_upper_bound` the searched one and the
-    array search `geof._geof_forms` the GeoF, all on that standard form,
-    as a scan does for a whole grid, and the report carries it.
+    The state is reduced to its standard form once, and one pass of
+    `_standard_bounds` checks it and gives every closed-form value and the
+    GeoF of the array search `geof._geof_forms`, as a scan does for a
+    whole grid; the core of `searched_upper_bound` gives the searched one.
+    All run on that standard form, and the report carries it.
     Violations of the expected ordering are recorded in the flags rather
     than raised, so callers can inspect borderline numerics.
 
@@ -279,62 +291,50 @@ def bound_report(
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
-    return _report(*_checked(v, psd_tol), include_geof, psd_tol, bound_tol, geof_tol)
+    return _report(*_checked(v, psd_tol, include_geof=include_geof), include_geof,
+                   psd_tol, bound_tol, geof_tol)
 
 
-def _report(
-    sf: StandardForm,
-    res: _StandardBounds,
-    include_geof: bool,
-    psd_tol: float,
-    bound_tol: float,
-    geof_tol: float,
-) -> BoundReport:
+#: The expected order of the report's values, as (lower, upper, slack)
+#: with the slack named by its `_report` parameter.
+_ORDER = (
+    ("lower_natural", "lower_sigma", "bound_tol"),
+    ("lower_sigma", "upper_natural", "bound_tol"),
+    ("lower_sigma", "upper_searched", "bound_tol"),
+    ("lower_natural", "eeof", "bound_tol"),
+    ("eeof", "upper_natural", "bound_tol"),
+    ("eeof", "upper_searched", "bound_tol"),
+    ("lower_sigma", "geof", "geof_tol"),
+    ("geof", "upper_natural", "geof_tol"),
+    ("geof", "upper_searched", "geof_tol"),
+)
+
+
+def _report(sf: StandardForm, res: _StandardBounds, include_geof: bool, psd_tol: float,
+            bound_tol: float, geof_tol: float) -> BoundReport:
     """`bound_report` of a checked standard form sf and its closed-form pass res."""
-    lower, sigma, estimate = (float(x) for x in (res.lower_natural, res.lower_sigma, res.eeof))
     upper_physical = bool(res.upper_physical)
-    upper = float(res.upper_natural) if upper_physical else None
-
-    geof_value: float | None = None
-    geof_feasible: bool | None = None
-    if include_geof:
-        value, _, feasible, _ = _geof_forms(*sf, psd_tol)
-        geof_feasible = bool(feasible[0])
-        geof_value = float(value[0]) if geof_feasible else None
-
-    searched = _searched(*sf, 64, psd_tol)
-
-    violations: list[str] = []
-
-    def check(name: str, lo: float | None, hi: float | None, tol: float) -> None:
-        if lo is not None and hi is not None and lo > hi + tol:
-            violations.append(f"{name}: {lo:.12g} > {hi:.12g} + {tol:g}")
-
-    check("lower_natural<=lower_sigma", lower, sigma, bound_tol)
-    check("lower_sigma<=upper_natural", sigma, upper, bound_tol)
-    check("lower_sigma<=upper_searched", sigma, searched, bound_tol)
-    check("lower_natural<=eeof", lower, estimate, bound_tol)
-    check("eeof<=upper_natural", estimate, upper, bound_tol)
-    check("eeof<=upper_searched", estimate, searched, bound_tol)
-    check("lower_sigma<=geof", sigma, geof_value, geof_tol)
-    check("geof<=upper_natural", geof_value, upper, geof_tol)
-    check("geof<=upper_searched", geof_value, searched, geof_tol)
-
+    geof_feasible = (not np.isnan(res.geof)) if include_geof else None
+    values = {
+        "lower_natural": float(res.lower_natural),
+        "lower_sigma": float(res.lower_sigma),
+        "upper_natural": float(res.upper_natural) if upper_physical else None,
+        "upper_searched": _searched(*sf, 64, psd_tol),
+        "eeof": float(res.eeof),
+        "geof": float(res.geof) if geof_feasible else None,
+    }
+    slack = {"bound_tol": bound_tol, "geof_tol": geof_tol}
+    violations = tuple(
+        f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {slack[tol]:g}"
+        for lo, hi, tol in _ORDER
+        if values[lo] is not None and values[hi] is not None
+        and values[lo] > values[hi] + slack[tol]
+    )
     flags = BoundFlags(
         upper_natural_physical=upper_physical,
-        searched_feasible=searched is not None,
+        searched_feasible=values["upper_searched"] is not None,
         geof_feasible=geof_feasible,
         hierarchy_ok=not violations,
-        violations=tuple(violations),
+        violations=violations,
     )
-    return BoundReport(
-        lower_natural=lower,
-        lower_sigma=sigma,
-        upper_natural=upper,
-        upper_searched=searched,
-        eeof=estimate,
-        geof=geof_value,
-        entangled=bool(res.entangled),
-        flags=flags,
-        standard_form=sf,
-    )
+    return BoundReport(**values, entangled=bool(res.entangled), flags=flags, standard_form=sf)

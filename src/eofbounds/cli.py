@@ -18,7 +18,6 @@ import numpy as np
 from .bounds import BoundReport, _checked, _report, _standard_bounds
 from .entanglement import LN2
 from .errors import DegenerateInvariantsError, DomainError, NonPhysicalStateError, ParseError
-from .geof import _geof_forms
 from .states import (
     CovMat,
     Invariants,
@@ -183,7 +182,7 @@ def run_analyze(args: argparse.Namespace) -> None:
     # The invariants are printed and reduced to the standard form, so they
     # are computed once, here.
     inv = invariants(cm)
-    sf, res = _checked(cm, args.tol_psd, inv)
+    sf, res = _checked(cm, args.tol_psd, inv, not args.no_geof)
     report = _report(sf, res, not args.no_geof, args.tol_psd, args.tol_bound, args.geof_tol)
 
     out = {
@@ -248,17 +247,14 @@ def run_scan(args: argparse.Namespace) -> None:
           else np.full_like(i1, spec["i4_literal"]))
     forms, solved = _standard_forms(i1, i2, i3, i4)
     forms = np.where(solved, forms, np.nan)
-    res = _standard_bounds(*forms, args.tol_psd)
+    res = _standard_bounds(*forms, args.tol_psd, include_geof=spec["geof"])
     ok = res.physical  # False where there is no standard form (NaN)
-    g = np.full_like(i1, np.nan)
-    if spec["geof"]:
-        value, _, feasible, _ = _geof_forms(*(x[ok] for x in forms), args.tol_psd)
-        g[ok] = np.where(feasible, value, np.nan)
 
     # mu_tilde_minus and the five entropy columns, formatted in one pass.
-    values = np.array((res.nu_t, res.lower_natural, res.lower_sigma, g, res.eeof, res.upper_natural))
+    values = np.array((res.nu_t, res.lower_natural, res.lower_sigma, res.geof, res.eeof,
+                       res.upper_natural))
     values[1:] = _convert(values[1:], args.units)
-    shown = np.array((~np.isnan(res.nu_t), ok, ok, ~np.isnan(g), ok, ok & res.upper_physical))
+    shown = np.array((~np.isnan(res.nu_t), ok, ok, ~np.isnan(res.geof), ok, ok & res.upper_physical))
     nu_t, lower, sigma, geof, eeof, upper = _cells(values, shown)
     # A flag is "" (0) off the physical rows, else "false" (1) or "true" (2);
     # every physical row is solved, so the status is 3 + solved + ok.

@@ -219,10 +219,10 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
 def geof(v: CovMat, psd_tol: float = PSD_TOL) -> GeofResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
-    Checks v and reduces it to its standard form once
-    (`states._physical_form`), then runs `_geof_forms` on it at n = 1;
-    `bound_report` and `scan`, which hold standard forms already, call
-    `_geof_forms` directly.  Deterministic.
+    Checks v and reduces it to its standard form once, by the lean check
+    `states._physical_form`, then runs `_geof_forms` on it at n = 1;
+    `bound_report` and `scan` run `_geof_forms` inside their closed-form
+    pass (`bounds._standard_bounds`).  Deterministic.
 
     At most 6 angles are evaluated.  A separable state returns exactly 0.0
     from a product witness.  The returned value is that of a witness G

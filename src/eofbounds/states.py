@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DegenerateInvariantsError, DomainError, NonPhysicalStateError
 from .symplectic import J2, PSD_TOL, least_mu_minus, symmetrize
 
-# Slack for the >= 1 and c1 >= |c2| conventions, absorbing roundoff from
-# invariant arithmetic.
+# Slack for the >= 1, c1 >= |c2| and I4/(a b) >= 2|I3| conventions,
+# absorbing roundoff from invariant arithmetic.
 _FORM_SLACK = 1e-9
 
 
@@ -114,10 +114,8 @@ class CovMat:
         )
 
     @classmethod
-    def from_invariants(
-        cls, i1: float, i2: float, i3: float, i4: float, tol: float = 1e-9
-    ) -> "CovMat":
-        return standard_form_from_invariants(Invariants(i1, i2, i3, i4), tol).to_covmat()
+    def from_invariants(cls, i1: float, i2: float, i3: float, i4: float) -> "CovMat":
+        return standard_form_from_invariants(Invariants(i1, i2, i3, i4)).to_covmat()
 
     @classmethod
     def vacuum(cls) -> "CovMat":
@@ -175,36 +173,42 @@ def _physical(lam_min, nu_minus, scale, tol: float):
     return (lam_min > tol) & (nu_minus >= least_mu_minus(scale, tol))
 
 
-def _physical_form(
-    v: CovMat | StandardForm, tol: float = PSD_TOL, inv: Invariants | None = None
-) -> StandardForm:
-    """Standard form of one state, raising NonPhysicalStateError if it is unphysical.
+def _rejected(lam_min, nu_minus, tol: float):
+    """Raise the NonPhysicalStateError of a state that failed `_physical`."""
+    if not lam_min > tol:
+        raise NonPhysicalStateError(f"matrix is not positive definite: min eigenvalue {lam_min:.3e}")
+    nu_minus = float(nu_minus)
+    raise NonPhysicalStateError(
+        f"state violates the uncertainty bound: mu_minus = {nu_minus:.12g} < 1", mu_minus=nu_minus)
 
-    The check of every one-state function: `_physical` with lam_min and
-    nu_minus of the standard form (of a CovMat, solved from the invariants
-    `inv` and unmasked below the vacuum) and the scale of v as given.  -V
-    has the invariants of V, so one eigvalsh of a CovMat tests the sign of
-    lam_min, which no local symplectic changes, and tol is frame-invariant.
+
+def _reduced(v: CovMat | StandardForm, inv: Invariants | None = None):
+    """Standard form (a, b, c1, c2) of one state and the largest |entry| of v as given.
+
+    One eigvalsh tests that a CovMat V is positive definite (-V has its
+    invariants `inv`), or raises NonPhysicalStateError.  Then V has a standard
+    form, solved from `inv`, and the physicality test of that form judges V.
     """
     if isinstance(v, StandardForm):
-        form, ok = tuple(v), True
-        lam_min, scale = _least_eigenvalue(v.a, v.b, v.c1), max(map(abs, v))
-    else:
-        inv = invariants(v) if inv is None else inv
-        form, ok = _standard_forms(*inv)
-        lam_min, scale = np.linalg.eigvalsh(v.matrix)[0], np.max(np.abs(v.matrix))
-        if lam_min > 0.0:
-            lam_min = _least_eigenvalue(*form[:3])
-    nu_minus = float(_spectra(*form)[0])
+        return tuple(v), max(map(abs, v))
+    lam_min = np.linalg.eigvalsh(v.matrix)[0]
+    if not lam_min > 0.0:
+        _rejected(lam_min, math.nan, 0.0)
+    return _standard_forms(*(invariants(v) if inv is None else inv))[0], np.max(np.abs(v.matrix))
+
+
+def _physical_form(v: CovMat | StandardForm, tol: float = PSD_TOL) -> StandardForm:
+    """Standard form of one state, raising NonPhysicalStateError if it is unphysical.
+
+    The lean check of `require_physical`, `geof` and `searched_upper_bound`,
+    which need no bounds; `bounds._checked` takes the same verdict from its
+    closed-form pass.
+    """
+    form, scale = _reduced(v)
+    lam_min, nu_minus = _least_eigenvalue(*form[:3]), _spectra(*form)[0]
     if not _physical(lam_min, nu_minus, scale, tol):
-        if lam_min > tol:
-            raise NonPhysicalStateError(
-                f"state violates the uncertainty bound: mu_minus = {nu_minus:.12g} < 1",
-                mu_minus=nu_minus,
-            )
-        raise NonPhysicalStateError(f"matrix is not positive definite: min eigenvalue {lam_min:.3e}")
-    # A solution that is no standard form (ok False) raises DegenerateInvariantsError.
-    return StandardForm(*map(float, form)) if ok else standard_form_from_invariants(inv)
+        _rejected(lam_min, nu_minus, tol)
+    return StandardForm(*map(float, form))
 
 
 def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
@@ -215,14 +219,14 @@ def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
     return float(_spectra(*_physical_form(v, tol))[0])
 
 
-def _standard_forms(i1, i2, i3, i4, tol: float = 1e-9):
+def _standard_forms(i1, i2, i3, i4):
     """Arrays (a, b, c1, c2) solved from arrays of invariants, and the mask of standard forms.
 
     c1^2 and c2^2 are the roots of t^2 - s*t + I3^2 with s = I4/(a*b);
     the sign of c2 is inherited from I3 and c1 >= |c2| by construction.
-    No standard form exists where I1 or I2 is below 1 beyond the slack,
-    or I4/(a*b) < 2|I3| beyond tol (no real correlations).  a or b within
-    the slack below 1 is a standard form, for the physicality test to judge.
+    No standard form exists where I1 or I2 is below 1, or I4/(a*b) below
+    2|I3| (no real correlations), beyond the slack.  a or b within the
+    slack below 1 is a standard form, for the physicality test to judge.
     """
     i1, i2, i3, i4 = (np.asarray(x, dtype=float) for x in (i1, i2, i3, i4))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -239,22 +243,20 @@ def _standard_forms(i1, i2, i3, i4, tol: float = 1e-9):
         c2 = np.copysign(np.where(flat, c1, np.sqrt(np.maximum((s - root) / 2.0, 0.0))), i3)
         c2 = np.where(i3 == 0.0, 0.0, c2)
         ok = (i1 >= (1.0 - _FORM_SLACK) ** 2) & (i2 >= (1.0 - _FORM_SLACK) ** 2)
-        ok &= s >= 2.0 * np.abs(i3) - tol
+        ok &= s >= 2.0 * np.abs(i3) - _FORM_SLACK
     return np.array((a, b, c1, c2)), ok
 
 
-def standard_form_from_invariants(
-    inv: Invariants, tol: float = 1e-9
-) -> StandardForm:
+def standard_form_from_invariants(inv: Invariants) -> StandardForm:
     """Solve (a, b, c1, c2) from the invariants (see `_standard_forms`).
 
     Raises
     ------
     DegenerateInvariantsError
-        If I1 or I2 is below 1, or I4/(a*b) < 2|I3| beyond tol (no real
-        correlations).
+        If I1 or I2 is below 1, or I4/(a*b) < 2|I3| beyond the slack (no
+        real correlations).
     """
-    form, ok = _standard_forms(*inv, tol)
+    form, ok = _standard_forms(*inv)
     if not ok:
         raise DegenerateInvariantsError(
             f"no standard form: need I1, I2 >= 1 and I4/sqrt(I1*I2) >= 2|I3|, got {inv}"
@@ -262,6 +264,6 @@ def standard_form_from_invariants(
     return StandardForm(*map(float, form))
 
 
-def standard_form(v: CovMat, tol: float = 1e-9) -> StandardForm:
+def standard_form(v: CovMat) -> StandardForm:
     """Reduce a physical covariance matrix to its standard form parameters."""
-    return standard_form_from_invariants(invariants(v), tol)
+    return standard_form_from_invariants(invariants(v))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from eofbounds import states
+from eofbounds import bounds, states
 from eofbounds.bounds import (
     _standard_bounds,
     bound_report,
@@ -337,6 +337,19 @@ def test_sigma_is_best_channel_lower_bound(rng):
 def test_report_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
         bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
+
+
+def test_report_violation_strings(monkeypatch):
+    # A searched bound of -1 breaks every order against it: each violation
+    # names the pair, both values and the slack, in the order of the checks.
+    monkeypatch.setattr(bounds, "_searched", lambda *args: -1.0)
+    rep = bound_report(CovMat.from_standard_form(1.2, 1.5, 0.447, -0.447))
+    assert rep.flags.violations == (
+        "lower_sigma<=upper_searched: 0.0181085519468 > -1 + 1e-09",
+        "eeof<=upper_searched: 0.0271980063558 > -1 + 1e-09",
+        "geof<=upper_searched: 0.031549353875 > -1 + 1e-06",
+    )
+    assert not rep.flags.hierarchy_ok
 
 
 ONE_STATE_FUNCTIONS = (

@@ -218,10 +218,11 @@ def test_analyze_pure_states_at_zero_tol_psd(tmp_path, capsys):
 
 
 def test_analyze_pure_states_in_squeezed_frames_at_zero_tol_psd(tmp_path, capsys):
-    # analyze decides physicality by the matrix check alone.  Reduced to
-    # its standard form, a pure state in a strongly squeezed local frame
-    # can fail the closed-form test at --tol-psd 0 (the first such draw
-    # here is number 435), and must still exit 0.
+    # analyze tests the standard form of a matrix, with the roundoff
+    # allowance of its largest entry as given.  Reduced from a strongly
+    # squeezed local frame, a pure state's form carries that roundoff and
+    # fails the test at its own scale at --tol-psd 0 (the first such draw
+    # here is number 435); it must still exit 0.
     rng = np.random.default_rng(0)
     for i in range(450):
         r, squeeze = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.5)
@@ -229,6 +230,16 @@ def test_analyze_pure_states_in_squeezed_frames_at_zero_tol_psd(tmp_path, capsys
         path = write(tmp_path, "in.json", {"matrix": v.matrix.tolist()})
         assert main(["analyze", "--input", path, "--tol-psd", "0", "--no-geof"]) == 0, i
     capsys.readouterr()
+    # Up to r = 4.5 the invariants reach 1e7, and the roundoff of
+    # I4/(a b) - 2|I3| can exceed the 1e-9 slack of that test for a
+    # standard form (first at draw 45).  A positive
+    # definite matrix always has one, and analyze's report (bound_report)
+    # must accept every draw.
+    rng = np.random.default_rng(7)
+    for i in range(2000):
+        r = rng.uniform(0.0, 4.5)
+        v = CovMat.two_mode_squeezed(r).conjugate(random_local_symplectic(rng, 1.5))
+        assert bound_report(v, include_geof=False).entangled == (r > 0.0), i
 
 
 def test_analyze_slightly_unphysical_still_rejected(tmp_path, capsys):
