@@ -13,7 +13,6 @@ from .bounds import (
 )
 from .entanglement import entanglement_entropy
 from .errors import (
-    DegenerateInvariantsError,
     DomainError,
     EofBoundsError,
     NonPhysicalStateError,
@@ -28,7 +27,6 @@ from .states import (
     invariants,
     require_physical,
     standard_form,
-    standard_form_from_invariants,
 )
 from .symplectic import J2, PSD_TOL, symmetrize
 

@@ -24,8 +24,9 @@ symplectics and under swapping the modes.  The GeoF is an upper bound as
 well, and never above the symmetric-state ones (see `bound_report`).
 
 Every one-state function (`bound_report`, the single bounds, `eeof`,
-`eof_symmetric`, `is_entangled`) reduces its CovMat or StandardForm once
-and raises NonPhysicalStateError on the verdict of that pass (`_checked`).
+`eof_symmetric`, `is_entangled`) reduces its CovMat or StandardForm once,
+by the route of `states.standard_form`, and raises NonPhysicalStateError
+on the verdict of that pass (`_checked`), the verdict `standard_form` gives.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .states import (
     StandardForm,
     _least_eigenvalue,
     _physical,
-    _physical_form,
     _reduced,
     _rejected,
     _spectra,
+    standard_form,
 )
 from .symplectic import PSD_TOL
 
@@ -199,7 +200,7 @@ def searched_upper_bound(
     """
     if not steps >= 1:
         raise DomainError(f"steps must be at least 1, got {steps}")
-    return _searched(*_physical_form(v, psd_tol), steps, psd_tol)
+    return _searched(*standard_form(v, psd_tol), steps, psd_tol)
 
 
 def eeof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> float:

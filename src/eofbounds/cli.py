@@ -17,14 +17,8 @@ import numpy as np
 
 from .bounds import BoundReport, _checked, _report, _standard_bounds
 from .entanglement import LN2
-from .errors import DegenerateInvariantsError, DomainError, NonPhysicalStateError, ParseError
-from .states import (
-    CovMat,
-    Invariants,
-    _standard_forms,
-    invariants,
-    standard_form_from_invariants,
-)
+from .errors import DomainError, NonPhysicalStateError, ParseError
+from .states import CovMat, Invariants, StandardForm, _standard_forms, invariants
 
 #: Fixed column order of scan output.
 SCAN_COLUMNS = [
@@ -101,8 +95,13 @@ def _as_float(value, what: str) -> float:
     return x
 
 
-def resolve_state_document(doc: dict) -> CovMat:
-    """Build a covariance matrix from one of the three representations."""
+def resolve_state_document(doc: dict) -> CovMat | StandardForm:
+    """The state of one of the three representations, for `run_analyze` to reduce once.
+
+    A matrix gives its CovMat and a standard form its StandardForm as
+    written; invariants give the standard form `_standard_forms` solves,
+    or raise DomainError where it finds none (a scan's "no_state").
+    """
     keys = {"matrix", "standard_form", "invariants"} & set(doc)
     if len(keys) != 1:
         raise ParseError(
@@ -123,18 +122,18 @@ def resolve_state_document(doc: dict) -> CovMat:
         missing = {"a", "b", "c1", "c2"} - set(body)
         if missing:
             raise ParseError(f"standard_form missing keys: {sorted(missing)}")
-        return CovMat.from_standard_form(
-            _as_float(body["a"], "a"),
-            _as_float(body["b"], "b"),
-            _as_float(body["c1"], "c1"),
-            _as_float(body["c2"], "c2"),
-        )
+        return StandardForm(*(_as_float(body[k], k) for k in ("a", "b", "c1", "c2")))
     body = {str(k).lower(): v for k, v in body.items()}
     missing = {"i1", "i2", "i3", "i4"} - set(body)
     if missing:
         raise ParseError(f"invariants missing keys: {sorted(k.upper() for k in missing)}")
     inv = Invariants(*(_as_float(body[k], k.upper()) for k in ("i1", "i2", "i3", "i4")))
-    return standard_form_from_invariants(inv).to_covmat()
+    form, ok = _standard_forms(*inv)
+    if not ok:
+        raise DomainError(
+            f"no standard form: need I1, I2 >= 1 and I4/sqrt(I1*I2) >= 2|I3|, got {inv}"
+        )
+    return StandardForm(*map(float, form))
 
 
 def _convert(value: float | None, units: str) -> float | None:
@@ -177,12 +176,13 @@ def run_analyze(args: argparse.Namespace) -> None:
     if args.input is None:
         raise ParseError("analyze requires --input PATH")
     doc = _load_document(args.input)
-    cm = resolve_state_document(doc)
+    state = resolve_state_document(doc)
 
-    # The invariants are printed and reduced to the standard form, so they
-    # are computed once, here.
-    inv = invariants(cm)
-    sf, res = _checked(cm, args.tol_psd, inv, not args.no_geof)
+    # The invariants are printed, and a matrix is reduced to its standard
+    # form from them, so they are computed once, here; a standard form's
+    # are those of its matrix.
+    inv = invariants(state if isinstance(state, CovMat) else state.to_covmat())
+    sf, res = _checked(state, args.tol_psd, inv, not args.no_geof)
     report = _report(sf, res, not args.no_geof, args.tol_psd, args.tol_bound, args.geof_tol)
 
     out = {
@@ -318,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonPhysicalStateError, DegenerateInvariantsError, DomainError) as exc:
+    except (NonPhysicalStateError, DomainError) as exc:
         print(f"error: unphysical input: {exc}", file=sys.stderr)
         return 3
 

@@ -6,11 +6,17 @@ class EofBoundsError(Exception):
 
 
 class DomainError(EofBoundsError, ValueError):
-    """Argument lies outside the mathematical domain of a function."""
+    """Argument lies outside the mathematical domain of a function.
+
+    Among them a standard form with c1 < |c2|, and invariants that admit
+    no standard form (I1 or I2 below 1, or no real correlations).
+    """
 
 
 class NonPhysicalStateError(EofBoundsError):
-    """Covariance matrix violates the uncertainty bound.
+    """State fails the physicality test: its standard form is not positive
+    definite, or its mu_minus is below 1 (as it is where min(a, b) < 1),
+    beyond psd_tol.
 
     Carries the offending smallest symplectic eigenvalue when known, so
     callers can report how badly physicality failed.
@@ -23,10 +29,6 @@ class NonPhysicalStateError(EofBoundsError):
 
 class NotSymmetricError(EofBoundsError):
     """The two reduced blocks of the state differ beyond tolerance."""
-
-
-class DegenerateInvariantsError(EofBoundsError):
-    """Invariant combination admits no real standard-form solution."""
 
 
 class ParseError(EofBoundsError):

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .states import CovMat, _physical_form
+from .states import CovMat, standard_form
 from .symplectic import PSD_TOL
 
 
@@ -220,7 +220,7 @@ def geof(v: CovMat, psd_tol: float = PSD_TOL) -> GeofResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
     Checks v and reduces it to its standard form once, by the lean check
-    `states._physical_form`, then runs `_geof_forms` on it at n = 1;
+    `states.standard_form`, then runs `_geof_forms` on it at n = 1;
     `bound_report` and `scan` run `_geof_forms` inside their closed-form
     pass (`bounds._standard_bounds`).  Deterministic.
 
@@ -234,7 +234,7 @@ def geof(v: CovMat, psd_tol: float = PSD_TOL) -> GeofResult:
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
-    sf = _physical_form(v, psd_tol)
+    sf = standard_form(v, psd_tol)
     value, params, feasible, evals = _geof_forms(*sf, psd_tol)
     return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),
                       sf.to_covmat().matrix)

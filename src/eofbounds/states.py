@@ -11,7 +11,9 @@ with 2x2 blocks A, B (reduced single-mode covariances) and C
 
 unchanged (J the single-mode symplectic form), and every physical state
 can be brought to the standard form A = a*I, B = b*I, C = diag(c1, c2)
-with c1 >= |c2|.
+with c1 >= |c2|.  `standard_form` (through `_reduced`) is the one route from
+a state to that form, and the physicality test at psd_tol, a, b >= 1
+included, is its one verdict.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInvariantsError, DomainError, NonPhysicalStateError
+from .errors import DomainError, NonPhysicalStateError
 from .symplectic import J2, PSD_TOL, least_mu_minus, symmetrize
 
-# Slack for the >= 1, c1 >= |c2| and I4/(a b) >= 2|I3| conventions,
-# absorbing roundoff from invariant arithmetic.
+# Slack for the c1 >= |c2| convention and for the I1, I2 >= 1 and
+# I4/(a b) >= 2|I3| tests of `_standard_forms`, absorbing roundoff from
+# invariant arithmetic.
 _FORM_SLACK = 1e-9
 
 
@@ -44,7 +47,12 @@ class Invariants:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Locally reduced covariance parameters (a, b, c1, c2), c1 >= |c2|."""
+    """Locally reduced covariance parameters (a, b, c1, c2), c1 >= |c2|.
+
+    Only the structure is checked here.  a, b >= 1 is a physical condition
+    (min(a, b) >= nu_minus), judged with the rest of physicality by the
+    caller's test at its psd_tol.
+    """
 
     a: float
     b: float
@@ -54,10 +62,6 @@ class StandardForm:
     def __post_init__(self):
         if not all(map(math.isfinite, self)):
             raise DomainError(f"standard form contains non-finite entries: {tuple(self)}")
-        if self.a < 1.0 - _FORM_SLACK or self.b < 1.0 - _FORM_SLACK:
-            raise DomainError(
-                f"standard form requires a, b >= 1, got a={self.a}, b={self.b}"
-            )
         if self.c1 < abs(self.c2) - _FORM_SLACK:
             raise DomainError(
                 f"standard form requires c1 >= |c2|, got c1={self.c1}, c2={self.c2}"
@@ -114,10 +118,6 @@ class CovMat:
         )
 
     @classmethod
-    def from_invariants(cls, i1: float, i2: float, i3: float, i4: float) -> "CovMat":
-        return standard_form_from_invariants(Invariants(i1, i2, i3, i4)).to_covmat()
-
-    @classmethod
     def vacuum(cls) -> "CovMat":
         return cls(np.eye(4))
 
@@ -163,8 +163,12 @@ def _spectra(a, b, c1, c2):
 
 
 def _least_eigenvalue(a, b, c1):
-    """Least eigenvalue of standard forms, that of Vx: det Vx over the larger one."""
-    return 2.0 * (a * b - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
+    """Least eigenvalue of standard forms, that of Vx: det Vx over the larger one.
+
+    NaN where both vanish, which only a Vx with det Vx = 0 and a + b <= 0 has.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return 2.0 * (a * b - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
 
 
 def _physical(lam_min, nu_minus, scale, tol: float):
@@ -197,12 +201,14 @@ def _reduced(v: CovMat | StandardForm, inv: Invariants | None = None):
     return _standard_forms(*(invariants(v) if inv is None else inv))[0], np.max(np.abs(v.matrix))
 
 
-def _physical_form(v: CovMat | StandardForm, tol: float = PSD_TOL) -> StandardForm:
+def standard_form(v: CovMat | StandardForm, tol: float = PSD_TOL) -> StandardForm:
     """Standard form of one state, raising NonPhysicalStateError if it is unphysical.
 
-    The lean check of `require_physical`, `geof` and `searched_upper_bound`,
-    which need no bounds; `bounds._checked` takes the same verdict from its
-    closed-form pass.
+    The one route from a state to its standard form (`_reduced`) and the one
+    verdict (`_physical` at tol): it gives `bound_report(v).standard_form` and
+    rejects what `bound_report` rejects.  It is also the lean check of
+    `require_physical`, `geof` and `searched_upper_bound`, which need no
+    bounds; `bounds._checked` takes the same verdict from its closed-form pass.
     """
     form, scale = _reduced(v)
     lam_min, nu_minus = _least_eigenvalue(*form[:3]), _spectra(*form)[0]
@@ -212,11 +218,11 @@ def _physical_form(v: CovMat | StandardForm, tol: float = PSD_TOL) -> StandardFo
 
 
 def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
-    """Return mu_minus of v, raising NonPhysicalStateError when below 1 (`_physical_form`).
+    """Return mu_minus of v, raising NonPhysicalStateError when below 1 (`standard_form`).
 
     The threshold `least_mu_minus` allows roundoff, so pure states pass at tol = 0.
     """
-    return float(_spectra(*_physical_form(v, tol))[0])
+    return float(_spectra(*standard_form(v, tol))[0])
 
 
 def _standard_forms(i1, i2, i3, i4):
@@ -245,25 +251,3 @@ def _standard_forms(i1, i2, i3, i4):
         ok = (i1 >= (1.0 - _FORM_SLACK) ** 2) & (i2 >= (1.0 - _FORM_SLACK) ** 2)
         ok &= s >= 2.0 * np.abs(i3) - _FORM_SLACK
     return np.array((a, b, c1, c2)), ok
-
-
-def standard_form_from_invariants(inv: Invariants) -> StandardForm:
-    """Solve (a, b, c1, c2) from the invariants (see `_standard_forms`).
-
-    Raises
-    ------
-    DegenerateInvariantsError
-        If I1 or I2 is below 1, or I4/(a*b) < 2|I3| beyond the slack (no
-        real correlations).
-    """
-    form, ok = _standard_forms(*inv)
-    if not ok:
-        raise DegenerateInvariantsError(
-            f"no standard form: need I1, I2 >= 1 and I4/sqrt(I1*I2) >= 2|I3|, got {inv}"
-        )
-    return StandardForm(*map(float, form))
-
-
-def standard_form(v: CovMat) -> StandardForm:
-    """Reduce a physical covariance matrix to its standard form parameters."""
-    return standard_form_from_invariants(invariants(v))

@@ -93,8 +93,8 @@ def unphysical_matrices():
 
     The first two are the state (1.2, 1.5, 0.3, -0.2) as -V and with both
     local blocks negated, [[-A, C], [C^T, -B]]: not positive, but with the
-    invariants of V.  The third, 0.5 I, is positive but below the vacuum,
-    so it has no standard form.
+    invariants of V.  The third, 0.5 I, is positive but below the vacuum:
+    its standard form (0.5, 0.5, 0, 0) fails the uncertainty bound.
     """
     v = np.array(StandardForm(1.2, 1.5, 0.3, -0.2).to_covmat().matrix)
     blocks = v * np.kron([[-1.0, 1.0], [1.0, -1.0]], np.ones((2, 2)))

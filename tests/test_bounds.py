@@ -18,7 +18,7 @@ from eofbounds.bounds import (
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import geof
-from eofbounds.states import CovMat, StandardForm, invariants, standard_form
+from eofbounds.states import CovMat, StandardForm, _standard_forms, invariants
 from eofbounds.symplectic import PSD_TOL, least_mu_minus
 
 from conftest import (
@@ -372,8 +372,8 @@ def test_check_rejects_non_positive_and_subvacuum_matrices():
         w = CovMat(m)
         if "positive" in message:
             assert invariants(w) == invariants(v)
-            assert _standard_bounds(*standard_form(w)).physical
-        for func in (states.require_physical, bound_report, geof):
+            assert _standard_bounds(*_standard_forms(*invariants(w))[0]).physical
+        for func in (states.require_physical, states.standard_form, bound_report, geof):
             with pytest.raises(NonPhysicalStateError, match=re.escape(message)):
                 func(w)
 

@@ -10,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 from eofbounds.bounds import _standard_bounds, bound_report
 from eofbounds.cli import SCAN_COLUMNS, _cells, build_parser, main, resolve_state_document
 from eofbounds.entanglement import LN2, entanglement_entropy
-from eofbounds.errors import DegenerateInvariantsError, NonPhysicalStateError, ParseError
-from eofbounds.geof import _geof_forms, geof
-from eofbounds.states import CovMat, Invariants, _standard_forms, standard_form_from_invariants
+from eofbounds.errors import NonPhysicalStateError, ParseError
+from eofbounds.geof import _geof_forms
+from eofbounds.states import CovMat, StandardForm, _standard_forms, standard_form
 
 from conftest import (
     partial_transpose,
@@ -51,18 +51,19 @@ def test_resolve_matrix_row_major():
 
 
 def test_resolve_standard_form():
-    cm = resolve_state_document(
+    # The form as written, not rebuilt as a matrix and reduced again.
+    sf = resolve_state_document(
         {"standard_form": {"a": 1.2, "b": 1.5, "c1": 0.3, "c2": -0.1}}
     )
-    np.testing.assert_allclose(np.diag(cm.matrix), [1.2, 1.2, 1.5, 1.5])
+    assert sf == StandardForm(1.2, 1.5, 0.3, -0.1)
 
 
 def test_resolve_invariants_case_insensitive():
-    cm = resolve_state_document(
+    sf = resolve_state_document(
         {"invariants": {"I1": 1.44, "I2": 2.25, "I3": -0.1, "i4": 0.8}}
     )
-    assert cm.matrix[0, 0] == pytest.approx(1.2)
-    assert cm.matrix[2, 2] == pytest.approx(1.5)
+    assert sf == StandardForm(*_standard_forms(1.44, 2.25, -0.1, 0.8)[0])
+    assert (sf.a, sf.b) == pytest.approx((1.2, 1.5))
 
 
 def test_resolve_requires_exactly_one_representation():
@@ -231,15 +232,17 @@ def test_analyze_pure_states_in_squeezed_frames_at_zero_tol_psd(tmp_path, capsys
         assert main(["analyze", "--input", path, "--tol-psd", "0", "--no-geof"]) == 0, i
     capsys.readouterr()
     # Up to r = 4.5 the invariants reach 1e7, and the roundoff of
-    # I4/(a b) - 2|I3| can exceed the 1e-9 slack of that test for a
-    # standard form (first at draw 45).  A positive
-    # definite matrix always has one, and analyze's report (bound_report)
-    # must accept every draw.
+    # I4/(a b) - 2|I3| can exceed the 1e-9 slack of the scan's test for a
+    # standard form (first at draw 45).  A positive definite matrix always
+    # has one, so analyze's report (bound_report) must accept every draw,
+    # and standard_form must give the report's form.
     rng = np.random.default_rng(7)
     for i in range(2000):
         r = rng.uniform(0.0, 4.5)
         v = CovMat.two_mode_squeezed(r).conjugate(random_local_symplectic(rng, 1.5))
-        assert bound_report(v, include_geof=False).entangled == (r > 0.0), i
+        report = bound_report(v, include_geof=False)
+        assert report.entangled == (r > 0.0), i
+        assert standard_form(v) == report.standard_form, i
 
 
 def test_analyze_slightly_unphysical_still_rejected(tmp_path, capsys):
@@ -262,15 +265,23 @@ def test_analyze_slightly_unphysical_still_rejected(tmp_path, capsys):
 def test_analyze_tol_psd_is_frame_invariant(tmp_path, capsys):
     # The vacuum in a locally squeezed frame has a least eigenvalue of
     # 1e-4 < --tol-psd; --tol-psd applies to the standard form's, so it
-    # gets the vacuum's report.
+    # gets the vacuum's report.  States a hair below the vacuum, with
+    # mu_minus = min(a, b) = 0.9999, pass the test at --tol-psd 1e-3, and
+    # nothing else overrules that verdict; the default rejects them.
+    below = ({"matrix": np.diag([0.9999, 0.9999, 1.0, 1.0]).tolist()},
+             {"standard_form": {"a": 0.9999, "b": 0.9999, "c1": 0, "c2": 0}})
     reports = []
     for doc in ({"matrix": np.diag([1e4, 1e-4, 1.0, 1.0]).tolist()},
-                {"standard_form": {"a": 1, "b": 1, "c1": 0, "c2": 0}}):
+                {"standard_form": {"a": 1, "b": 1, "c1": 0, "c2": 0}}, *below):
         path = write(tmp_path, "in.json", doc)
-        assert main(["analyze", "--input", path, "--tol-psd", "1e-3"]) == 0
+        assert main(["analyze", "--input", path, "--tol-psd", "1e-3"]) == 0, doc
         reports.append(json.loads(capsys.readouterr().out))
+        assert reports[-1]["bounds"]["geof"] == 0.0, doc
+        assert reports[-1]["bounds"]["flags"]["hierarchy_ok"], doc
     assert reports[0] == reports[1]
-    assert reports[0]["bounds"]["geof"] == 0.0
+    for doc in below:
+        assert main(["analyze", "--input", write(tmp_path, "in.json", doc)]) == 3, doc
+        assert "mu_minus = 0.9999 < 1" in capsys.readouterr().err
 
 
 def test_analyze_output_file(tmp_path):
@@ -418,8 +429,9 @@ def test_scan_default_spec_runs(tmp_path):
     scan_spec(steps=30, i3=-0.2, i4=1.5),  # every status and flag combination
 ])
 def test_scan_matches_per_point_report(tmp_path, spec):
-    # The scan evaluates its grid in one pass; each row must be what
-    # bound_report gives for the standard form of that grid point.
+    # The scan evaluates its grid in one pass; each row must print what
+    # bound_report gives for the standard form `_standard_forms` solves at
+    # that grid point, digit for digit.
     path = write(tmp_path, "scan.json", spec)
     out = tmp_path / "out.csv"
     assert main(["scan", "--input", path, "--output", str(out), "--no-geof"]) == 0
@@ -433,14 +445,12 @@ def test_scan_matches_per_point_report(tmp_path, spec):
     for row, (i1, i2) in zip(rows, points):
         i4 = spec.get("i4", 2.0 * abs(i3) * math.sqrt(i1 * i2))
         expected = {c: "" for c in SCAN_COLUMNS[4:]}
-        try:
-            sf = standard_form_from_invariants(Invariants(i1, i2, i3, i4))
-        except DegenerateInvariantsError:
+        form, solved = _standard_forms(i1, i2, i3, i4)
+        if not solved:
             expected["status"] = "no_state"
         else:
-            cm = CovMat.from_standard_form(*sf)
             try:
-                rep = bound_report(cm, include_geof=False)
+                rep = bound_report(StandardForm(*form), include_geof=False)
             except NonPhysicalStateError:
                 expected["status"] = "unphysical"
             else:
@@ -453,20 +463,21 @@ def test_scan_matches_per_point_report(tmp_path, spec):
                     "physical_upper_flag": "true" if rep.flags.upper_natural_physical else "false",
                     "status": "ok",
                 })
-                nu_t = symplectic_spectrum(partial_transpose(cm.matrix)).mu_minus
+                matrix = rep.standard_form.to_covmat().matrix
+                nu_t = symplectic_spectrum(partial_transpose(matrix)).mu_minus
                 assert float(row["mu_tilde_minus"]) == pytest.approx(nu_t, rel=1e-9)
         statuses.add(expected["status"])
         for col, want in expected.items():
-            if isinstance(want, float):
-                assert float(row[col]) == pytest.approx(want, rel=1e-11, abs=1e-300), (i1, i2, col)
-            elif col != "mu_tilde_minus":
+            if col != "mu_tilde_minus":
+                want = format(want, ".12g") if isinstance(want, float) else want
                 assert row[col] == want, (i1, i2, col)
     assert "ok" in statuses
 
 
 def test_scan_geof_matches_per_point_geof(tmp_path):
-    # The scan searches all its ok points at once; each geof cell must be
-    # what geof gives for the standard form of that grid point.
+    # The scan searches all its ok points at once; each geof cell must
+    # print what bound_report gives for the standard form `_standard_forms`
+    # solves at that grid point, digit for digit.
     path = write(tmp_path, "scan.json", {})  # the README default grid, 40x40
     out = tmp_path / "out.csv"
     assert main(["scan", "--input", path, "--output", str(out)]) == 0
@@ -479,13 +490,11 @@ def test_scan_geof_matches_per_point_geof(tmp_path):
         if row["status"] != "ok":
             assert row["geof"] == "", (i1, i2)
             continue
-        sf = standard_form_from_invariants(Invariants(i1, i2, -0.2, 0.4 * math.sqrt(i1 * i2)))
-        result = geof(CovMat.from_standard_form(*sf))
-        if not result.feasible:
-            assert row["geof"] == "", (i1, i2)
-            continue
-        assert float(row["geof"]) == pytest.approx(result.value, rel=1e-11, abs=1e-300), (i1, i2)
-        searched += 1
+        form, solved = _standard_forms(i1, i2, -0.2, 2.0 * 0.2 * math.sqrt(i1 * i2))
+        assert solved, (i1, i2)
+        value = bound_report(StandardForm(*form)).geof
+        assert row["geof"] == ("" if value is None else format(value, ".12g")), (i1, i2)
+        searched += value is not None
     assert searched > 1000
 
 

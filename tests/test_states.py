@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from eofbounds.bounds import is_entangled
-from eofbounds.errors import (
-    DegenerateInvariantsError,
-    DomainError,
-    NonPhysicalStateError,
-)
+from eofbounds.bounds import bound_report, is_entangled
+from eofbounds.cli import main, resolve_state_document
+from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.states import (
     CovMat,
-    Invariants,
     StandardForm,
     _least_eigenvalue,
     _spectra,
+    _standard_forms,
     invariants,
     standard_form,
-    standard_form_from_invariants,
 )
 
 from conftest import (
@@ -89,7 +85,9 @@ def test_standard_form_fixed_point():
 def test_standard_form_degenerate_correlations():
     # I1 = I2 = 1.44, I3 = -0.2, I4 = a*b*(c1^2+c2^2) = 1.44*0.4 = 0.576:
     # the discriminant vanishes and c1 = |c2| = sqrt(0.2).
-    sf = standard_form_from_invariants(Invariants(1.44, 1.44, -0.2, 0.576))
+    form, ok = _standard_forms(1.44, 1.44, -0.2, 0.576)
+    assert ok
+    sf = StandardForm(*form)
     assert sf.a == pytest.approx(1.2, abs=1e-12)
     assert sf.b == pytest.approx(1.2, abs=1e-12)
     assert sf.c1 == pytest.approx(SQ02, abs=1e-12)
@@ -121,14 +119,21 @@ def test_standard_form_roundtrip_preserves_invariants(rng):
 
 
 def test_standard_form_no_real_solution():
-    # I4/(ab) < 2|I3| admits no real (c1, c2).
-    with pytest.raises(DegenerateInvariantsError):
-        standard_form_from_invariants(Invariants(1.44, 1.44, -0.3, 0.1))
+    # I4/(ab) < 2|I3| admits no real (c1, c2): no standard form, and an
+    # invariants document is rejected.
+    assert not _standard_forms(1.44, 1.44, -0.3, 0.1)[1]
+    with pytest.raises(DomainError, match="no standard form"):
+        resolve_state_document({"invariants": {"I1": 1.44, "I2": 1.44, "I3": -0.3, "I4": 0.1}})
 
 
-def test_standard_form_convention_validation():
-    with pytest.raises(DomainError):
-        StandardForm(0.8, 1.2, 0.0, 0.0)
+def test_standard_form_convention_validation(tmp_path, capsys):
+    # a, b >= 1 is physical, so the physicality test judges it.
+    with pytest.raises(NonPhysicalStateError):
+        bound_report(StandardForm(0.8, 1.2, 0.0, 0.0))
+    path = tmp_path / "in.json"
+    path.write_text('{"standard_form": {"a": 0.8, "b": 1.2, "c1": 0, "c2": 0}}')
+    assert main(["analyze", "--input", str(path)]) == 3
+    assert "mu_minus = 0.8 < 1" in capsys.readouterr().err
     with pytest.raises(DomainError):
         StandardForm(1.2, 1.2, 0.1, 0.4)
 
