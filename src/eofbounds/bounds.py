@@ -23,32 +23,32 @@ nodes of its line.  Every value is therefore invariant under local
 symplectics and under swapping the modes.  The GeoF is an upper bound as
 well, and never above the symmetric-state ones (see `bound_report`).
 
-Every one-state function (`bound_report`, the single bounds, `eeof`,
-`eof_symmetric`, `is_entangled`) reduces its CovMat or StandardForm once,
-by the route of `states.standard_form`, and raises NonPhysicalStateError
-on the verdict of that pass (`_checked`), the verdict `standard_form` gives.
+Both one-state functions, `bound_report` (every bound) and
+`eof_symmetric` (the exact EoF of a symmetric state), reduce their CovMat
+or StandardForm once, by the route of `states.standard_form`, and raise
+NonPhysicalStateError on the verdict of that pass (`_checked`), the
+verdict `standard_form` gives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .errors import DomainError, NotSymmetricError
+from .errors import NotSymmetricError
 from .geof import _geof_forms
 from .states import (
     CovMat,
     Invariants,
     StandardForm,
     _least_eigenvalue,
+    _nonnegative,
     _physical,
     _reduced,
     _rejected,
     _spectra,
-    standard_form,
 )
 from .symplectic import PSD_TOL
 
@@ -136,33 +136,11 @@ def _checked(v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = 
     return StandardForm(*map(float, form)), res
 
 
-def natural_bounds(
-    v: CovMat | StandardForm, psd_tol: float = PSD_TOL
-) -> tuple[float, float | None]:
-    """EoF bounds (lower, upper) from the symmetric states (m, m, c1, c2).
-
-    m = max(a, b) gives a lower bound (that state is v plus noise, so it
-    is always physical); m = min(a, b) gives an upper bound unless that
-    state is unphysical, in which case `upper` is None.  Both are
-    computed on the standard form, so they do not depend on the local
-    frame v is given in.
-    """
-    res = _checked(v, psd_tol)[1]
-    return float(res.lower_natural), float(res.upper_natural) if res.upper_physical else None
+#: The 64 nodes t = 1/64, ..., 1 of the searched bound's line.
+_NODES = np.linspace(0.0, 1.0, 65)[1:]
 
 
-def sigma_lower_bound(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> float:
-    """Lower bound from the midpoint symmetric state.
-
-    The midpoint state (m, m, c1, c2) with m = (a + b)/2 is the average of
-    the standard form and its mode swap, so it is physical, and its PPT
-    eigenvalue is sqrt((m - c1)(m + c2)).  Always at least as tight as
-    the larger-block bound, and never above the true EoF.
-    """
-    return float(_checked(v, psd_tol)[1].lower_sigma)
-
-
-def _searched(a, b, c1, c2, steps: int, psd_tol: float) -> float | None:
+def _searched(a, b, c1, c2, psd_tol: float) -> float | None:
     """The searched upper bound of one physical standard form (a, b, c1, c2).
 
     v - V' splits into an x sector [[a - m, k], [k, b - m]], k = (1 - t) c1,
@@ -173,44 +151,16 @@ def _searched(a, b, c1, c2, steps: int, psd_tol: float) -> float | None:
     (m - t c1)(m + t c2) and (m - t c1)(m - t c2) of the physicality test
     rise with m, so at each t the boundary point m(t) is the best one.
     Physicality implies m >= 1 within its allowance, so m is not tested
-    against 1.
+    against 1.  The least EoF over the feasible nodes `_NODES` is returned,
+    or None if none is; t = 1 is the natural upper state.
     """
-    t = np.linspace(0.0, 1.0, steps + 1)[1:]
+    t = _NODES
     d = abs(a - b)
     m = min(a, b) - (np.hypot(d, 2.0 * (1.0 - t) * c1) - d) / 2.0
     nu_t, feasible = _symmetric(m, t * c1, t * c2, psd_tol, max(a, b))
     if not np.any(feasible):
         return None
     return float(np.min(entanglement_entropy_vec(nu_t[feasible])))
-
-
-def searched_upper_bound(
-    v: CovMat | StandardForm, steps: int = 64, psd_tol: float = PSD_TOL
-) -> float | None:
-    """Tightest upper bound over symmetric states with rescaled correlations.
-
-    Minimizes the symmetric-state EoF over the family V' with blocks m*I
-    and correlations t*diag(c1, c2), t in (0, 1], subject to v - V' being
-    PSD and V' physical.  The best V' at each t lies on the PSD boundary
-    m = m(t) (see `_searched`), evaluated at the nodes t = 1/steps, ..., 1;
-    t = 1 is the natural upper state.  Doubling `steps` refines the nodes,
-    so the value never increases.  Works on the standard form of v, checked
-    as by `bound_report`.  Returns None when no node is feasible; raises
-    DomainError if steps < 1.
-    """
-    if not steps >= 1:
-        raise DomainError(f"steps must be at least 1, got {steps}")
-    return _searched(*standard_form(v, psd_tol), steps, psd_tol)
-
-
-def eeof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> float:
-    """EoF estimator: the symmetric-state formula applied to a general state.
-
-    f of the PPT eigenvalue of the standard form.  Sandwiched by the same
-    symmetric-state bounds as the true EoF, but not proven equal to it
-    for non-symmetric states.
-    """
-    return float(_checked(v, psd_tol)[1].eeof)
 
 
 def eof_symmetric(v: CovMat | StandardForm, tol: float = 1e-9, psd_tol: float = PSD_TOL) -> float:
@@ -222,21 +172,15 @@ def eof_symmetric(v: CovMat | StandardForm, tol: float = 1e-9, psd_tol: float = 
     Raises
     ------
     DomainError
-        If tol is not finite and non-negative.
+        If tol or psd_tol is not finite and non-negative.
     NotSymmetricError
         If |a - b| > tol.
     """
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and non-negative, got {tol}")
+    _nonnegative(tol=tol, psd_tol=psd_tol)
     sf, res = _checked(v, psd_tol)
     if abs(sf.a - sf.b) > tol:
         raise NotSymmetricError(f"standard form has |a - b| = {abs(sf.a - sf.b):.3e} > {tol:.3e}")
     return float(res.eeof)
-
-
-def is_entangled(v: CovMat | StandardForm, tol: float = PSD_TOL) -> bool:
-    """PPT test: entangled iff the transposed spectrum dips below 1 - tol."""
-    return bool(_checked(v, tol)[1].entangled)
 
 
 @dataclass(frozen=True)
@@ -252,7 +196,13 @@ class BoundFlags:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Full bound hierarchy for one state (values in nats)."""
+    """Full bound hierarchy for one state (values in nats).
+
+    `upper_natural` is None where the natural upper state is unphysical,
+    `upper_searched` where no node of its line is feasible, and `geof` where
+    no witness is certified.  `eeof` is the symmetric-state formula applied
+    to the state, not proven equal to its EoF; `entangled` is the PPT test.
+    """
 
     lower_natural: float
     lower_sigma: float
@@ -277,7 +227,7 @@ def bound_report(
     The state is reduced to its standard form once, and one pass of
     `_standard_bounds` checks it and gives every closed-form value and the
     GeoF of the array search `geof._geof_forms`, as a scan does for a
-    whole grid; the core of `searched_upper_bound` gives the searched one.
+    whole grid; `_searched` gives the searched one.
     All run on that standard form, and the report carries it.
     Violations of the expected ordering are recorded in the flags rather
     than raised, so callers can inspect borderline numerics.
@@ -289,9 +239,12 @@ def bound_report(
 
     Raises
     ------
+    DomainError
+        If a tolerance is not finite and non-negative.
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
+    _nonnegative(psd_tol=psd_tol, bound_tol=bound_tol, geof_tol=geof_tol)
     return _report(*_checked(v, psd_tol, include_geof=include_geof), include_geof,
                    psd_tol, bound_tol, geof_tol)
 
@@ -320,7 +273,7 @@ def _report(sf: StandardForm, res: _StandardBounds, include_geof: bool, psd_tol:
         "lower_natural": float(res.lower_natural),
         "lower_sigma": float(res.lower_sigma),
         "upper_natural": float(res.upper_natural) if upper_physical else None,
-        "upper_searched": _searched(*sf, 64, psd_tol),
+        "upper_searched": _searched(*sf, psd_tol),
         "eeof": float(res.eeof),
         "geof": float(res.geof) if geof_feasible else None,
     }

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .states import CovMat, standard_form
+from .states import CovMat, StandardForm, _nonnegative, standard_form
 from .symplectic import PSD_TOL
 
 
@@ -216,7 +216,7 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     return value, params, feasible, evals
 
 
-def geof(v: CovMat, psd_tol: float = PSD_TOL) -> GeofResult:
+def geof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> GeofResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
     Checks v and reduces it to its standard form once, by the lean check
@@ -231,9 +231,12 @@ def geof(v: CovMat, psd_tol: float = PSD_TOL) -> GeofResult:
 
     Raises
     ------
+    DomainError
+        If psd_tol is not finite and non-negative.
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
+    _nonnegative(psd_tol=psd_tol)
     sf = standard_form(v, psd_tol)
     value, params, feasible, evals = _geof_forms(*sf, psd_tol)
     return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),

@@ -201,28 +201,32 @@ def _reduced(v: CovMat | StandardForm, inv: Invariants | None = None):
     return _standard_forms(*(invariants(v) if inv is None else inv))[0], np.max(np.abs(v.matrix))
 
 
+def _nonnegative(**tols: float) -> None:
+    """Raise DomainError unless every named tolerance is finite and non-negative.
+
+    A NaN or infinite tolerance would switch its check off.
+    """
+    for name, value in tols.items():
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"{name} must be finite and non-negative, got {value}")
+
+
 def standard_form(v: CovMat | StandardForm, tol: float = PSD_TOL) -> StandardForm:
     """Standard form of one state, raising NonPhysicalStateError if it is unphysical.
 
     The one route from a state to its standard form (`_reduced`) and the one
     verdict (`_physical` at tol): it gives `bound_report(v).standard_form` and
-    rejects what `bound_report` rejects.  It is also the lean check of
-    `require_physical`, `geof` and `searched_upper_bound`, which need no
-    bounds; `bounds._checked` takes the same verdict from its closed-form pass.
+    rejects what `bound_report` rejects.  It is the lean physicality check,
+    and that of `geof`, which needs no bounds; `bounds._checked` takes the
+    same verdict from its closed-form pass.  Raises DomainError if tol is not
+    finite and non-negative.
     """
+    _nonnegative(tol=tol)
     form, scale = _reduced(v)
     lam_min, nu_minus = _least_eigenvalue(*form[:3]), _spectra(*form)[0]
     if not _physical(lam_min, nu_minus, scale, tol):
         _rejected(lam_min, nu_minus, tol)
     return StandardForm(*map(float, form))
-
-
-def require_physical(v: CovMat, tol: float = PSD_TOL) -> float:
-    """Return mu_minus of v, raising NonPhysicalStateError when below 1 (`standard_form`).
-
-    The threshold `least_mu_minus` allows roundoff, so pure states pass at tol = 0.
-    """
-    return float(_spectra(*standard_form(v, tol))[0])
 
 
 def _standard_forms(i1, i2, i3, i4):

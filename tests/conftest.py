@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eofbounds.errors import NonPhysicalStateError
-from eofbounds.states import StandardForm, _spectra, require_physical
+from eofbounds.states import StandardForm, _spectra, standard_form
 from eofbounds.symplectic import PSD_TOL, symmetrize
 
 #: Two-mode symplectic form, one J2 block per mode.
@@ -80,9 +80,9 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
 
 
 def is_physical(v, tol=PSD_TOL):
-    """True iff `require_physical` accepts v."""
+    """True iff `standard_form` accepts v."""
     try:
-        require_physical(v, tol)
+        standard_form(v, tol)
     except NonPhysicalStateError:
         return False
     return True
@@ -130,7 +130,7 @@ def random_standard_form(
     a_max: float = 3.0,
     symmetric: bool = False,
     entangled: bool | None = None,
-    require_physical_upper: bool = False,
+    physical_upper: bool = False,
     min_asymmetry: float = 0.0,
     gap: float = 1e-6,
     phys_margin: float = 1e-8,
@@ -148,7 +148,7 @@ def random_standard_form(
     symmetric : force a == b.
     entangled : if True/False, additionally require the PPT eigenvalue to
         sit below/above 1 by at least `gap`; None leaves it free.
-    require_physical_upper : also require the symmetric state built from
+    physical_upper : also require the symmetric state built from
         the smaller block (the natural upper-bound state) to be physical.
     min_asymmetry : lower bound on |a - b| (ignored when symmetric).
     """
@@ -170,7 +170,7 @@ def random_standard_form(
             mu_t = _spectra(a, b, c1, -c2)[0]
             if not (mu_t < 1.0 - gap if entangled else mu_t > 1.0 + gap):
                 continue
-        if require_physical_upper:
+        if physical_upper:
             small = min(a, b)
             if small - c1 <= phys_margin:  # block positivity of the upper state
                 continue

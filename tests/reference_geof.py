@@ -28,7 +28,7 @@ from scipy.optimize import minimize
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError
 from eofbounds.geof import GeofResult
-from eofbounds.states import CovMat, require_physical, standard_form
+from eofbounds.states import CovMat, standard_form
 from eofbounds.symplectic import PSD_TOL
 
 from conftest import is_physical, partial_transpose, symplectic_spectrum
@@ -253,8 +253,7 @@ def reference_geof(
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
-    require_physical(v, psd_tol)
-    sf = standard_form(v)
+    sf = standard_form(v, psd_tol)
     nu_t = symplectic_spectrum(partial_transpose(sf.to_covmat().matrix), psd_tol).mu_minus
 
     search = _Search(sf, psd_tol, budget)
@@ -490,8 +489,7 @@ def scalar_geof(
     """
     if budget < 1:
         raise DomainError(f"geof budget must be at least 1, got {budget}")
-    require_physical(v, psd_tol)
-    a, b, c1, c2 = standard_form(v)
+    a, b, c1, c2 = standard_form(v, psd_tol)
     # Reconstruction roundoff can leave the standard-form matrix a hair
     # below physicality, emptying the feasible set; inflate minimally.
     delta = 1e-12

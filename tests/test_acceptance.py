@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from eofbounds.bounds import eeof, eof_symmetric, is_entangled, natural_bounds, sigma_lower_bound
+from eofbounds.bounds import bound_report, eof_symmetric
 from eofbounds.cli import SCAN_COLUMNS, main
 from eofbounds.entanglement import entanglement_entropy
 from eofbounds.geof import geof
@@ -69,12 +69,12 @@ def test_criterion_2_symmetric_collapse():
     worst = 0.0
     for _ in range(1_000):
         v = random_standard_form(rng, symmetric=True, entangled=True).to_covmat()
-        lower, upper = natural_bounds(v)
+        rep = bound_report(v, include_geof=False)
         values = [
-            lower,
-            upper,
-            sigma_lower_bound(v),
-            eeof(v),
+            rep.lower_natural,
+            rep.upper_natural,
+            rep.lower_sigma,
+            rep.eeof,
             geof(v).value,
         ]
         worst = max(worst, max(values) - min(values))
@@ -90,11 +90,11 @@ def test_criterion_3_bound_sandwich():
     gap_hi = math.inf
     for _ in range(1_000):
         v = random_standard_form(
-            rng, entangled=True, require_physical_upper=True, min_asymmetry=0.01
+            rng, entangled=True, physical_upper=True, min_asymmetry=0.01
         ).to_covmat()
-        lower, upper = natural_bounds(v)
+        rep = bound_report(v, include_geof=False)
+        lower, upper, sigma = rep.lower_natural, rep.upper_natural, rep.lower_sigma
         assert upper is not None
-        sigma = sigma_lower_bound(v)
         g = geof(v).value
         ok = (
             lower <= sigma + 1e-9
@@ -122,7 +122,8 @@ def test_criterion_4_noise_monotonicity():
         v = random_standard_form(rng).to_covmat()
         g = rng.normal(size=(4, 4)) * rng.uniform(0.05, 0.3)
         noisy = CovMat(v.matrix + g @ g.T)
-        worst_eeof = max(worst_eeof, eeof(noisy) - eeof(v))
+        eeof_noisy, eeof_v = (bound_report(w, include_geof=False).eeof for w in (noisy, v))
+        worst_eeof = max(worst_eeof, eeof_noisy - eeof_v)
         worst_geof = max(worst_geof, geof(noisy).value - geof(v).value)
     ok = worst_eeof <= 1e-12 and worst_geof <= 2e-6
     report(
@@ -162,7 +163,7 @@ def test_criterion_6_ppt_consistency():
         if abs(mu_general - 1.0) < 1e-9:
             continue
         checked += 1
-        if is_entangled(v) != (mu_general < 1.0):
+        if bound_report(v, include_geof=False).entangled != (mu_general < 1.0):
             disagreements += 1
     report(
         6,

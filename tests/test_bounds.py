@@ -5,16 +5,7 @@ import numpy as np
 import pytest
 
 from eofbounds import bounds, states
-from eofbounds.bounds import (
-    _standard_bounds,
-    bound_report,
-    eeof,
-    eof_symmetric,
-    is_entangled,
-    natural_bounds,
-    searched_upper_bound,
-    sigma_lower_bound,
-)
+from eofbounds.bounds import _standard_bounds, bound_report, eof_symmetric
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import geof
@@ -40,22 +31,24 @@ SQ02 = math.sqrt(0.2)
 
 def test_natural_bounds_symmetric_collapse(rng):
     v = random_standard_form(rng, symmetric=True).to_covmat()
-    lower, upper = natural_bounds(v)
+    rep = bound_report(v, include_geof=False)
+    lower, upper = rep.lower_natural, rep.upper_natural
     expected = eof_symmetric(v)
     assert lower == pytest.approx(expected, abs=1e-12)
     assert upper == pytest.approx(expected, abs=1e-12)
 
 
 def test_natural_bounds_product_state_zero():
-    lower, upper = natural_bounds(CovMat.from_standard_form(1.4, 2.0, 0.0, 0.0))
-    assert lower == 0.0 and upper == 0.0
+    rep = bound_report(CovMat.from_standard_form(1.4, 2.0, 0.0, 0.0), include_geof=False)
+    assert rep.lower_natural == 0.0 and rep.upper_natural == 0.0
 
 
 def test_natural_bounds_worked_example():
     # a=1.2, b=1.5, c1=-c2=sqrt(0.2): lower state has nu-tilde
     # 1.5-sqrt(0.2) >= 1 (bound 0), upper state 1.2-sqrt(0.2).
     v = CovMat.from_standard_form(1.2, 1.5, SQ02, -SQ02)
-    lower, upper = natural_bounds(v)
+    rep = bound_report(v, include_geof=False)
+    lower, upper = rep.lower_natural, rep.upper_natural
     assert upper is not None
     assert lower == pytest.approx(entanglement_entropy(1.5 - SQ02), abs=1e-12)
     assert lower == 0.0
@@ -68,7 +61,7 @@ def test_natural_bounds_unphysical_upper_absent(rng):
     for _ in range(3000):
         sf = random_standard_form(rng, entangled=True, min_asymmetry=0.1)
         v = sf.to_covmat()
-        _, upper = natural_bounds(v)
+        upper = bound_report(v, include_geof=False).upper_natural
         small = min(sf.a, sf.b)
         upper_state = CovMat.from_standard_form(small, small, sf.c1, sf.c2)
         if not is_physical(upper_state):
@@ -88,7 +81,8 @@ def test_natural_bounds_incomparable_raw_blocks_fall_back(rng):
         v = sf.to_covmat().conjugate(random_local_symplectic(rng))
         a, b = v.block_a, v.block_b
         if not loewner_ge(a, b) and not loewner_ge(b, a):
-            lower, upper = natural_bounds(v)
+            rep = bound_report(v, include_geof=False)
+            lower, upper = rep.lower_natural, rep.upper_natural
             big, small = max(sf.a, sf.b), min(sf.a, sf.b)
             expected = eof_symmetric(CovMat.from_standard_form(big, big, sf.c1, sf.c2))
             assert lower == pytest.approx(expected, abs=1e-9)
@@ -102,7 +96,7 @@ def test_natural_bounds_incomparable_raw_blocks_fall_back(rng):
 
 def test_natural_bounds_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
-        natural_bounds(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
+        bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4), include_geof=False)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +106,13 @@ def test_natural_bounds_rejects_unphysical():
 
 def test_sigma_equals_eof_on_symmetric(rng):
     v = random_standard_form(rng, symmetric=True).to_covmat()
-    assert sigma_lower_bound(v) == pytest.approx(eof_symmetric(v), abs=1e-12)
+    assert bound_report(v, include_geof=False).lower_sigma == pytest.approx(
+        eof_symmetric(v), abs=1e-12)
 
 
 def test_sigma_worked_example():
     v = CovMat.from_standard_form(1.2, 1.5, SQ02, -SQ02)
-    assert sigma_lower_bound(v) == pytest.approx(
+    assert bound_report(v, include_geof=False).lower_sigma == pytest.approx(
         entanglement_entropy(1.35 - SQ02), abs=1e-12
     )
 
@@ -125,7 +120,8 @@ def test_sigma_worked_example():
 def test_sigma_dominates_natural_lower(rng):
     for _ in range(200):
         v = random_standard_form(rng).to_covmat()
-        assert sigma_lower_bound(v) >= natural_bounds(v)[0] - 1e-9
+        rep = bound_report(v, include_geof=False)
+        assert rep.lower_sigma >= rep.lower_natural - 1e-9
 
 
 def test_sigma_state_always_physical(rng):
@@ -147,8 +143,9 @@ def test_sigma_in_a_general_frame_is_the_standard_form_value():
         if not (loewner_ge(v.block_a, v.block_b) or loewner_ge(v.block_b, v.block_a)):
             continue
         checked += 1
-        sigma = sigma_lower_bound(v)
-        assert sigma == pytest.approx(sigma_lower_bound(sf.to_covmat()), abs=1e-9)
+        sigma = bound_report(v, include_geof=False).lower_sigma
+        assert sigma == pytest.approx(
+            bound_report(sf.to_covmat(), include_geof=False).lower_sigma, abs=1e-9)
         assert sigma <= geof(v).value + 1e-6
 
 
@@ -161,29 +158,15 @@ def test_searched_upper_symmetric_reaches_eof(rng):
     # The state itself is in the family (m=a, t=1).
     for _ in range(20):
         v = random_standard_form(rng, symmetric=True, entangled=True).to_covmat()
-        su = searched_upper_bound(v)
+        su = bound_report(v, include_geof=False).upper_searched
         assert su is not None
         assert su <= eof_symmetric(v) + 1e-12
-
-
-def test_searched_upper_refinement_monotone(rng):
-    feasible = 0
-    for _ in range(20):
-        v = random_standard_form(rng, entangled=True).to_covmat()
-        s32 = searched_upper_bound(v, steps=32)
-        s64 = searched_upper_bound(v, steps=64)
-        if s32 is None:
-            continue  # finer grids may become feasible
-        assert s64 is not None
-        assert s64 <= s32 + 1e-9
-        feasible += 1
-    assert feasible > 0
 
 
 def test_searched_upper_is_valid_upper_bound(rng):
     for _ in range(30):
         v = random_standard_form(rng, entangled=True).to_covmat()
-        su = searched_upper_bound(v)
+        su = bound_report(v, include_geof=False).upper_searched
         if su is None:
             continue
         assert geof(v).value <= su + 1e-6
@@ -197,10 +180,11 @@ def test_searched_upper_covers_unphysical_natural(rng):
     for _ in range(5000):
         sf = random_standard_form(rng, entangled=True, min_asymmetry=0.05)
         v = sf.to_covmat()
-        if natural_bounds(v)[1] is not None:
+        rep = bound_report(v, include_geof=False)
+        if rep.upper_natural is not None:
             continue
         examined += 1
-        su = searched_upper_bound(v)
+        su = rep.upper_searched
         if su is not None:
             assert geof(v).value <= su + 1e-6
             restored += 1
@@ -237,7 +221,7 @@ def test_searched_upper_never_above_the_mesh():
     entangled_covered = lowered = 0
     for i in range(2000):
         sf = random_standard_form(rng, a_max=5.0, entangled=bool(i % 2))
-        mesh, line = mesh_searched(*sf), searched_upper_bound(sf)
+        mesh, line = mesh_searched(*sf), bound_report(sf, include_geof=False).upper_searched
         if mesh is None:
             continue
         assert line is not None, sf
@@ -278,7 +262,7 @@ def test_report_symmetric_collapse(rng):
 def test_report_hierarchy_random_states(rng):
     for _ in range(25):
         v = random_standard_form(
-            rng, entangled=True, require_physical_upper=True, min_asymmetry=0.02
+            rng, entangled=True, physical_upper=True, min_asymmetry=0.02
         ).to_covmat()
         rep = bound_report(v)
         assert rep.flags.hierarchy_ok, rep.flags.violations
@@ -330,7 +314,7 @@ def test_sigma_is_best_channel_lower_bound(rng):
             mid + bump + eps * np.eye(2), mid + bump + eps * np.eye(2), v.block_c
         )
         delta_ok = loewner_ge(v.matrix, candidate.matrix)
-        value_ok = eof_symmetric(candidate) <= sigma_lower_bound(v) + 1e-9
+        value_ok = eof_symmetric(candidate) <= bound_report(v, include_geof=False).lower_sigma + 1e-9
         assert (not delta_ok) or value_ok
 
 
@@ -352,15 +336,9 @@ def test_report_violation_strings(monkeypatch):
     assert not rep.flags.hierarchy_ok
 
 
-ONE_STATE_FUNCTIONS = (
-    bound_report,
-    natural_bounds,
-    sigma_lower_bound,
-    searched_upper_bound,
-    eeof,
-    eof_symmetric,
-    is_entangled,
-)
+#: The entry points that check one state: every bound, the exact symmetric
+#: EoF, the lean check and the GeoF witness.
+ONE_STATE_FUNCTIONS = (bound_report, eof_symmetric, states.standard_form, geof)
 
 
 def test_check_rejects_non_positive_and_subvacuum_matrices():
@@ -373,9 +351,13 @@ def test_check_rejects_non_positive_and_subvacuum_matrices():
         if "positive" in message:
             assert invariants(w) == invariants(v)
             assert _standard_bounds(*_standard_forms(*invariants(w))[0]).physical
-        for func in (states.require_physical, states.standard_form, bound_report, geof):
+        for func in ONE_STATE_FUNCTIONS:
             with pytest.raises(NonPhysicalStateError, match=re.escape(message)):
                 func(w)
+
+
+#: A physical entangled state, for the tolerance checks below.
+PHYSICAL = StandardForm(1.2, 1.5, 0.447, -0.447)
 
 
 @pytest.mark.parametrize("call", [
@@ -383,10 +365,20 @@ def test_check_rejects_non_positive_and_subvacuum_matrices():
     lambda: eof_symmetric(StandardForm(1.2, 1.2, 0.4, -0.3), tol=-1.0),
     lambda: eof_symmetric(StandardForm(1.2, 1.2, 0.4, -0.3), tol=math.inf),
     lambda: entanglement_entropy(math.nan),
-    lambda: searched_upper_bound(StandardForm(1.2, 1.5, 0.3, -0.2), steps=0),
-    lambda: searched_upper_bound(StandardForm(1.2, 1.5, 0.3, -0.2), steps=-1),
+    lambda: eof_symmetric(StandardForm(1.2, 1.2, 0.4, -0.3), psd_tol=math.nan),
+    lambda: bound_report(PHYSICAL, psd_tol=math.nan),
+    lambda: bound_report(PHYSICAL, psd_tol=math.inf),
+    lambda: bound_report(PHYSICAL, psd_tol=-1e-3),
+    lambda: bound_report(PHYSICAL, bound_tol=math.nan),
+    lambda: bound_report(PHYSICAL, geof_tol=math.inf),
+    lambda: states.standard_form(PHYSICAL, tol=math.nan),
+    lambda: states.standard_form(PHYSICAL, tol=-1e-3),
+    lambda: geof(PHYSICAL.to_covmat(), psd_tol=math.nan),
 ], ids=["eof_symmetric-tol-nan", "eof_symmetric-tol-negative", "eof_symmetric-tol-inf",
-        "entanglement_entropy-nan", "searched-steps-0", "searched-steps-negative"])
+        "entanglement_entropy-nan", "eof_symmetric-psd_tol-nan", "bound_report-psd_tol-nan",
+        "bound_report-psd_tol-inf", "bound_report-psd_tol-negative", "bound_report-bound_tol-nan",
+        "bound_report-geof_tol-inf", "standard_form-tol-nan", "standard_form-tol-negative",
+        "geof-psd_tol-nan"])
 def test_arguments_that_switch_checks_off_are_rejected(call):
     with pytest.raises(DomainError):
         call()
@@ -412,7 +404,7 @@ def test_one_state_functions_solve_one_eigenproblem_per_covmat(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     ch, sh = math.cosh(1.0), math.sinh(1.0)
-    for func in ONE_STATE_FUNCTIONS + (geof, states.require_physical):
+    for func in ONE_STATE_FUNCTIONS:
         calls.clear()
         func(CovMat.two_mode_squeezed(0.5))
         assert len(calls) == 1, func.__name__

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eofbounds.bounds import eeof, eof_symmetric
+from eofbounds.bounds import bound_report, eof_symmetric
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError, NotSymmetricError
 from eofbounds.states import CovMat
@@ -106,33 +106,33 @@ def test_eof_symmetric_rejects_unphysical():
 def test_eeof_matches_eof_symmetric(rng):
     for _ in range(50):
         v = random_standard_form(rng, symmetric=True).to_covmat()
-        assert eeof(v) == eof_symmetric(v)
+        assert bound_report(v, include_geof=False).eeof == eof_symmetric(v)
 
 
 def test_eeof_separable_zero(rng):
     for _ in range(50):
         v = random_standard_form(rng, entangled=False).to_covmat()
-        assert eeof(v) == 0.0
+        assert bound_report(v, include_geof=False).eeof == 0.0
 
 
 def test_eeof_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
-        eeof(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
+        bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4), include_geof=False)
 
 
 def test_eeof_local_symplectic_invariance(rng):
     for _ in range(100):
         v = random_standard_form(rng).to_covmat()
         w = v.conjugate(random_local_symplectic(rng))
-        assert eeof(w) == pytest.approx(eeof(v), abs=1e-10)
+        assert bound_report(w, include_geof=False).eeof == pytest.approx(bound_report(v, include_geof=False).eeof, abs=1e-10)
 
 
 def test_eeof_loewner_monotone(rng):
-    # v >= w implies eeof(v) <= eeof(w).
+    # v >= w implies an estimate at v no larger than at w.
     for _ in range(100):
         w = random_standard_form(rng).to_covmat()
         v = CovMat(w.matrix + random_psd(rng, scale=0.3))
-        assert eeof(v) <= eeof(w) + 1e-12
+        assert bound_report(v, include_geof=False).eeof <= bound_report(w, include_geof=False).eeof + 1e-12
 
 
 def test_eeof_sandwiched_by_comparable_symmetric_states(rng):
@@ -150,6 +150,6 @@ def test_eeof_sandwiched_by_comparable_symmetric_states(rng):
         v_nn = CovMat.from_standard_form(n, n, c1, c2)
         upper = eof_symmetric(v_mm)
         lower = eof_symmetric(v_nn)
-        est = eeof(v_ab)
+        est = bound_report(v_ab, include_geof=False).eeof
         assert lower - 1e-12 <= est <= upper + 1e-12
         count += 1

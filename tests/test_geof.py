@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from eofbounds.bounds import _standard_bounds, eof_symmetric, is_entangled
+from eofbounds.bounds import _standard_bounds, bound_report, eof_symmetric
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import NonPhysicalStateError
 from eofbounds.geof import _geof_forms, geof
@@ -147,7 +147,7 @@ def test_value_nonnegative_and_zero_iff_separable(rng):
         assert value >= 0.0
         mu_t = symplectic_spectrum(partial_transpose(v.matrix)).mu_minus
         if abs(mu_t - 1.0) > 1e-6:
-            assert (value > 1e-9) == is_entangled(v)
+            assert (value > 1e-9) == bound_report(v, include_geof=False).entangled
 
 
 def test_monotone_under_noise(rng):

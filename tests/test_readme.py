@@ -1,7 +1,11 @@
-"""The README's Python examples run against the package as it is."""
+"""The README's Python examples run against the package as it is, and the
+public API is the one it documents."""
 
 import re
+import types
 from pathlib import Path
+
+import eofbounds
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +19,20 @@ def test_readme_python_blocks_run():
     assert blocks, "README has no python code block"
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_public_names_are_pinned():
+    # One entry point per question: bound_report (every bound), eof_symmetric
+    # (the exact symmetric EoF), standard_form (the check) and, in
+    # eofbounds.geof, geof (the witness).  Submodules are not counted.
+    public = {name for name, obj in vars(eofbounds).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert public == {
+        "BoundFlags", "BoundReport", "bound_report", "eof_symmetric",
+        "entanglement_entropy",
+        "DomainError", "EofBoundsError", "NonPhysicalStateError", "NotSymmetricError",
+        "ParseError",
+        "GeofResult",
+        "CovMat", "Invariants", "StandardForm", "invariants", "standard_form",
+        "J2", "PSD_TOL", "symmetrize",
+    }

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eofbounds.bounds import bound_report, is_entangled
+from eofbounds.bounds import bound_report
 from eofbounds.cli import main, resolve_state_document
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.states import (
@@ -255,23 +255,23 @@ def test_is_physical_verdict_does_not_depend_on_the_frame(rng, tol):
 
 
 def test_is_entangled_product_state():
-    assert not is_entangled(CovMat.from_standard_form(1.5, 2.5, 0.0, 0.0))
+    assert not bound_report(CovMat.from_standard_form(1.5, 2.5, 0.0, 0.0), include_geof=False).entangled
 
 
 def test_is_entangled_two_mode_squeezed():
-    assert is_entangled(CovMat.two_mode_squeezed(0.5))
+    assert bound_report(CovMat.two_mode_squeezed(0.5), include_geof=False).entangled
 
 
 def test_is_entangled_symmetric_example():
     # nu-tilde_minus = 1.2 - sqrt(0.2) < 1
     v = CovMat.from_standard_form(1.2, 1.2, SQ02, -SQ02)
     assert symplectic_spectrum(partial_transpose(v.matrix)).mu_minus == pytest.approx(1.2 - SQ02, abs=1e-12)
-    assert is_entangled(v)
+    assert bound_report(v, include_geof=False).entangled
 
 
 def test_is_entangled_requires_physical():
     with pytest.raises(NonPhysicalStateError):
-        is_entangled(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
+        bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4), include_geof=False)
 
 
 def test_physicality_cascade(rng):
@@ -291,6 +291,6 @@ def test_physicality_cascade(rng):
 def test_sampler_entanglement_control(rng):
     for _ in range(50):
         sf = random_standard_form(rng, entangled=True)
-        assert is_entangled(sf.to_covmat())
+        assert bound_report(sf.to_covmat(), include_geof=False).entangled
         sf = random_standard_form(rng, entangled=False)
-        assert not is_entangled(sf.to_covmat())
+        assert not bound_report(sf.to_covmat(), include_geof=False).entangled
