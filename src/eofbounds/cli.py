@@ -131,7 +131,7 @@ def resolve_state_document(doc: dict) -> CovMat | StandardForm:
     form, ok = _standard_forms(*inv)
     if not ok:
         raise DomainError(
-            f"no standard form: need I1, I2 >= 1 and I4/sqrt(I1*I2) >= 2|I3|, got {inv}"
+            f"no standard form: need I1, I2 > 0 and I4/sqrt(I1*I2) >= 2|I3|, got {inv}"
         )
     return StandardForm(*map(float, form))
 

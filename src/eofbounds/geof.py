@@ -36,19 +36,24 @@ minima away from Gx12 = 0.  `_geof_forms` finds them for
 arrays of standard forms, each step over all states at once (`geof` is
 the case n = 1):
 
-* a separable state's Gx12 changes sign at two angles known in closed
-  form, where the product witness (r = 0) gives exactly 0.0; they are
-  tried first;
+* a separable state (Werner & Wolf, PRL 86, 3658, 2001) has a product
+  witness (r = 0), of value exactly 0.0.  On the curve Gx12 is
+  (c1 + P12)/2 plus a sinusoid of amplitude sqrt(D11 D22)/2, D = Vx - P,
+  so it changes sign iff (c1 + P12)^2 <= D11 D22.  Its two zeros are the
+  diagonal Gx = diag(g11, g22) tangent to both Vx and P,
+  (a - g11)(b - g22) = c1^2 and (g11 - P11)(g22 - P22) = P12^2, which
+  are solved in closed form (the curve is not built); both are certified
+  in one call, and the first that passes is kept;
 * every other state evaluates rho at the angles theta = 2 arctan t of the
   real parts of the four roots of its quartic, the eigenvalues of one
   (n, 4, 4) companion matrix, and keeps the least.  Taking the real part
   of a complex pair costs an evaluation and loses no real root.
 
-So at most 6 angles are evaluated per state: at most 2 for a separable
-state certified at a zero angle, the zero-angle tries plus 4 for every
-other.  A value is kept only if its witness G, rebuilt from
-the returned parameters, passes V - G >= -allowance: for G = Gx (+) Gx^-1,
-two 2x2 tests on Vx - Gx and Vp - Gx^-1 (`_certified`).
+So at most 6 witnesses are evaluated per state: 1 or 2 for a state
+certified by a product witness, its product witnesses (0 or 2) plus 4
+angles for every other.  A value is kept only if its witness G, rebuilt
+from the returned parameters, passes V - G >= -allowance: for
+G = Gx (+) Gx^-1, two 2x2 tests on Vx - Gx and Vp - Gx^-1 (`_certified`).
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ class GeofResult:
     covariance matrix achieving `value`; they refer to the standard-form
     frame stored in `reference_matrix`, which the search ran against.
     The reduction always returns theta_a = theta_b = 0.  `iterations`
-    counts the candidate angles at which rho was evaluated.
+    counts the candidate witnesses evaluated: 1 or 2 product witnesses,
+    plus 4 angles on the curve where none certified.
     """
 
     value: float
@@ -86,11 +92,14 @@ class GeofResult:
 #: t = tan(theta / 2) (ascending powers).
 _HALF = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
 
+#: Floor of the denominators of the product witnesses' tangency terms.
+_TINY = np.finfo(float).tiny
 
-def _curve(a, b, c1, c2) -> np.ndarray:
-    """Rows (f0, f1, f2) of Gx11, Gx22 and Gx12 on the curve, shape (3, n, 3)."""
-    vx = np.array([[a, c1], [c1, b]]).transpose(2, 0, 1)
-    p = np.array([[b, -c2], [-c2, a]]).transpose(2, 0, 1) / (a * b - c2 * c2)[:, None, None]
+
+def _curve(vx, p) -> np.ndarray:
+    """Rows (f0, f1, f2) of Gx11, Gx22 and Gx12 on the curve, shape (3, n, 3), built only
+    where no product witness certified, from the Vx and P = Vp^-1 (2, 2, n) of `_geof_forms`."""
+    vx, p = vx.transpose(2, 0, 1), p.transpose(2, 0, 1)
     w, q = np.linalg.eigh(vx - p)
     # Roundoff can leave Vx - P a hair indefinite for (near) pure states.
     s = (q * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ q.transpose(0, 2, 1)
@@ -174,45 +183,59 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
 
     Takes numpy arrays of n standard forms and returns, per state, the value
     (inf where the witness failed the certificate), the witness parameters
-    (n, 5), feasible and the angles evaluated.  `psd_tol` means what it
+    (n, 5), feasible and the witnesses evaluated.  `psd_tol` means what it
     means in `geof`, for each state.
     """
     a, b, c1, c2 = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
     n = a.size
-    rows = _curve(a, b, c1, c2)
-    params, feasible = np.zeros((n, 5)), np.zeros(n, dtype=bool)
+    vx = np.array(((a, c1), (c1, b)))
+    p = np.array(((b, -c2), (-c2, a))) / (a * b - c2 * c2)
+    d = vx - p
+    dd = d[0, 0] * d[1, 1]
+    value, params, feasible = np.full(n, np.inf), np.zeros((n, 5)), np.zeros(n, dtype=bool)
     evals = np.zeros(n, dtype=np.int64)
 
     def certify(k, g11, g22, g12):
-        """Keep the witnesses at Gx = (g11, g22, g12) of states k that pass."""
+        """Parameters of the witnesses Gx = (g11, g22, g12) of states k, and which pass."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            p = _parameters(g11, g22, g12)
-            passed = _certified(a[k], b[k], c1[k], c2[k], p, psd_tol)
-        params[k[passed]], feasible[k[passed]] = p[passed], True
+            trial = _parameters(g11, g22, g12)
+            return trial, _certified(a[k], b[k], c1[k], c2[k], trial, psd_tol)
 
-    # Separable states: Gx12 = f0 + f1 cos theta + f2 sin theta changes
-    # sign, and the product witness at a zero gives exactly 0.0.
-    f0, f1, f2 = rows[2].T
-    amp = np.hypot(f1, f2)
-    crossing = np.abs(f0) <= amp
-    for sign in (-1.0, 1.0):
-        k = np.flatnonzero(crossing & ~feasible)
-        if not k.size:
-            break
-        evals[k] += 1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            half = np.where(amp[k] > 0.0, np.arccos(-f0[k] / amp[k]), 0.0)
-        g11, g22 = _at(rows[:2, k], (np.arctan2(f2[k], f1[k]) + sign * half)[:, None])[..., 0]
-        certify(k, g11, g22, np.zeros(k.size))
+    # Separable states, where Gx12 changes sign on the curve: the product
+    # witnesses, a - g11 = D11 c1^2 / w and b - g22 = D22 c1^2 / w with
+    # w = (K + sqrt(K^2 - 4 D11 D22 c1^2))/2, each with its other entry
+    # from its tangency with P; 1 evaluation if the first passes, else 2.
+    k = np.flatnonzero((c1 + p[0, 1]) ** 2 <= dd)
+    if k.size:
+        (p11, p22, p12), (d11, d22), dd = p[(0, 1, 0), (0, 1, 1)][:, k], d[(0, 1), (0, 1)][:, k], dd[k]
+        c, q, s = c1[k], np.abs(p12), np.sqrt(dd)
+        cc, qq = c * c, q * q
+        # K^2 - 4 D11 D22 c1^2 with K = D11 D22 + c1^2 - P12^2, factored so
+        # that it keeps its digits where the two witnesses meet.
+        disc = np.maximum((s - c - q) * (s - c + q), 0.0) * ((s + c) ** 2 - qq)
+        # The floors make a tangency term that vanishes (c1 = 0, where w may
+        # be 0, or P12 = 0) exactly 0, not 0/0.
+        w = np.maximum((dd + cc - qq + np.sqrt(disc)) / 2.0, _TINY)
+        g11, g22 = a[k] - d11 * cc / w, b[k] - d22 * cc / w
+        g11, g22 = (np.concatenate((g11, p11 + qq / np.maximum(g22 - p22, _TINY))),
+                    np.concatenate((p22 + qq / np.maximum(g11 - p11, _TINY), g22)))
+        trial, passed = certify(np.concatenate((k, k)), g11, g22, np.zeros(2 * k.size))
+        pick = np.arange(k.size) + k.size * ~passed[:k.size]  # the first witness if it passed
+        evals[k], ok = 1 + (pick >= k.size), passed[pick]
+        won = k[ok]
+        params[won], feasible[won], value[won] = trial[pick[ok]], True, 0.0
 
-    # Every other state: the least rho of its stationary angles.
+    # Every other state: the least rho of its stationary angles on the curve.
     k = np.flatnonzero(~feasible)
     if k.size:
         evals[k] += 4
-        g11, g22, g12 = _at(rows[:, k], _stationary(rows[:, k]))
+        rows = _curve(vx[..., k], p[..., k])
+        g11, g22, g12 = _at(rows, _stationary(rows))
         best = (np.arange(k.size), np.argmin(np.abs(g12) / np.sqrt(g11 * g22), axis=1))
-        certify(k, g11[best], g22[best], g12[best])
-    value = np.where(feasible, entanglement_entropy_vec(np.exp(-2.0 * np.abs(params[:, 4]))), np.inf)
+        trial, passed = certify(k, g11[best], g22[best], g12[best])
+        won, trial = k[passed], trial[passed]
+        params[won], feasible[won] = trial, True
+        value[won] = entanglement_entropy_vec(np.exp(-2.0 * np.abs(trial[:, 4])))
     return value, params, feasible, evals
 
 
@@ -224,8 +247,8 @@ def geof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> GeofResult:
     `bound_report` and `scan` run `_geof_forms` inside their closed-form
     pass (`bounds._standard_bounds`).  Deterministic.
 
-    At most 6 angles are evaluated.  A separable state returns exactly 0.0
-    from a product witness.  The returned value is that of a witness G
+    At most 6 witnesses are evaluated.  A separable state returns exactly
+    0.0 from a product witness.  The returned value is that of a witness G
     that passes the certificate V - G >= -(psd_tol + 16 eps max(a, b)^3);
     when it fails, the result is infeasible with value inf.
 

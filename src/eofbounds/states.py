@@ -26,9 +26,8 @@ import numpy as np
 from .errors import DomainError, NonPhysicalStateError
 from .symplectic import J2, PSD_TOL, least_mu_minus, symmetrize
 
-# Slack for the c1 >= |c2| convention and for the I1, I2 >= 1 and
-# I4/(a b) >= 2|I3| tests of `_standard_forms`, absorbing roundoff from
-# invariant arithmetic.
+# Slack for the c1 >= |c2| convention and for the I4/(a b) >= 2|I3| test
+# of `_standard_forms`, absorbing roundoff from invariant arithmetic.
 _FORM_SLACK = 1e-9
 
 
@@ -234,9 +233,9 @@ def _standard_forms(i1, i2, i3, i4):
 
     c1^2 and c2^2 are the roots of t^2 - s*t + I3^2 with s = I4/(a*b);
     the sign of c2 is inherited from I3 and c1 >= |c2| by construction.
-    No standard form exists where I1 or I2 is below 1, or I4/(a*b) below
-    2|I3| (no real correlations), beyond the slack.  a or b within the
-    slack below 1 is a standard form, for the physicality test to judge.
+    None is solved where I1 or I2 is not positive (no real a, b > 0) or
+    I4/(a*b) is below 2|I3| beyond the slack (no real correlations).  a or
+    b below 1 is a standard form, for the physicality test to judge.
     """
     i1, i2, i3, i4 = (np.asarray(x, dtype=float) for x in (i1, i2, i3, i4))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -252,6 +251,5 @@ def _standard_forms(i1, i2, i3, i4):
         c1 = np.sqrt(np.maximum((s + root) / 2.0, 0.0))
         c2 = np.copysign(np.where(flat, c1, np.sqrt(np.maximum((s - root) / 2.0, 0.0))), i3)
         c2 = np.where(i3 == 0.0, 0.0, c2)
-        ok = (i1 >= (1.0 - _FORM_SLACK) ** 2) & (i2 >= (1.0 - _FORM_SLACK) ** 2)
-        ok &= s >= 2.0 * np.abs(i3) - _FORM_SLACK
+        ok = (a * b > 0.0) & (s >= 2.0 * np.abs(i3) - _FORM_SLACK)
     return np.array((a, b, c1, c2)), ok

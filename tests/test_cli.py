@@ -284,6 +284,25 @@ def test_analyze_tol_psd_is_frame_invariant(tmp_path, capsys):
         assert "mu_minus = 0.9999 < 1" in capsys.readouterr().err
 
 
+def test_invariants_below_one_get_the_verdict_of_their_matrix_twin(tmp_path, capsys):
+    # I1 = 0.9998 < 1 has the standard form (0.9999.., 1, 0, 0), and the
+    # physicality test at --tol-psd alone judges it, as it judges the matrix
+    # diag(0.9999, 0.9999, 1, 1); a scan point there is no longer no_state.
+    docs = ({"invariants": {"I1": 0.9998, "I2": 1, "I3": 0, "I4": 0}},
+            {"matrix": np.diag([0.9999, 0.9999, 1.0, 1.0]).tolist()})
+    spec = {"i1": {"min": 0.9998, "max": 0.9998, "steps": 1},
+            "i2": {"min": 1.0, "max": 1.0, "steps": 1}, "i3": 0.0, "i4": 0.0}
+    out = tmp_path / "out.csv"
+    for tol, code in (("0", 3), ("1e-10", 3), ("1e-3", 0)):
+        for doc in docs:
+            assert main(["analyze", "--input", write(tmp_path, "in.json", doc), "--tol-psd", tol]) == code
+            assert ("mu_minus" in capsys.readouterr().err) == (code == 3), (doc, tol)
+        assert main(["scan", "--input", write(tmp_path, "scan.json", spec), "--tol-psd", tol,
+                     "--output", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert row["status"] == ("ok" if code == 0 else "unphysical"), tol
+
+
 def test_analyze_output_file(tmp_path):
     doc = {"standard_form": {"a": 1.2, "b": 1.2, "c1": SQ02, "c2": -SQ02}}
     path = write(tmp_path, "in.json", doc)
@@ -597,7 +616,8 @@ def test_cells_match_reference_cell(data):
     ({}, [], b",ok\n"),  # the README default grid, 40x40, with geof
     (scan_spec(steps=30, i4=1.5), ["--no-geof"], b",unphysical\n"),
     (scan_spec(steps=30, i4=1.5), ["--no-geof", "--units", "bits"], b",unphysical\n"),
-    ({"i1": {"min": 0.5, "max": 4.0, "steps": 8}, "i2": {"min": 1.0, "max": 4.0, "steps": 7}}, [], b",no_state\n"),
+    ({"i1": {"min": 0.5, "max": 4.0, "steps": 8}, "i2": {"min": 1.0, "max": 4.0, "steps": 7}, "i4": 1.2},
+     [], b",no_state\n"),
     (scan_spec(steps=5, i3=-0.0, i4=-0.0), [], b",-0,-0,"),
     # The shapes of the benchmark's calls: an I1 row of the 200x200 grid
     # without geof, and a tile of 4 points with it.

@@ -8,6 +8,7 @@ import pytest
 from eofbounds.bounds import _standard_bounds, bound_report, eof_symmetric
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import NonPhysicalStateError
+import eofbounds.geof as geof_module
 from eofbounds.geof import _geof_forms, geof
 from eofbounds.states import CovMat, _standard_forms
 from eofbounds.symplectic import PSD_TOL
@@ -236,8 +237,8 @@ def random_standard_forms(seed, n):
 @pytest.mark.parametrize("forms", [grid_forms(40, -0.2), random_standard_forms(29, 2000)],
                          ids=["readme-grid", "random-forms"])
 def test_at_most_six_angles_per_state(forms):
-    # At most 2 zero-angle tries, then the 4 roots of the quartic unless
-    # a zero angle certified a product witness.
+    # At most 2 product witnesses, then the 4 roots of the quartic unless
+    # a product witness certified.
     value, params, feasible, evals = _geof_forms(*forms)
     assert feasible.all() and evals.max() <= 6
     product = evals <= 2
@@ -247,6 +248,62 @@ def test_at_most_six_angles_per_state(forms):
     entangled = _standard_bounds(*forms).entangled
     assert not np.any(product & entangled)
     assert np.any(product) and np.any(entangled)
+
+
+def assert_product_witnesses(forms, psd_tol=PSD_TOL):
+    """Every form certifies a product witness: value exactly 0.0, r = 0 and G <= V."""
+    value, params, feasible, evals = _geof_forms(*forms, psd_tol)
+    assert feasible.all() and np.all(value == 0.0) and np.all(params[:, 4] == 0.0)
+    assert np.all((evals == 1) | (evals == 2))
+    gamma = pure_cms_from_parameters(params)
+    assert np.all(np.linalg.eigvalsh(standard_matrices(forms) - gamma)[:, 0] >= -PSD_TOL)
+    return evals
+
+
+def test_degenerate_product_states_certify_the_first_witness():
+    # With P12 = 0 the tangency term P12^2/(g11 - P11) is 0, also where
+    # g11 = P11 (a vacuum mode), and with c1 = 0 so is D11 c1^2/w at w = 0.
+    forms = np.array([(1.0, 1.0, 0.0, 0.0), (1.0, 3.0, 0.0, 0.0), (3.0, 1.0, 0.0, 0.0),
+                      (1.0, 1.0 + 1e-12, 0.0, 0.0), (2.5, 1.7, 0.0, 0.0)]).T
+    assert np.all(assert_product_witnesses(forms) == 1)
+
+
+def test_separable_state_at_the_ppt_boundary():
+    # (2, 2, c1, -c1) has nu_t = 2 - c1: the two product witnesses meet.
+    forms = np.array([(2.0, 2.0, c1, -c1) for c1 in (1.0, 1.0 - 1e-10, 1.0 - 5e-10, 1.0 - 9e-10)]).T
+    res = _standard_bounds(*forms)
+    assert not res.entangled.any() and np.all(np.abs(res.nu_t - 1.0) <= 1e-9)
+    assert_product_witnesses(forms)
+
+
+@pytest.mark.parametrize("a_max, c2_max, psd_tol, n", [(500.0, 1.0, PSD_TOL, 5000), (5.0, 0.0, 0.0, 3900)],
+                         ids=["up-to-500", "c2-zero-at-zero-psd-tol"])
+def test_strongly_correlated_separable_states(a_max, c2_max, psd_tol, n):
+    # The second case needs the factored discriminant: K^2 - 4 D11 D22 c1^2
+    # itself loses the digits that a witness certified at psd_tol = 0 needs.
+    rng = np.random.default_rng(11)
+    a, b = rng.uniform(1.0, a_max, (2, 5100))
+    c1 = rng.uniform(0.0, 1.0, 5100) * np.sqrt(a * b)
+    c2 = rng.uniform(-c2_max, c2_max, 5100) * c1
+    res = _standard_bounds(a, b, c1, c2)
+    separable = np.flatnonzero(res.physical & ~res.entangled)[:n]
+    assert separable.size == n
+    assert_product_witnesses(np.array((a, b, c1, c2))[:, separable], psd_tol)
+
+
+def test_empty_batch():
+    out = _geof_forms(*np.zeros((4, 0)))
+    assert [x.shape for x in out] == [(0,), (0, 5), (0,), (0,)]
+
+
+def test_product_witnesses_need_no_curve(monkeypatch):
+    def curve(*args):
+        raise AssertionError("_curve called on a batch of separable states")
+
+    monkeypatch.setattr(geof_module, "_curve", curve)
+    assert_product_witnesses(random_standard_forms(5, 40)[:, 1::2])  # the separable ones
+    with pytest.raises(AssertionError, match="_curve called"):
+        _geof_forms(*random_standard_forms(5, 2))
 
 
 def test_geof_submodule_import_gives_the_module():
