@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from eofbounds import bounds
 from eofbounds.bounds import _standard_bounds, bound_report
 from eofbounds.cli import SCAN_COLUMNS, _cells, build_parser, main, resolve_state_document
 from eofbounds.entanglement import LN2, entanglement_entropy
@@ -318,6 +322,75 @@ def test_analyze_unwritable_output_exit_code(tmp_path, capsys):
     out_path = tmp_path / "missing" / "report.json"
     assert main(["analyze", "--input", path, "--output", str(out_path), "--no-geof"]) == 2
     assert "cannot write output file" in capsys.readouterr().err
+
+
+#: One document of each representation: a general-frame state whose natural
+#: upper state is unphysical (from the benchmark's analyze corpus), and the
+#: README's entangled standard form and symmetric invariants.
+EXACT_DOCS = {
+    "matrix": {"matrix": [
+        [2.626454027095587, -0.08957472183566736, -0.9980353454457276, -0.2965618259618743],
+        [-0.08957472183566736, 2.8503392841294293, 0.8383206445172989, 1.5353633426458961],
+        [-0.9980353454457276, 0.8383206445172989, 3.078792757067801, -0.061093751616289424],
+        [-0.2965618259618743, 1.5353633426458961, -0.061093751616289424, 1.666449335317192]]},
+    "standard-form": {"standard_form": {"a": 1.2, "b": 1.5, "c1": 0.447, "c2": -0.447}},
+    "invariants": {"invariants": {"I1": 1.44, "I2": 1.44, "I3": -0.2, "I4": 0.576}},
+}
+EXACT_FLAGS = {"plain": [], "no-geof": ["--no-geof"], "bits": ["--units", "bits"],
+               "tol-psd-0": ["--tol-psd", "0"]}
+EXACT_CASES = {f"{d}-{f}": (doc, flags)
+               for d, doc in EXACT_DOCS.items() for f, flags in EXACT_FLAGS.items()}
+EXACT_CASES["standard-form-violations"] = (EXACT_DOCS["standard-form"], [])
+
+#: analyze's exit code, stdout and stderr for each case, as the report
+#: assembly printed them before BoundReport lost its flags object.
+ANALYZE_BYTES = json.loads((Path(__file__).parent / "analyze_exact_bytes.json").read_text())
+
+_NUMBER = re.compile(r"(?<![\w.])(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
+
+
+def same_text(got: str, want: str) -> bool:
+    """got == want byte for byte, except that a number may move by 1e-12
+    relative: numpy's logarithm can differ in its last bit between CPUs."""
+    got, want = _NUMBER.split(got), _NUMBER.split(want)
+    return len(got) == len(want) and all(
+        g == w or (k % 2 == 1 and math.isclose(float(g), float(w), rel_tol=1e-12))
+        for k, (g, w) in enumerate(zip(got, want)))
+
+
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_analyze_exact_bytes(tmp_path, capsys, monkeypatch, case):
+    # The whole report, the flags object and the violation strings included.
+    # The last case breaks every order against the searched bound, as
+    # test_report_violation_strings does, to pin a report with violations.
+    doc, flags = EXACT_CASES[case]
+    if case.endswith("violations"):
+        monkeypatch.setattr(bounds, "_searched", lambda *args: -1.0)
+    code = main(["analyze", "--input", write(tmp_path, "in.json", doc), *flags])
+    out = capsys.readouterr()
+    want = ANALYZE_BYTES[case]
+    assert code == want["exit"]
+    assert same_text(out.out, want["stdout"]), out.out
+    assert out.err == want["stderr"]
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-10", "1e-3"])
+def test_overflowing_invariants_exit_3_without_warnings(tmp_path, capsys, tol):
+    # A subnormal I1 or a huge I4 overflows s^2 in the standard-form solver;
+    # that is no warning, so `python -W error` still gets the documented exit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inv, message in (({"I1": 1e-320, "I2": 1, "I3": 0, "I4": 1}, "non-finite entries"),
+                             ({"I1": 1, "I2": 1, "I3": 0, "I4": 1e200}, "non-finite entries"),
+                             ({"I1": 1e300, "I2": 1e300, "I3": 1e300, "I4": 1e300},
+                              "no standard form")):
+            path = write(tmp_path, "in.json", {"invariants": inv})
+            assert main(["analyze", "--input", path, "--tol-psd", tol]) == 3, inv
+            assert message in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        spec = write(tmp_path, "scan.json", scan_spec(steps=2, i4=1e200))
+        assert main(["scan", "--input", spec, "--tol-psd", tol, "--output", str(out)]) == 0
+    assert [row["status"] for row in read_rows(out)] == ["unphysical"] * 4
 
 
 # ---------------------------------------------------------------------------
