@@ -1,6 +1,6 @@
 """Bounds for the entanglement of formation of two-mode Gaussian states."""
 
-from .bounds import BoundFlags, BoundReport, bound_report, eof_symmetric
+from .bounds import BoundReport, bound_report, eof_symmetric
 from .entanglement import entanglement_entropy
 from .errors import (
     DomainError,

@@ -32,6 +32,7 @@ verdict `standard_form` gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,10 @@ from .states import (
 )
 from .symplectic import PSD_TOL
 
-#: Default tolerance for comparisons between entanglement values.
+#: Slack of the hierarchy checks between entanglement values, and of those
+#: against the GeoF, whose witness search stops short of the exact minimum.
 BOUND_TOL = 1e-9
+GEOF_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,7 @@ class _StandardBounds:
     entangled: np.ndarray
     lower_natural: np.ndarray
     lower_sigma: np.ndarray
-    upper_natural: np.ndarray  # NaN where upper_physical is False
-    upper_physical: np.ndarray
+    upper_natural: np.ndarray  # NaN where the natural upper state is unphysical
     eeof: np.ndarray
     geof: np.ndarray  # NaN where not asked for, not physical or not certified
 
@@ -105,7 +107,6 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
         m = np.array((top, (a + b) / 2.0, np.minimum(a, b)))
         nu_sym, physical_sym = _symmetric(m, c1, c2, psd_tol, top)
     lower, sigma, upper, estimate = entanglement_entropy_vec(np.array((*nu_sym, nu_t)))
-    upper_physical = physical_sym[2]
     geof = np.full(physical.shape, np.nan)
     if include_geof:
         value, _, feasible, _ = _geof_forms(*(x[physical] for x in (a, b, c1, c2)), psd_tol)
@@ -119,8 +120,7 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
         entangled=nu_t < 1.0 - psd_tol,
         lower_natural=lower,
         lower_sigma=sigma,
-        upper_natural=np.where(upper_physical, upper, np.nan),
-        upper_physical=upper_physical,
+        upper_natural=np.where(physical_sym[2], upper, np.nan),
         eeof=estimate,
         geof=geof,
     )
@@ -184,24 +184,16 @@ def eof_symmetric(v: CovMat | StandardForm, tol: float = 1e-9, psd_tol: float = 
 
 
 @dataclass(frozen=True)
-class BoundFlags:
-    """Diagnostics for the constructed bound states."""
-
-    upper_natural_physical: bool
-    searched_feasible: bool
-    geof_feasible: bool | None
-    hierarchy_ok: bool
-    violations: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Full bound hierarchy for one state (values in nats).
 
     `upper_natural` is None where the natural upper state is unphysical,
     `upper_searched` where no node of its line is feasible, and `geof` where
-    no witness is certified.  `eeof` is the symmetric-state formula applied
-    to the state, not proven equal to its EoF; `entangled` is the PPT test.
+    no witness is certified or none was asked for.  `eeof` is the
+    symmetric-state formula applied to the state, not proven equal to its
+    EoF; `entangled` is the PPT test.  `violations` names each broken order
+    of the hierarchy (`_ORDER`) with both values and its slack; it is empty
+    where the hierarchy holds.
     """
 
     lower_natural: float
@@ -211,7 +203,7 @@ class BoundReport:
     eeof: float
     geof: float | None
     entangled: bool
-    flags: BoundFlags
+    violations: tuple[str, ...]
     standard_form: StandardForm
 
 
@@ -219,8 +211,6 @@ def bound_report(
     v: CovMat | StandardForm,
     include_geof: bool = True,
     psd_tol: float = PSD_TOL,
-    bound_tol: float = BOUND_TOL,
-    geof_tol: float = 1e-6,
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
@@ -229,7 +219,7 @@ def bound_report(
     GeoF of the array search `geof._geof_forms`, as a scan does for a
     whole grid; `_searched` gives the searched one.
     All run on that standard form, and the report carries it.
-    Violations of the expected ordering are recorded in the flags rather
+    Violations of the expected ordering are recorded in `violations` rather
     than raised, so callers can inspect borderline numerics.
 
     A certified `geof` is an upper bound on the EoF: its witness G <= V
@@ -240,55 +230,47 @@ def bound_report(
     Raises
     ------
     DomainError
-        If a tolerance is not finite and non-negative.
+        If psd_tol is not finite and non-negative.
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
-    _nonnegative(psd_tol=psd_tol, bound_tol=bound_tol, geof_tol=geof_tol)
-    return _report(*_checked(v, psd_tol, include_geof=include_geof), include_geof,
-                   psd_tol, bound_tol, geof_tol)
+    _nonnegative(psd_tol=psd_tol)
+    return _report(*_checked(v, psd_tol, include_geof=include_geof), psd_tol)
 
 
-#: The expected order of the report's values, as (lower, upper, slack)
-#: with the slack named by its `_report` parameter.
+#: The expected order of the report's values, as (lower, upper, slack).
 _ORDER = (
-    ("lower_natural", "lower_sigma", "bound_tol"),
-    ("lower_sigma", "upper_natural", "bound_tol"),
-    ("lower_sigma", "upper_searched", "bound_tol"),
-    ("lower_natural", "eeof", "bound_tol"),
-    ("eeof", "upper_natural", "bound_tol"),
-    ("eeof", "upper_searched", "bound_tol"),
-    ("lower_sigma", "geof", "geof_tol"),
-    ("geof", "upper_natural", "geof_tol"),
-    ("geof", "upper_searched", "geof_tol"),
+    ("lower_natural", "lower_sigma", BOUND_TOL),
+    ("lower_sigma", "upper_natural", BOUND_TOL),
+    ("lower_sigma", "upper_searched", BOUND_TOL),
+    ("lower_natural", "eeof", BOUND_TOL),
+    ("eeof", "upper_natural", BOUND_TOL),
+    ("eeof", "upper_searched", BOUND_TOL),
+    ("lower_sigma", "geof", GEOF_TOL),
+    ("geof", "upper_natural", GEOF_TOL),
+    ("geof", "upper_searched", GEOF_TOL),
 )
 
 
-def _report(sf: StandardForm, res: _StandardBounds, include_geof: bool, psd_tol: float,
-            bound_tol: float, geof_tol: float) -> BoundReport:
-    """`bound_report` of a checked standard form sf and its closed-form pass res."""
-    upper_physical = bool(res.upper_physical)
-    geof_feasible = (not np.isnan(res.geof)) if include_geof else None
+def _report(sf: StandardForm, res: _StandardBounds, psd_tol: float) -> BoundReport:
+    """`bound_report` of a checked standard form sf and its closed-form pass res.
+
+    The NaN of an unphysical natural upper state, and of a GeoF not
+    certified or not asked for, is reported as None.
+    """
+    upper, geof = float(res.upper_natural), float(res.geof)
     values = {
         "lower_natural": float(res.lower_natural),
         "lower_sigma": float(res.lower_sigma),
-        "upper_natural": float(res.upper_natural) if upper_physical else None,
+        "upper_natural": None if math.isnan(upper) else upper,
         "upper_searched": _searched(*sf, psd_tol),
         "eeof": float(res.eeof),
-        "geof": float(res.geof) if geof_feasible else None,
+        "geof": None if math.isnan(geof) else geof,
     }
-    slack = {"bound_tol": bound_tol, "geof_tol": geof_tol}
     violations = tuple(
-        f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {slack[tol]:g}"
+        f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {tol:g}"
         for lo, hi, tol in _ORDER
-        if values[lo] is not None and values[hi] is not None
-        and values[lo] > values[hi] + slack[tol]
+        if values[lo] is not None and values[hi] is not None and values[lo] > values[hi] + tol
     )
-    flags = BoundFlags(
-        upper_natural_physical=upper_physical,
-        searched_feasible=values["upper_searched"] is not None,
-        geof_feasible=geof_feasible,
-        hierarchy_ok=not violations,
-        violations=violations,
-    )
-    return BoundReport(**values, entangled=bool(res.entangled), flags=flags, standard_form=sf)
+    return BoundReport(**values, entangled=bool(res.entangled), violations=violations,
+                       standard_form=sf)

@@ -142,7 +142,7 @@ def _convert(value: float | None, units: str) -> float | None:
     return value / LN2
 
 
-def _report_dict(report: BoundReport, units: str) -> dict:
+def _report_dict(report: BoundReport, units: str, include_geof: bool) -> dict:
     return {
         "lower_natural": _convert(report.lower_natural, units),
         "lower_sigma": _convert(report.lower_sigma, units),
@@ -152,11 +152,11 @@ def _report_dict(report: BoundReport, units: str) -> dict:
         "geof": _convert(report.geof, units),
         "entangled": report.entangled,
         "flags": {
-            "upper_natural_physical": report.flags.upper_natural_physical,
-            "searched_feasible": report.flags.searched_feasible,
-            "geof_feasible": report.flags.geof_feasible,
-            "hierarchy_ok": report.flags.hierarchy_ok,
-            "violations": list(report.flags.violations),
+            "upper_natural_physical": report.upper_natural is not None,
+            "searched_feasible": report.upper_searched is not None,
+            "geof_feasible": report.geof is not None if include_geof else None,
+            "hierarchy_ok": not report.violations,
+            "violations": list(report.violations),
         },
     }
 
@@ -183,7 +183,7 @@ def run_analyze(args: argparse.Namespace) -> None:
     # are those of its matrix.
     inv = invariants(state if isinstance(state, CovMat) else state.to_covmat())
     sf, res = _checked(state, args.tol_psd, inv, not args.no_geof)
-    report = _report(sf, res, not args.no_geof, args.tol_psd, args.tol_bound, args.geof_tol)
+    report = _report(sf, res, args.tol_psd)
 
     out = {
         "units": args.units,
@@ -192,7 +192,7 @@ def run_analyze(args: argparse.Namespace) -> None:
         "symplectic_eigenvalues": {"mu_minus": float(res.nu_minus), "mu_plus": float(res.nu_plus)},
         "ppt_symplectic_eigenvalues": {"mu_minus": float(res.nu_t), "mu_plus": float(res.nu_t_plus)},
         "entangled": report.entangled,
-        "bounds": _report_dict(report, args.units),
+        "bounds": _report_dict(report, args.units, not args.no_geof),
     }
     _write_text(args.output, json.dumps(out, indent=2) + "\n")
 
@@ -254,12 +254,13 @@ def run_scan(args: argparse.Namespace) -> None:
     values = np.array((res.nu_t, res.lower_natural, res.lower_sigma, res.geof, res.eeof,
                        res.upper_natural))
     values[1:] = _convert(values[1:], args.units)
-    shown = np.array((~np.isnan(res.nu_t), ok, ok, ~np.isnan(res.geof), ok, ok & res.upper_physical))
+    upper_physical = ~np.isnan(res.upper_natural)
+    shown = np.array((~np.isnan(res.nu_t), ok, ok, ~np.isnan(res.geof), ok, ok & upper_physical))
     nu_t, lower, sigma, geof, eeof, upper = _cells(values, shown)
     # A flag is "" (0) off the physical rows, else "false" (1) or "true" (2);
     # every physical row is solved, so the status is 3 + solved + ok.
     entangled, upper_flag, status = _LABELS[np.array(
-        (ok * (1 + res.entangled), ok * (1 + res.upper_physical), 3 + solved + ok)
+        (ok * (1 + res.entangled), ok * (1 + upper_physical), 3 + solved + ok)
     )].tolist()
 
     # Grid order is I1-major, so each axis value is formatted only once.
@@ -291,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--tol-psd", type=float, default=1e-10,
                        help="PSD / physicality tolerance (default 1e-10)")
-        if name == "analyze":  # a scan checks no bound hierarchy
-            p.add_argument("--tol-bound", type=float, default=1e-9,
-                           help="tolerance for bound comparisons (default 1e-9)")
-            p.add_argument("--geof-tol", type=float, default=1e-6,
-                           help="slack of the bound checks against geof (default 1e-6)")
         p.add_argument("--units", choices=("nats", "bits"), default="nats",
                        help="units for entanglement values")
         p.add_argument("--no-geof", action="store_true",
@@ -308,11 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("tol_psd", "tol_bound", "geof_tol"):
-            value = getattr(args, name, 0.0)  # a scan has only --tol-psd
-            if not 0.0 <= value < math.inf:
-                flag = "--" + name.replace("_", "-")
-                raise ParseError(f"{flag} must be finite and non-negative, got {value}")
+        if not 0.0 <= args.tol_psd < math.inf:
+            raise ParseError(f"--tol-psd must be finite and non-negative, got {args.tol_psd}")
         args.func(args)
         return 0
     except ParseError as exc:

@@ -9,7 +9,7 @@ class DomainError(EofBoundsError, ValueError):
     """Argument lies outside the mathematical domain of a function.
 
     Among them a standard form with c1 < |c2|, and invariants that admit
-    no standard form (I1 or I2 below 1, or no real correlations).
+    no standard form (I1 or I2 not positive, or no real correlations).
     """
 
 

@@ -153,10 +153,10 @@ def _spectra(a, b, c1, c2):
     The partially transposed state is (a, b, c1, -c2).  Works on floats
     and on numpy arrays alike.
     """
-    ab = a * b
-    tr = a * a + b * b + 2.0 * c1 * c2
-    disc = (a * a - b * b) ** 2 + 4.0 * (a * c2 + b * c1) * (a * c1 + b * c2)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        ab = a * b
+        tr = a * a + b * b + 2.0 * c1 * c2
+        disc = (a * a - b * b) ** 2 + 4.0 * (a * c2 + b * c1) * (a * c1 + b * c2)
         plus = (tr + np.sqrt(np.maximum(disc, 0.0))) / 2.0
         return np.sqrt((ab - c1 * c1) * (ab - c2 * c2) / plus), np.sqrt(plus)
 
@@ -238,7 +238,7 @@ def _standard_forms(i1, i2, i3, i4):
     b below 1 is a standard form, for the physicality test to judge.
     """
     i1, i2, i3, i4 = (np.asarray(x, dtype=float) for x in (i1, i2, i3, i4))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         a, b = np.sqrt(i1), np.sqrt(i2)
         s = i4 / (a * b)
         disc = np.maximum(s * s - 4.0 * i3 * i3, 0.0)

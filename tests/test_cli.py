@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eofbounds import bounds
 from eofbounds.bounds import _standard_bounds, bound_report
 from eofbounds.cli import SCAN_COLUMNS, _cells, build_parser, main, resolve_state_document
 from eofbounds.entanglement import LN2, entanglement_entropy
@@ -181,8 +180,7 @@ def test_analyze_rejects_negative_tol_psd(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("command, flag", [("analyze", "--tol-psd"), ("analyze", "--tol-bound"),
-                                           ("analyze", "--geof-tol"), ("scan", "--tol-psd")])
+@pytest.mark.parametrize("command, flag", [("analyze", "--tol-psd"), ("scan", "--tol-psd")])
 def test_rejects_non_finite_or_negative_tolerances(tmp_path, capsys, command, flag, value):
     # A NaN tolerance turns every check it enters off, a negative one fails
     # healthy states, and an infinite --tol-psd rejects every state.
@@ -342,8 +340,8 @@ EXACT_CASES = {f"{d}-{f}": (doc, flags)
                for d, doc in EXACT_DOCS.items() for f, flags in EXACT_FLAGS.items()}
 EXACT_CASES["standard-form-violations"] = (EXACT_DOCS["standard-form"], [])
 
-#: analyze's exit code, stdout and stderr for each case, as the report
-#: assembly printed them before BoundReport lost its flags object.
+#: analyze's exit code, stdout and stderr for each case, pinned: the JSON,
+#: its `flags` object included, changes only on purpose.
 ANALYZE_BYTES = json.loads((Path(__file__).parent / "analyze_exact_bytes.json").read_text())
 
 _NUMBER = re.compile(r"(?<![\w.])(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
@@ -365,7 +363,7 @@ def test_analyze_exact_bytes(tmp_path, capsys, monkeypatch, case):
     # test_report_violation_strings does, to pin a report with violations.
     doc, flags = EXACT_CASES[case]
     if case.endswith("violations"):
-        monkeypatch.setattr(bounds, "_searched", lambda *args: -1.0)
+        monkeypatch.setattr("eofbounds.bounds._searched", lambda *args: -1.0)
     code = main(["analyze", "--input", write(tmp_path, "in.json", doc), *flags])
     out = capsys.readouterr()
     want = ANALYZE_BYTES[case]
@@ -552,7 +550,7 @@ def test_scan_matches_per_point_report(tmp_path, spec):
                     "eof_sigma": rep.lower_sigma,
                     "eeof": rep.eeof,
                     "eof_upper_natural": "" if rep.upper_natural is None else rep.upper_natural,
-                    "physical_upper_flag": "true" if rep.flags.upper_natural_physical else "false",
+                    "physical_upper_flag": "false" if rep.upper_natural is None else "true",
                     "status": "ok",
                 })
                 matrix = rep.standard_form.to_covmat().matrix
@@ -600,11 +598,15 @@ def test_scan_invariants_below_one_unphysical(tmp_path):
     assert row["geof"] == row["eof_sigma"] == ""
 
 
-def test_scan_rejects_analyze_only_flags(tmp_path, capsys):
-    # A scan checks no bound hierarchy, so it takes no tolerance for one.
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_no_command_takes_hierarchy_slacks(tmp_path, capsys, command):
+    # The slacks of the hierarchy checks are fixed; both commands share one
+    # option set, and an unknown option is a parse error.
+    path = write(tmp_path, "in.json", {"standard_form": {"a": 1.2, "b": 1.5, "c1": 0.3, "c2": -0.2}}
+                 if command == "analyze" else {})
     for flag in ("--tol-bound", "--geof-tol"):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--no-geof", flag, "1e-9", "--output", str(tmp_path / "out.csv")])
+            main([command, "--input", path, "--no-geof", flag, "1e-9"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
@@ -646,6 +648,7 @@ def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
     lines = [",".join(SCAN_COLUMNS)]
     for k in range(len(i1)):
         shown = bool(ok[k])
+        upper_physical = not math.isnan(res.upper_natural[k])
         if shown:
             status = "ok"
         else:
@@ -658,8 +661,8 @@ def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
             float(entropy(res.lower_sigma[k])) if shown else None,
             None if math.isnan(g[k]) else float(entropy(g[k])),
             float(entropy(res.eeof[k])) if shown else None,
-            float(entropy(res.upper_natural[k])) if shown and res.upper_physical[k] else None,
-            bool(res.upper_physical[k]) if shown else None,
+            float(entropy(res.upper_natural[k])) if shown and upper_physical else None,
+            upper_physical if shown else None,
             status,
         ]
         lines.append(",".join(map(reference_cell, row)))

@@ -28,7 +28,7 @@ def test_public_names_are_pinned():
     public = {name for name, obj in vars(eofbounds).items()
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert public == {
-        "BoundFlags", "BoundReport", "bound_report", "eof_symmetric",
+        "BoundReport", "bound_report", "eof_symmetric",
         "entanglement_entropy",
         "DomainError", "EofBoundsError", "NonPhysicalStateError", "NotSymmetricError",
         "ParseError",
