@@ -101,7 +101,7 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
     top = np.maximum(a, b)
     scale = top if scale is None else scale
     (nu_minus, nu_t), (nu_plus, nu_t_plus) = _spectra(a, b, c1, np.array((c2, -c2)))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         physical = _physical(_least_eigenvalue(a, b, c1), nu_minus, scale, psd_tol)
         # The symmetric states with m = max(a, b), (a + b)/2 and min(a, b), together.
         m = np.array((top, (a + b) / 2.0, np.minimum(a, b)))

@@ -1,7 +1,8 @@
 """Command-line interface: single-state reports and invariant-grid scans.
 
 Exit codes: 0 success, 2 parse error or an unreadable input or unwritable
-output file, 3 unphysical input.
+output file, 3 unphysical input.  An input file that is not UTF-8 is an
+unreadable one.
 """
 
 from __future__ import annotations
@@ -70,12 +71,20 @@ def _reject_constant(name: str):
     raise ParseError(f"non-finite number {name} in input JSON")
 
 
+#: The one decoder of input documents; json.load would build one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _load_document(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle, parse_constant=_reject_constant)
-    except OSError as exc:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input file: {exc}") from exc
+    try:
+        if text.startswith("\ufeff"):  # as json.loads rejects it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -166,8 +175,8 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot write output file: {exc}") from exc
 
@@ -241,10 +250,12 @@ def _parse_scan_spec(args: argparse.Namespace) -> dict:
 
 def run_scan(args: argparse.Namespace) -> None:
     spec = _parse_scan_spec(args)
-    i1, i2 = (x.ravel() for x in np.meshgrid(spec["i1"], spec["i2"], indexing="ij"))
+    # The grid, I1-major.
+    i1, i2 = np.repeat(spec["i1"], len(spec["i2"])), np.tile(spec["i2"], len(spec["i1"]))
     i3 = np.full_like(i1, spec["i3"])
-    i4 = (2.0 * abs(spec["i3"]) * np.sqrt(i1 * i2) if spec["i4_literal"] is None
-          else np.full_like(i1, spec["i4_literal"]))
+    with np.errstate(over="ignore"):  # I1 I2 may overflow to inf: an unphysical point
+        i4 = (2.0 * abs(spec["i3"]) * np.sqrt(i1 * i2) if spec["i4_literal"] is None
+              else np.full_like(i1, spec["i4_literal"]))
     forms, solved = _standard_forms(i1, i2, i3, i4)
     forms = np.where(solved, forms, np.nan)
     res = _standard_bounds(*forms, args.tol_psd, include_geof=spec["geof"])
@@ -275,38 +286,42 @@ def run_scan(args: argparse.Namespace) -> None:
     _write_text(args.output, "\n".join(lines) + "\n")
 
 
+#: The commands, by name.
+_COMMANDS = {"analyze": run_analyze, "scan": run_scan}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process on first use."""
+    """The command-line parser, built once per process on first use.
+
+    One flat parser: both commands take the same five options, so the
+    command is a positional argument, not a subparser with a second round
+    of parsing.
+    """
     parser = argparse.ArgumentParser(
         prog="eofbounds",
         description="Entanglement-of-formation bounds for two-mode Gaussian states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, helptext in (
-        ("analyze", run_analyze, "report invariants, spectra and bounds for one state"),
-        ("scan", run_scan, "sweep a grid of invariants and emit CSV rows"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--input", help="path to the JSON input document")
-        p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--tol-psd", type=float, default=1e-10,
-                       help="PSD / physicality tolerance (default 1e-10)")
-        p.add_argument("--units", choices=("nats", "bits"), default="nats",
-                       help="units for entanglement values")
-        p.add_argument("--no-geof", action="store_true",
-                       help="skip the geof oracle (fast scans)")
-        p.set_defaults(func=func)
+    parser.add_argument("command", choices=_COMMANDS,
+                        help="analyze: report invariants, spectra and bounds for one state; "
+                             "scan: sweep a grid of invariants and emit CSV rows")
+    parser.add_argument("--input", help="path to the JSON input document")
+    parser.add_argument("--output", help="output path (default: stdout)")
+    parser.add_argument("--tol-psd", type=float, default=1e-10,
+                        help="PSD / physicality tolerance (default 1e-10)")
+    parser.add_argument("--units", choices=("nats", "bits"), default="nats",
+                        help="units for entanglement values")
+    parser.add_argument("--no-geof", action="store_true",
+                        help="skip the geof oracle (fast scans)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if not 0.0 <= args.tol_psd < math.inf:
             raise ParseError(f"--tol-psd must be finite and non-negative, got {args.tol_psd}")
-        args.func(args)
+        _COMMANDS[args.command](args)
         return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,7 +170,8 @@ def _certified(a, b, c1, c2, params, psd_tol: float) -> np.ndarray:
     `least_mu_minus` allows 16 eps scale^2 for its own roundoff.  Rows with
     non-finite parameters fail.
     """
-    allowance = psd_tol + 16.0 * np.finfo(float).eps * np.maximum(a, b) ** 3
+    with np.errstate(over="ignore"):  # an inf allowance where max(a, b)^3 overflows
+        allowance = psd_tol + 16.0 * np.finfo(float).eps * np.maximum(a, b) ** 3
     ch, sh = np.cosh(2 * params[:, 4]), np.sinh(2 * params[:, 4])
     ea, eb = np.exp(2 * params[:, 1]), np.exp(2 * params[:, 3])
     x = _least_eigenvalue(a - ch * ea, b - ch * eb, c1 - sh * np.sqrt(ea * eb))
@@ -231,7 +232,8 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
         evals[k] += 4
         rows = _curve(vx[..., k], p[..., k])
         g11, g22, g12 = _at(rows, _stationary(rows))
-        best = (np.arange(k.size), np.argmin(np.abs(g12) / np.sqrt(g11 * g22), axis=1))
+        with np.errstate(divide="ignore"):  # g11 g22 = 0, as on huge states: rho = inf
+            best = (np.arange(k.size), np.argmin(np.abs(g12) / np.sqrt(g11 * g22), axis=1))
         trial, passed = certify(k, g11[best], g22[best], g12[best])
         won, trial = k[passed], trial[passed]
         params[won], feasible[won] = trial, True

@@ -137,10 +137,11 @@ def _det2(m: np.ndarray) -> float:
 
 
 def invariants(v: CovMat) -> Invariants:
-    """Local symplectic invariants of a two-mode covariance matrix."""
+    """Local symplectic invariants of a two-mode covariance matrix (inf or NaN on overflow)."""
     a, b, c = v.block_a, v.block_b, v.block_c
-    i4 = float(np.trace(a @ J2 @ c @ J2 @ b @ J2 @ c.T @ J2))
-    return Invariants(_det2(a), _det2(b), _det2(c), i4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        i4 = float(np.trace(a @ J2 @ c @ J2 @ b @ J2 @ c.T @ J2))
+        return Invariants(_det2(a), _det2(b), _det2(c), i4)
 
 
 def _spectra(a, b, c1, c2):
@@ -164,10 +165,13 @@ def _spectra(a, b, c1, c2):
 def _least_eigenvalue(a, b, c1):
     """Least eigenvalue of standard forms, that of Vx: det Vx over the larger one.
 
-    NaN where both vanish, which only a Vx with det Vx = 0 and a + b <= 0 has.
+    NaN where both vanish, which only a Vx with det Vx = 0 and a + b <= 0 has,
+    and where the products overflow.  Works on floats and on numpy arrays
+    alike: a product, unlike ** on floats, overflows to inf without raising.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return 2.0 * (a * b - c1 * c1) / ((a + b) + np.sqrt((a - b) ** 2 + 4.0 * c1 * c1))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        d = a - b
+        return 2.0 * (a * b - c1 * c1) / ((a + b) + np.sqrt(d * d + 4.0 * c1 * c1))
 
 
 def _physical(lam_min, nu_minus, scale, tol: float):

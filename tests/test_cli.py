@@ -161,6 +161,16 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_input_not_utf8_is_unreadable(tmp_path, capsys, command):
+    # An input file that is not UTF-8 cannot be read: exit 2, no traceback.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"standard_form": {"a": 1.2, "b": 1.5, "c1": 0.3, "c2": -0.2\xff}}')
+    assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read input file: ") and "0xff" in err, err
+
+
 def test_analyze_units_bits(tmp_path, capsys):
     doc = {"standard_form": {"a": 1.2, "b": 1.2, "c1": SQ02, "c2": -SQ02}}
     path = write(tmp_path, "in.json", doc)
@@ -385,6 +395,11 @@ def test_overflowing_invariants_exit_3_without_warnings(tmp_path, capsys, tol):
             path = write(tmp_path, "in.json", {"invariants": inv})
             assert main(["analyze", "--input", path, "--tol-psd", tol]) == 3, inv
             assert message in capsys.readouterr().err
+        # A standard form whose products overflow is judged, not raised on.
+        path = write(tmp_path, "in.json",
+                     {"standard_form": {"a": 1e300, "b": 2e300, "c1": 1e300, "c2": -5e299}})
+        assert main(["analyze", "--input", path, "--tol-psd", tol]) == 3
+        assert capsys.readouterr().err.startswith("error: unphysical input: ")
         out = tmp_path / "out.csv"
         spec = write(tmp_path, "scan.json", scan_spec(steps=2, i4=1e200))
         assert main(["scan", "--input", spec, "--tol-psd", tol, "--output", str(out)]) == 0
@@ -394,6 +409,20 @@ def test_overflowing_invariants_exit_3_without_warnings(tmp_path, capsys, tol):
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
+
+
+def test_scan_huge_axes_print_the_same_csv_under_warnings_as_errors(tmp_path, capsys):
+    # I1 I2 overflows in the correlated I4 rule and the GeoF search meets
+    # inf and 0 on such states; none of it is a warning.
+    spec = write(tmp_path, "scan.json", {"i1": {"min": 1, "max": 1e300, "steps": 3},
+                                         "i2": {"min": 1, "max": 1e300, "steps": 3}})
+    assert main(["scan", "--input", spec]) == 0
+    plain = capsys.readouterr().out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scan", "--input", spec]) == 0
+    assert capsys.readouterr().out == plain
+    assert ",ok\n" in plain and ",unphysical\n" in plain
 
 
 def scan_spec(steps=4, i3=-0.2, **extra):
@@ -609,6 +638,28 @@ def test_no_command_takes_hierarchy_slacks(tmp_path, capsys, command):
             main([command, "--input", path, "--no-geof", flag, "1e-9"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+def test_help_names_both_commands_and_every_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for word in ("analyze", "scan", "--input", "--output", "--tol-psd", "--units", "--no-geof"):
+        assert word in out, word
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--no-geof"], "the following arguments are required: command"),
+    (["fit"], "argument command: invalid choice: 'fit'"),
+])
+def test_missing_or_unknown_command_is_a_parse_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: eofbounds") and f"eofbounds: error: {message}" in err, err
 
 
 def test_scan_unwritable_output_exit_code(tmp_path, capsys):
