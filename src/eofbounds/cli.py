@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .bounds import BoundReport, _checked, _report, _standard_bounds
+from .bounds import _checked, _report, _standard_bounds
 from .entanglement import LN2
 from .errors import DomainError, NonPhysicalStateError, ParseError
 from .states import CovMat, Invariants, StandardForm, _standard_forms, invariants
@@ -123,8 +123,13 @@ def resolve_state_document(doc: dict) -> CovMat | StandardForm:
         if not (isinstance(body, list) and len(body) == 4
                 and all(isinstance(row, list) and len(row) == 4 for row in body)):
             raise ParseError("matrix must be a 4x4 list of rows (row-major)")
-        return CovMat(np.array([[_as_float(x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
-                                for i, row in enumerate(body)]))
+        # One pass: an int or an entry that is no finite float goes through
+        # _as_float under its name, which raises on what it rejects.
+        for i, row in enumerate(body):
+            for j, x in enumerate(row):
+                if type(x) is not float or not math.isfinite(x):
+                    _as_float(x, f"matrix[{i}][{j}]")
+        return CovMat(np.array(body, dtype=float))
     if not isinstance(body, dict):
         raise ParseError(f"'{key}' must be an object")
     if key == "standard_form":
@@ -151,23 +156,33 @@ def _convert(value: float | None, units: str) -> float | None:
     return value / LN2
 
 
-def _report_dict(report: BoundReport, units: str, include_geof: bool) -> dict:
-    return {
-        "lower_natural": _convert(report.lower_natural, units),
-        "lower_sigma": _convert(report.lower_sigma, units),
-        "upper_natural": _convert(report.upper_natural, units),
-        "upper_searched": _convert(report.upper_searched, units),
-        "eeof": _convert(report.eeof, units),
-        "geof": _convert(report.geof, units),
-        "entangled": report.entangled,
-        "flags": {
-            "upper_natural_physical": report.upper_natural is not None,
-            "searched_feasible": report.upper_searched is not None,
-            "geof_feasible": report.geof is not None if include_geof else None,
-            "hierarchy_ok": not report.violations,
-            "violations": list(report.violations),
-        },
-    }
+#: The analyze report's text with a %s slot for each leaf, in print order:
+#: json.dumps(report, indent=2) + "\n", laid out once.
+_REPORT = json.dumps({
+    "units": "%s",
+    "invariants": dict.fromkeys(("I1", "I2", "I3", "I4"), "%s"),
+    "standard_form": dict.fromkeys(("a", "b", "c1", "c2"), "%s"),
+    "symplectic_eigenvalues": dict.fromkeys(("mu_minus", "mu_plus"), "%s"),
+    "ppt_symplectic_eigenvalues": dict.fromkeys(("mu_minus", "mu_plus"), "%s"),
+    "entangled": "%s",
+    "bounds": {
+        **dict.fromkeys(("lower_natural", "lower_sigma", "upper_natural", "upper_searched",
+                         "eeof", "geof", "entangled"), "%s"),
+        "flags": dict.fromkeys(("upper_natural_physical", "searched_feasible", "geof_feasible",
+                                "hierarchy_ok", "violations"), "%s"),
+    },
+}, indent=2).replace('"%s"', "%s") + "\n"
+
+#: JSON tokens of the leaves that are not numbers.
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _token(leaf) -> str:
+    """json.dumps(leaf) of a report leaf: a float (or 0-d array), a bool or None."""
+    if leaf is None or isinstance(leaf, bool):
+        return _CONSTANTS[leaf]
+    leaf = float(leaf)
+    return float.__repr__(leaf) if math.isfinite(leaf) else json.dumps(leaf)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -194,16 +209,18 @@ def run_analyze(args: argparse.Namespace) -> None:
     sf, res = _checked(state, args.tol_psd, inv, not args.no_geof)
     report = _report(sf, res, args.tol_psd)
 
-    out = {
-        "units": args.units,
-        "invariants": {"I1": inv.i1, "I2": inv.i2, "I3": inv.i3, "I4": inv.i4},
-        "standard_form": {"a": sf.a, "b": sf.b, "c1": sf.c1, "c2": sf.c2},
-        "symplectic_eigenvalues": {"mu_minus": float(res.nu_minus), "mu_plus": float(res.nu_plus)},
-        "ppt_symplectic_eigenvalues": {"mu_minus": float(res.nu_t), "mu_plus": float(res.nu_t_plus)},
-        "entangled": report.entangled,
-        "bounds": _report_dict(report, args.units, not args.no_geof),
-    }
-    _write_text(args.output, json.dumps(out, indent=2) + "\n")
+    values = (report.lower_natural, report.lower_sigma, report.upper_natural,
+              report.upper_searched, report.eeof, report.geof)
+    leaves = (
+        *inv, *sf, res.nu_minus, res.nu_plus, res.nu_t, res.nu_t_plus, report.entangled,
+        *(_convert(x, args.units) for x in values), report.entangled,
+        report.upper_natural is not None, report.upper_searched is not None,
+        None if args.no_geof else report.geof is not None, not report.violations,
+    )
+    # The violations are a member of flags, 6 spaces in.
+    violations = (json.dumps(list(report.violations), indent=2).replace("\n", "\n      ")
+                  if report.violations else "[]")
+    _write_text(args.output, _REPORT % (json.dumps(args.units), *map(_token, leaves), violations))
 
 
 def _parse_axis(doc: dict, key: str) -> np.ndarray:

@@ -212,8 +212,10 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
         c, q, s = c1[k], np.abs(p12), np.sqrt(dd)
         cc, qq = c * c, q * q
         # K^2 - 4 D11 D22 c1^2 with K = D11 D22 + c1^2 - P12^2, factored so
-        # that it keeps its digits where the two witnesses meet.
-        disc = np.maximum((s - c - q) * (s - c + q), 0.0) * ((s + c) ** 2 - qq)
+        # that it keeps its digits where the two witnesses meet; on huge
+        # forms it overflows to inf, and w with it.
+        with np.errstate(over="ignore"):
+            disc = np.maximum((s - c - q) * (s - c + q), 0.0) * ((s + c) ** 2 - qq)
         # The floors make a tangency term that vanishes (c1 = 0, where w may
         # be 0, or P12 = 0) exactly 0, not 0/0.
         w = np.maximum((dd + cc - qq + np.sqrt(disc)) / 2.0, _TINY)

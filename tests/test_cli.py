@@ -1,8 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import re
 import warnings
+from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,12 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eofbounds.bounds import _standard_bounds, bound_report
-from eofbounds.cli import SCAN_COLUMNS, _cells, build_parser, main, resolve_state_document
+from eofbounds.bounds import BoundReport, _standard_bounds, bound_report
+from eofbounds.cli import (
+    SCAN_COLUMNS,
+    _cells,
+    build_parser,
+    main,
+    resolve_state_document,
+    run_analyze,
+)
 from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import NonPhysicalStateError, ParseError
 from eofbounds.geof import _geof_forms
-from eofbounds.states import CovMat, StandardForm, _standard_forms, standard_form
+from eofbounds.states import CovMat, Invariants, StandardForm, _standard_forms, standard_form
 
 from conftest import (
     partial_transpose,
@@ -92,6 +105,23 @@ def test_resolve_rejects_bad_matrix():
     for bad in ([[1.0] * 4] * 3, [[1.0] * 4] * 3 + [[1.0] * 5], {"0": [1.0] * 4}, [1.0] * 16):
         with pytest.raises(ParseError):
             resolve_state_document({"matrix": bad})
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('"1.5"', "must be a number, got '1.5'"),
+    ("true", "must be a number, got True"),
+    ("1e999", "must be finite, got inf"),
+    ("1" + "0" * 400, "must be finite, got 1" + "0" * 400),
+], ids=["string", "boolean", "overflow", "huge-int"])
+def test_matrix_entry_error_names_the_first_bad_entry(tmp_path, capsys, bad, message):
+    # Integer entries are numbers; the bad entry at [3][3] comes later in
+    # row-major order, so only [2][1] is named.
+    rows = [["1.0" if i == j else "0" for j in range(4)] for i in range(4)]
+    rows[2][1], rows[3][3] = bad, '"x"'
+    path = tmp_path / "in.json"
+    path.write_text('{"matrix": [%s]}' % ", ".join("[%s]" % ", ".join(row) for row in rows))
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: matrix[2][1] {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +410,72 @@ def test_analyze_exact_bytes(tmp_path, capsys, monkeypatch, case):
     assert code == want["exit"]
     assert same_text(out.out, want["stdout"]), out.out
     assert out.err == want["stderr"]
+
+
+#: A standard form without StandardForm's checks, so that its entries may be NaN.
+Form = namedtuple("Form", "a b c1 c2")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_analyze_report_is_json_dumps_of_its_values(data):
+    # Every leaf drawn on its own, NaN and +-inf included, so that a slot
+    # filled out of order, or a token json.dumps would write otherwise, fails.
+    floats = st.lists(st.floats(), min_size=4, max_size=4)
+    inv, sf, spectra = data.draw(floats), data.draw(floats), data.draw(floats)
+    values = data.draw(st.lists(st.none() | st.floats(), min_size=6, max_size=6))
+    entangled, no_geof = data.draw(st.booleans()), data.draw(st.booleans())
+    violations = data.draw(st.lists(st.text(), max_size=3))
+    units = data.draw(st.sampled_from(["nats", "bits"]))
+    report = BoundReport(*values, entangled=entangled, violations=tuple(violations),
+                         standard_form=None)
+    res = SimpleNamespace(**{k: np.asarray(x) for k, x in zip(
+        ("nu_minus", "nu_plus", "nu_t", "nu_t_plus"), spectra)})
+    args = argparse.Namespace(input="in.json", output=None, tol_psd=1e-10, units=units,
+                              no_geof=no_geof)
+    with patch.multiple("eofbounds.cli", _load_document=lambda path: {},
+                        resolve_state_document=lambda doc: CovMat(np.eye(4)),
+                        invariants=lambda v: Invariants(*inv),
+                        _checked=lambda *a: (Form(*sf), res), _report=lambda *a: report), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        run_analyze(args)
+
+    names = ("lower_natural", "lower_sigma", "upper_natural", "upper_searched", "eeof", "geof")
+    convert = (lambda x: x) if units == "nats" else (lambda x: None if x is None else x / LN2)
+    want = {
+        "units": units,
+        "invariants": dict(zip(("I1", "I2", "I3", "I4"), inv)),
+        "standard_form": dict(zip(("a", "b", "c1", "c2"), sf)),
+        "symplectic_eigenvalues": {"mu_minus": spectra[0], "mu_plus": spectra[1]},
+        "ppt_symplectic_eigenvalues": {"mu_minus": spectra[2], "mu_plus": spectra[3]},
+        "entangled": entangled,
+        "bounds": {
+            **{k: convert(x) for k, x in zip(names, values)},
+            "entangled": entangled,
+            "flags": {
+                "upper_natural_physical": values[2] is not None,
+                "searched_feasible": values[3] is not None,
+                "geof_feasible": None if no_geof else values[5] is not None,
+                "hierarchy_ok": not violations,
+                "violations": violations,
+            },
+        },
+    }
+    assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("c1", [1, 0])
+def test_huge_standard_forms_print_the_same_report_under_warnings_as_errors(tmp_path, capsys, c1):
+    # The product witness's discriminant overflows on these forms; that is
+    # no warning, so `python -W error` prints what a plain run prints.
+    path = write(tmp_path, "in.json", {"standard_form": {"a": 1e100, "b": 1e100, "c1": c1, "c2": 0}})
+    assert main(["analyze", "--input", path]) == 0
+    plain = capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", path]) == 0
+    assert capsys.readouterr().out == plain.out
+    assert plain.err == ""
 
 
 @pytest.mark.parametrize("tol", ["0", "1e-10", "1e-3"])
