@@ -15,11 +15,13 @@ computable bounds:
   also covers many states whose natural upper state is unphysical.
 
 The first four are closed forms in (a, b, c1, c2).  `_standard_bounds`
-evaluates them, with the physicality and PPT tests of the state, the EeoF
-estimator and the certified GeoF of `geof._geof_forms`, in one pass over
-numpy arrays of standard forms: one state for `bound_report`, a whole grid
-for a scan.  The searched bound evaluates the same closed forms at the
-nodes of its line.  Every value is therefore invariant under local
+evaluates them, with the physicality and PPT tests of the state, its
+spectra, the EeoF estimator and the certified GeoF of `geof._geof_forms`,
+in one pass over numpy arrays of standard forms: one state for
+`bound_report`, a whole grid for a scan.  The pass returns its values as
+one table, a row for each name of `_ROWS`, and the report and the scan
+read its rows by name.  The searched bound evaluates the same closed forms
+at the nodes of its line.  Every value is therefore invariant under local
 symplectics and under swapping the modes.  The GeoF is an upper bound as
 well, and never above the symmetric-state ones (see `bound_report`).
 
@@ -59,23 +61,15 @@ BOUND_TOL = 1e-9
 GEOF_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class _StandardBounds:
-    """Closed-form results of `_standard_bounds`, one entry per standard form."""
-
-    physical: np.ndarray
-    # Symplectic eigenvalues of the state and of its partial transpose
-    # (c2 -> -c2); nu_minus and nu_t are NaN where det V < 0.
-    nu_minus: np.ndarray
-    nu_plus: np.ndarray
-    nu_t: np.ndarray
-    nu_t_plus: np.ndarray
-    entangled: np.ndarray
-    lower_natural: np.ndarray
-    lower_sigma: np.ndarray
-    upper_natural: np.ndarray  # NaN where the natural upper state is unphysical
-    eeof: np.ndarray
-    geof: np.ndarray  # NaN where not asked for, not physical or not certified
+#: The values of the closed-form pass, one row each of its table, in the order
+#: the analyze report prints them: the symplectic eigenvalues of the state and
+#: of its partial transpose (c2 -> -c2), NaN in nu_minus and nu_t where
+#: det V < 0, then the bounds.  upper_natural is NaN where the natural upper
+#: state is unphysical, geof where not asked for, not physical or not certified.
+_ROWS = ("nu_minus", "nu_plus", "nu_t", "nu_t_plus",
+         "lower_natural", "lower_sigma", "upper_natural", "eeof", "geof")
+#: Index of the first bound row; the rows before it are the spectra.
+_BOUNDS = _ROWS.index("lower_natural")
 
 
 def _symmetric(m, c1, c2, psd_tol: float, scale):
@@ -86,54 +80,47 @@ def _symmetric(m, c1, c2, psd_tol: float, scale):
 
 
 def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
-                     include_geof: bool = False) -> _StandardBounds:
-    """Every closed-form bound of the standard forms (a, b, c1, c2), c1 >= |c2|.
+                     include_geof: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(physical, entangled, table) of the standard forms (a, b, c1, c2), c1 >= |c2|.
 
-    Each state takes the physicality test `states._physical`: the standard
-    form with the scale of the input (max(a, b) if None), the symmetric
-    states (m, m, c1, c2) with max(a, b).  The symmetric state has least
-    eigenvalue m - c1, nu_minus sqrt((m - c1)(m - c2)) and PPT eigenvalue
-    sqrt((m - c1)(m + c2)); the standard form's spectra, and those of its
-    partial transpose (c2 -> -c2), come from `states._spectra`.  With
-    include_geof, `_geof_forms` searches the physical states together.
+    table[k] is the value `_ROWS[k]` of every form.  Each state takes the
+    physicality test `states._physical`: the standard form with the scale
+    of the input (max(a, b) if None), the symmetric states (m, m, c1, c2)
+    with max(a, b).  The symmetric state has least eigenvalue m - c1,
+    nu_minus sqrt((m - c1)(m - c2)) and PPT eigenvalue sqrt((m - c1)(m + c2));
+    the standard form's spectra, and those of its partial transpose, come
+    from `states._spectra`.  With include_geof, `_geof_forms` searches the
+    physical states together.
     """
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
     top = np.maximum(a, b)
     scale = top if scale is None else scale
-    (nu_minus, nu_t), (nu_plus, nu_t_plus) = _spectra(a, b, c1, np.array((c2, -c2)))
+    table = np.full((len(_ROWS),) + a.shape, np.nan)
+    # The rows (nu_minus, nu_t) and (nu_plus, nu_t_plus).
+    table[0:4:2], table[1:4:2] = _spectra(a, b, c1, np.array((c2, -c2)))
+    nu_minus, nu_t = table[0], table[2]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         physical = _physical(_least_eigenvalue(a, b, c1), nu_minus, scale, psd_tol)
         # The symmetric states with m = max(a, b), (a + b)/2 and min(a, b), together.
         m = np.array((top, (a + b) / 2.0, np.minimum(a, b)))
         nu_sym, physical_sym = _symmetric(m, c1, c2, psd_tol, top)
-    lower, sigma, upper, estimate = entanglement_entropy_vec(np.array((*nu_sym, nu_t)))
-    geof = np.full(physical.shape, np.nan)
-    if include_geof:
+    # The rows lower_natural, lower_sigma, upper_natural and eeof.
+    table[4:8] = entanglement_entropy_vec(np.array((*nu_sym, nu_t)))
+    table[6] = np.where(physical_sym[2], table[6], np.nan)
+    if include_geof:  # the row geof
         value, _, feasible, _ = _geof_forms(*(x[physical] for x in (a, b, c1, c2)), psd_tol)
-        geof[physical] = np.where(feasible, value, np.nan)
-    return _StandardBounds(
-        physical=physical,
-        nu_minus=nu_minus,
-        nu_plus=nu_plus,
-        nu_t=nu_t,
-        nu_t_plus=nu_t_plus,
-        entangled=nu_t < 1.0 - psd_tol,
-        lower_natural=lower,
-        lower_sigma=sigma,
-        upper_natural=np.where(physical_sym[2], upper, np.nan),
-        eeof=estimate,
-        geof=geof,
-    )
+        table[8, physical] = np.where(feasible, value, np.nan)
+    return physical, nu_t < 1.0 - psd_tol, table
 
 
 def _checked(v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = None,
-             include_geof: bool = False) -> tuple[StandardForm, _StandardBounds]:
-    """Standard form of one state and its closed-form pass, raising on its verdict."""
+             include_geof: bool = False) -> tuple[StandardForm, bool, np.ndarray]:
+    """Standard form of one state, its PPT test and its rows, raising on its verdict."""
     form, scale = _reduced(v, inv)
-    res = _standard_bounds(*form, psd_tol, scale, include_geof)
-    if not res.physical:
-        _rejected(_least_eigenvalue(*form[:3]), res.nu_minus, psd_tol)
-    return StandardForm(*map(float, form)), res
+    physical, entangled, rows = _standard_bounds(*form, psd_tol, scale, include_geof)
+    if not physical:
+        _rejected(_least_eigenvalue(*form[:3]), rows[_ROWS.index("nu_minus")], psd_tol)
+    return StandardForm(*map(float, form)), bool(entangled), rows
 
 
 #: The 64 nodes t = 1/64, ..., 1 of the searched bound's line.
@@ -177,10 +164,10 @@ def eof_symmetric(v: CovMat | StandardForm, tol: float = 1e-9, psd_tol: float = 
         If |a - b| > tol.
     """
     _nonnegative(tol=tol, psd_tol=psd_tol)
-    sf, res = _checked(v, psd_tol)
+    sf, _, rows = _checked(v, psd_tol)
     if abs(sf.a - sf.b) > tol:
         raise NotSymmetricError(f"standard form has |a - b| = {abs(sf.a - sf.b):.3e} > {tol:.3e}")
-    return float(res.eeof)
+    return float(rows[_ROWS.index("eeof")])
 
 
 @dataclass(frozen=True)
@@ -252,25 +239,19 @@ _ORDER = (
 )
 
 
-def _report(sf: StandardForm, res: _StandardBounds, psd_tol: float) -> BoundReport:
-    """`bound_report` of a checked standard form sf and its closed-form pass res.
+def _report(sf: StandardForm, entangled: bool, rows: np.ndarray, psd_tol: float) -> BoundReport:
+    """`bound_report` of a checked standard form sf, its PPT test and its rows.
 
-    The NaN of an unphysical natural upper state, and of a GeoF not
+    The bound rows are the report's values, with the searched bound beside
+    them; a NaN, as of an unphysical natural upper state or of a GeoF not
     certified or not asked for, is reported as None.
     """
-    upper, geof = float(res.upper_natural), float(res.geof)
-    values = {
-        "lower_natural": float(res.lower_natural),
-        "lower_sigma": float(res.lower_sigma),
-        "upper_natural": None if math.isnan(upper) else upper,
-        "upper_searched": _searched(*sf, psd_tol),
-        "eeof": float(res.eeof),
-        "geof": None if math.isnan(geof) else geof,
-    }
+    values = {name: None if math.isnan(x) else x
+              for name, x in zip(_ROWS[_BOUNDS:], rows[_BOUNDS:].tolist())}
+    values["upper_searched"] = _searched(*sf, psd_tol)
     violations = tuple(
         f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {tol:g}"
         for lo, hi, tol in _ORDER
         if values[lo] is not None and values[hi] is not None and values[lo] > values[hi] + tol
     )
-    return BoundReport(**values, entangled=bool(res.entangled), violations=violations,
-                       standard_form=sf)
+    return BoundReport(**values, entangled=entangled, violations=violations, standard_form=sf)

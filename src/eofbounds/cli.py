@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .bounds import _checked, _report, _standard_bounds
+from .bounds import _BOUNDS, _ROWS, _checked, _report, _standard_bounds
 from .entanglement import LN2
 from .errors import DomainError, NonPhysicalStateError, ParseError
 from .states import CovMat, Invariants, StandardForm, _standard_forms, invariants
@@ -62,6 +62,10 @@ def _cells(values: np.ndarray, shown: np.ndarray) -> list[list[str]]:
     cells[plain] = _formatted(values[plain])
     return cells.tolist()
 
+
+#: The table rows of the scan's value columns, in column order.
+_SCAN_ROWS = [_ROWS.index(name) for name in
+              ("nu_t", "lower_natural", "lower_sigma", "geof", "eeof", "upper_natural")]
 
 #: Cells of the flag and status columns, by the codes run_scan gives them.
 _LABELS = np.array(["", "false", "true", "no_state", "unphysical", "ok"], dtype=object)
@@ -206,13 +210,13 @@ def run_analyze(args: argparse.Namespace) -> None:
     # form from them, so they are computed once, here; a standard form's
     # are those of its matrix.
     inv = invariants(state if isinstance(state, CovMat) else state.to_covmat())
-    sf, res = _checked(state, args.tol_psd, inv, not args.no_geof)
-    report = _report(sf, res, args.tol_psd)
+    sf, entangled, rows = _checked(state, args.tol_psd, inv, not args.no_geof)
+    report = _report(sf, entangled, rows, args.tol_psd)
 
     values = (report.lower_natural, report.lower_sigma, report.upper_natural,
               report.upper_searched, report.eeof, report.geof)
     leaves = (
-        *inv, *sf, res.nu_minus, res.nu_plus, res.nu_t, res.nu_t_plus, report.entangled,
+        *inv, *sf, *rows[:_BOUNDS], report.entangled,
         *(_convert(x, args.units) for x in values), report.entangled,
         report.upper_natural is not None, report.upper_searched is not None,
         None if args.no_geof else report.geof is not None, not report.violations,
@@ -275,20 +279,21 @@ def run_scan(args: argparse.Namespace) -> None:
               else np.full_like(i1, spec["i4_literal"]))
     forms, solved = _standard_forms(i1, i2, i3, i4)
     forms = np.where(solved, forms, np.nan)
-    res = _standard_bounds(*forms, args.tol_psd, include_geof=spec["geof"])
-    ok = res.physical  # False where there is no standard form (NaN)
+    # ok is False where there is no standard form (NaN).
+    ok, entangled, table = _standard_bounds(*forms, args.tol_psd, include_geof=spec["geof"])
 
-    # mu_tilde_minus and the five entropy columns, formatted in one pass.
-    values = np.array((res.nu_t, res.lower_natural, res.lower_sigma, res.geof, res.eeof,
-                       res.upper_natural))
+    # mu_tilde_minus and the five entropy columns, formatted in one pass: an
+    # entropy prints on the physical rows, and none prints where it is NaN.
+    values = table[_SCAN_ROWS]
+    shown = ~np.isnan(values)
+    shown[1:] &= ok
     values[1:] = _convert(values[1:], args.units)
-    upper_physical = ~np.isnan(res.upper_natural)
-    shown = np.array((~np.isnan(res.nu_t), ok, ok, ~np.isnan(res.geof), ok, ok & upper_physical))
     nu_t, lower, sigma, geof, eeof, upper = _cells(values, shown)
-    # A flag is "" (0) off the physical rows, else "false" (1) or "true" (2);
-    # every physical row is solved, so the status is 3 + solved + ok.
-    entangled, upper_flag, status = _LABELS[np.array(
-        (ok * (1 + res.entangled), ok * (1 + upper_physical), 3 + solved + ok)
+    # A flag, the PPT test or whether upper_natural shows, is "" (0) off the
+    # physical rows, else "false" (1) or "true" (2); every physical row is
+    # solved, so the status is 3 + solved + ok.
+    entangled_flag, upper_flag, status = _LABELS[np.array(
+        (ok * (1 + entangled), ok * (1 + shown[-1]), 3 + solved + ok)
     )].tolist()
 
     # Grid order is I1-major, so each axis value is formatted only once.
@@ -297,7 +302,7 @@ def run_scan(args: argparse.Namespace) -> None:
         _formatted(spec["i2"]) * len(spec["i1"]),
         [format(spec["i3"], _FLOAT)] * len(i1),
         _formatted(i4),
-        nu_t, entangled, lower, sigma, geof, eeof, upper, upper_flag, status,
+        nu_t, entangled_flag, lower, sigma, geof, eeof, upper, upper_flag, status,
     ]
     lines = [",".join(SCAN_COLUMNS), *map(",".join, zip(*columns))]
     _write_text(args.output, "\n".join(lines) + "\n")

@@ -140,6 +140,7 @@ def invariants(v: CovMat) -> Invariants:
     """Local symplectic invariants of a two-mode covariance matrix (inf or NaN on overflow)."""
     a, b, c = v.block_a, v.block_b, v.block_c
     with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's matmul, not plain floats: those round otherwise and move printed I4 digits.
         i4 = float(np.trace(a @ J2 @ c @ J2 @ b @ J2 @ c.T @ J2))
         return Invariants(_det2(a), _det2(b), _det2(c), i4)
 

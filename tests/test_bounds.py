@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eofbounds import bounds, states
-from eofbounds.bounds import _standard_bounds, bound_report, eof_symmetric
+from eofbounds.bounds import _ROWS, _standard_bounds, bound_report, eof_symmetric
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import geof
@@ -349,7 +349,8 @@ def test_check_rejects_non_positive_and_subvacuum_matrices():
         w = CovMat(m)
         if "positive" in message:
             assert invariants(w) == invariants(v)
-            assert _standard_bounds(*_standard_forms(*invariants(w))[0]).physical
+            physical, _, _ = _standard_bounds(*_standard_forms(*invariants(w))[0])
+            assert physical
         for func in ONE_STATE_FUNCTIONS:
             with pytest.raises(NonPhysicalStateError, match=re.escape(message)):
                 func(w)
@@ -455,3 +456,32 @@ def test_report_invariant_under_local_symplectics_and_mode_swap():
                     assert moved[key] == pytest.approx(value, abs=1e-9), (i, swap, key)
                 else:
                     assert moved[key] == value, (i, swap, key)
+
+
+def same_bits(x, y):
+    """x and y are NaN in the same places and bit for bit equal elsewhere."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
+        np.where(nan, 0.0, x).view(np.int64), np.where(nan, 0.0, y).view(np.int64))
+
+
+@pytest.mark.parametrize("include_geof", [False, True], ids=["no-geof", "geof"])
+def test_one_state_and_a_grid_take_the_same_pass(include_geof):
+    # The standard forms of the README scan grid, its unphysical points
+    # included, of two invariants with none (NaN, as a scan passes them) and
+    # of random draws: the pass over all of them at once and over each
+    # alone, with the 0-d inputs that `_checked` gives it, agree bit for bit.
+    axis = np.linspace(1.0, 4.0, 40)
+    i1, i2 = np.concatenate((np.repeat(axis, 40), (1.44, -1.0))), np.append(np.tile(axis, 40), (1.44, 1.0))
+    i3 = np.append(np.full(1600, -0.2), (-0.3, 0.0))
+    i4 = np.append(0.4 * np.sqrt(i1[:1600] * i2[:1600]), (0.1, 0.0))
+    forms, solved = _standard_forms(i1, i2, i3, i4)
+    rng = np.random.default_rng(11)
+    drawn = [tuple(random_standard_form(rng, a_max=5.0)) for _ in range(100)]
+    forms = np.hstack((np.where(solved, forms, np.nan), np.array(drawn).T))
+    physical, entangled, table = _standard_bounds(*forms, include_geof=include_geof)
+    assert np.isnan(forms).any(axis=0).sum() == 2 and (~physical).sum() > 2 and entangled.any()
+    for k, form in enumerate(forms.T):
+        one_physical, one_entangled, rows = _standard_bounds(*form, include_geof=include_geof)
+        assert (one_physical, one_entangled) == (physical[k], entangled[k]), k
+        assert rows.shape == (len(_ROWS),) and same_bits(rows, table[:, k]), (k, rows, table[:, k])

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -7,7 +8,6 @@ import re
 import warnings
 from collections import namedtuple
 from pathlib import Path
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eofbounds.bounds import BoundReport, _standard_bounds, bound_report
+from eofbounds.bounds import _BOUNDS, _ORDER, _ROWS, BoundReport, _standard_bounds, bound_report
 from eofbounds.cli import (
     SCAN_COLUMNS,
     _cells,
@@ -412,6 +412,26 @@ def test_analyze_exact_bytes(tmp_path, capsys, monkeypatch, case):
     assert out.err == want["stderr"]
 
 
+def test_report_layouts_follow_the_rows(tmp_path, capsys):
+    # The analyze report's bounds, BoundReport's values and the hierarchy
+    # checks name bound rows of the pass, or the searched bound, and the
+    # first two list them in table order, the searched bound after the
+    # natural one.
+    bound_rows = _ROWS[_BOUNDS:]
+    allowed = {*bound_rows, "upper_searched"}
+    path = write(tmp_path, "in.json", EXACT_DOCS["standard-form"])
+    assert main(["analyze", "--input", path]) == 0
+    report_keys = [k for k in json.loads(capsys.readouterr().out)["bounds"]
+                   if k not in ("entangled", "flags")]
+    fields = [f.name for f in dataclasses.fields(BoundReport)
+              if f.name not in ("entangled", "violations", "standard_form")]
+    for names in (report_keys, fields):
+        assert set(names) == allowed, names
+        assert [n for n in names if n != "upper_searched"] == list(bound_rows), names
+        assert names.index("upper_searched") == names.index("upper_natural") + 1, names
+    assert {name for lo, hi, _ in _ORDER for name in (lo, hi)} <= allowed
+
+
 #: A standard form without StandardForm's checks, so that its entries may be NaN.
 Form = namedtuple("Form", "a b c1 c2")
 
@@ -429,14 +449,15 @@ def test_analyze_report_is_json_dumps_of_its_values(data):
     units = data.draw(st.sampled_from(["nats", "bits"]))
     report = BoundReport(*values, entangled=entangled, violations=tuple(violations),
                          standard_form=None)
-    res = SimpleNamespace(**{k: np.asarray(x) for k, x in zip(
-        ("nu_minus", "nu_plus", "nu_t", "nu_t_plus"), spectra)})
+    # The rows of the pass: the four spectra drawn, the bounds (which the
+    # patched _report stands for) NaN.
+    rows = np.array(spectra + [math.nan] * (len(_ROWS) - len(spectra)))
     args = argparse.Namespace(input="in.json", output=None, tol_psd=1e-10, units=units,
                               no_geof=no_geof)
     with patch.multiple("eofbounds.cli", _load_document=lambda path: {},
                         resolve_state_document=lambda doc: CovMat(np.eye(4)),
                         invariants=lambda v: Invariants(*inv),
-                        _checked=lambda *a: (Form(*sf), res), _report=lambda *a: report), \
+                        _checked=lambda *a: (Form(*sf), entangled, rows), _report=lambda *a: report), \
             contextlib.redirect_stdout(io.StringIO()) as out:
         run_analyze(args)
 
@@ -785,8 +806,8 @@ def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
           else np.full_like(i1, spec["i4"]))
     forms, solved = _standard_forms(i1, i2, i3, i4)
     forms = np.where(solved, forms, np.nan)
-    res = _standard_bounds(*forms)
-    ok = res.physical
+    ok, entangled, table = _standard_bounds(*forms)
+    res = dict(zip(_ROWS, table))
     g = np.full_like(i1, np.nan)
     if with_geof:
         value, _, feasible, _ = _geof_forms(*(x[ok] for x in forms))
@@ -795,20 +816,20 @@ def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
     lines = [",".join(SCAN_COLUMNS)]
     for k in range(len(i1)):
         shown = bool(ok[k])
-        upper_physical = not math.isnan(res.upper_natural[k])
+        upper_physical = not math.isnan(res["upper_natural"][k])
         if shown:
             status = "ok"
         else:
             status = "no_state" if math.isnan(forms[0][k]) else "unphysical"
         row = [
             float(i1[k]), float(i2[k]), float(i3[k]), float(i4[k]),
-            None if math.isnan(res.nu_t[k]) else float(res.nu_t[k]),
-            bool(res.entangled[k]) if shown else None,
-            float(entropy(res.lower_natural[k])) if shown else None,
-            float(entropy(res.lower_sigma[k])) if shown else None,
+            None if math.isnan(res["nu_t"][k]) else float(res["nu_t"][k]),
+            bool(entangled[k]) if shown else None,
+            float(entropy(res["lower_natural"][k])) if shown else None,
+            float(entropy(res["lower_sigma"][k])) if shown else None,
             None if math.isnan(g[k]) else float(entropy(g[k])),
-            float(entropy(res.eeof[k])) if shown else None,
-            float(entropy(res.upper_natural[k])) if shown and upper_physical else None,
+            float(entropy(res["eeof"][k])) if shown else None,
+            float(entropy(res["upper_natural"][k])) if shown and upper_physical else None,
             upper_physical if shown else None,
             status,
         ]

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from eofbounds.bounds import _standard_bounds, bound_report, eof_symmetric
+from eofbounds.bounds import _ROWS, _standard_bounds, bound_report, eof_symmetric
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import NonPhysicalStateError
 import eofbounds.geof as geof_module
@@ -169,7 +169,7 @@ def grid_forms(steps, i3, i4=None):
     i1, i2 = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
     i4 = 2.0 * abs(i3) * np.sqrt(i1 * i2) if i4 is None else np.full_like(i1, i4)
     forms, solved = _standard_forms(i1, i2, np.full_like(i1, i3), i4)
-    ok = solved & _standard_bounds(*forms).physical
+    ok = solved & _standard_bounds(*forms)[0]
     return np.array([x[ok] for x in forms])
 
 
@@ -245,7 +245,7 @@ def test_at_most_six_angles_per_state(forms):
     assert np.all(evals[product] >= 1)
     assert np.all(value[product] == 0.0) and np.all(params[product, 4] == 0.0)
     assert np.all(np.isin(evals[~product] - 4, (0, 2)))
-    entangled = _standard_bounds(*forms).entangled
+    _, entangled, _ = _standard_bounds(*forms)
     assert not np.any(product & entangled)
     assert np.any(product) and np.any(entangled)
 
@@ -271,8 +271,9 @@ def test_degenerate_product_states_certify_the_first_witness():
 def test_separable_state_at_the_ppt_boundary():
     # (2, 2, c1, -c1) has nu_t = 2 - c1: the two product witnesses meet.
     forms = np.array([(2.0, 2.0, c1, -c1) for c1 in (1.0, 1.0 - 1e-10, 1.0 - 5e-10, 1.0 - 9e-10)]).T
-    res = _standard_bounds(*forms)
-    assert not res.entangled.any() and np.all(np.abs(res.nu_t - 1.0) <= 1e-9)
+    _, entangled, table = _standard_bounds(*forms)
+    nu_t = table[_ROWS.index("nu_t")]
+    assert not entangled.any() and np.all(np.abs(nu_t - 1.0) <= 1e-9)
     assert_product_witnesses(forms)
 
 
@@ -285,8 +286,8 @@ def test_strongly_correlated_separable_states(a_max, c2_max, psd_tol, n):
     a, b = rng.uniform(1.0, a_max, (2, 5100))
     c1 = rng.uniform(0.0, 1.0, 5100) * np.sqrt(a * b)
     c2 = rng.uniform(-c2_max, c2_max, 5100) * c1
-    res = _standard_bounds(a, b, c1, c2)
-    separable = np.flatnonzero(res.physical & ~res.entangled)[:n]
+    physical, entangled, _ = _standard_bounds(a, b, c1, c2)
+    separable = np.flatnonzero(physical & ~entangled)[:n]
     assert separable.size == n
     assert_product_witnesses(np.array((a, b, c1, c2))[:, separable], psd_tol)
 
@@ -322,7 +323,7 @@ def test_never_above_dense_angle_grid():
              for sym in (True, False) for _ in range(200)]
     a, b = rng.uniform(1.0, 50.0, (2, 200))
     c1 = rng.uniform(0.0, 1.0, 200) * np.sqrt(a * b)
-    ok = _standard_bounds(a, b, c1, 0.0 * a).physical
+    ok = _standard_bounds(a, b, c1, 0.0 * a)[0]
     forms += list(zip(a[ok], b[ok], c1[ok], 0.0 * a[ok]))
     value, _, feasible, _ = _geof_forms(*np.array(forms).T)
     assert feasible.all()
