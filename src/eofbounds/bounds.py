@@ -108,8 +108,7 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
     table[4:8] = entanglement_entropy_vec(np.array((*nu_sym, nu_t)))
     table[6] = np.where(physical_sym[2], table[6], np.nan)
     if include_geof:  # the row geof
-        value, _, feasible, _ = _geof_forms(*(x[physical] for x in (a, b, c1, c2)), psd_tol)
-        table[8, physical] = np.where(feasible, value, np.nan)
+        table[8, physical] = _geof_forms(*(x[physical] for x in (a, b, c1, c2)), psd_tol)[0]
     return physical, nu_t < 1.0 - psd_tol, table
 
 
@@ -127,7 +126,7 @@ def _checked(v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = 
 _NODES = np.linspace(0.0, 1.0, 65)[1:]
 
 
-def _searched(a, b, c1, c2, psd_tol: float) -> float | None:
+def _searched(a, b, c1, c2, psd_tol: float) -> float:
     """The searched upper bound of one physical standard form (a, b, c1, c2).
 
     v - V' splits into an x sector [[a - m, k], [k, b - m]], k = (1 - t) c1,
@@ -139,14 +138,14 @@ def _searched(a, b, c1, c2, psd_tol: float) -> float | None:
     rise with m, so at each t the boundary point m(t) is the best one.
     Physicality implies m >= 1 within its allowance, so m is not tested
     against 1.  The least EoF over the feasible nodes `_NODES` is returned,
-    or None if none is; t = 1 is the natural upper state.
+    or NaN if none is; t = 1 is the natural upper state.
     """
     t = _NODES
     d = abs(a - b)
     m = min(a, b) - (np.hypot(d, 2.0 * (1.0 - t) * c1) - d) / 2.0
     nu_t, feasible = _symmetric(m, t * c1, t * c2, psd_tol, max(a, b))
     if not np.any(feasible):
-        return None
+        return math.nan
     return float(np.min(entanglement_entropy_vec(nu_t[feasible])))
 
 
@@ -243,15 +242,12 @@ def _report(sf: StandardForm, entangled: bool, rows: np.ndarray, psd_tol: float)
     """`bound_report` of a checked standard form sf, its PPT test and its rows.
 
     The bound rows are the report's values, with the searched bound beside
-    them; a NaN, as of an unphysical natural upper state or of a GeoF not
-    certified or not asked for, is reported as None.
+    them.  A NaN, a value not available, fails every order check, and the
+    report gives it as None.
     """
-    values = {name: None if math.isnan(x) else x
-              for name, x in zip(_ROWS[_BOUNDS:], rows[_BOUNDS:].tolist())}
+    values = dict(zip(_ROWS[_BOUNDS:], rows[_BOUNDS:].tolist()))
     values["upper_searched"] = _searched(*sf, psd_tol)
-    violations = tuple(
-        f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {tol:g}"
-        for lo, hi, tol in _ORDER
-        if values[lo] is not None and values[hi] is not None and values[lo] > values[hi] + tol
-    )
-    return BoundReport(**values, entangled=entangled, violations=violations, standard_form=sf)
+    violations = tuple(f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {tol:g}"
+                       for lo, hi, tol in _ORDER if values[lo] > values[hi] + tol)
+    return BoundReport(**{name: None if math.isnan(x) else x for name, x in values.items()},
+                       entangled=entangled, violations=violations, standard_form=sf)

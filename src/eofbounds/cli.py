@@ -38,8 +38,8 @@ SCAN_COLUMNS = [
     "status",
 ]
 
-#: Accepted spellings of the correlated I4 rule used in grid scans.
-I4_RULE_STRINGS = {"2|I3|sqrt(I1*I2)", "natural"}
+#: The one spelling of the correlated I4 rule of grid scans, their default.
+I4_RULE = "2|I3|sqrt(I1*I2)"
 
 
 #: Format of every number in scan output.
@@ -248,12 +248,10 @@ def _parse_scan_spec(args: argparse.Namespace) -> dict:
     unknown = set(doc) - {"i1", "i2", "i3", "i4", "geof"}
     if unknown:
         raise ParseError(f"unknown scan keys: {sorted(unknown)}")
-    i4 = doc.get("i4", "2|I3|sqrt(I1*I2)")
+    i4 = doc.get("i4", I4_RULE)
     if isinstance(i4, str):
-        if i4 not in I4_RULE_STRINGS:
-            raise ParseError(
-                f"i4 must be a number or one of {sorted(I4_RULE_STRINGS)}, got {i4!r}"
-            )
+        if i4 != I4_RULE:
+            raise ParseError(f"i4 must be a number or {I4_RULE!r}, got {i4!r}")
         i4_rule = None
     else:
         i4_rule = _as_float(i4, "i4")

@@ -52,7 +52,7 @@ the case n = 1):
 So at most 6 witnesses are evaluated per state: 1 or 2 for a state
 certified by a product witness, its product witnesses (0 or 2) plus 4
 angles for every other.  A value is kept only if its witness G, rebuilt
-from the returned parameters, passes V - G >= -allowance: for
+from its row (s_a, s_b, r), passes V - G >= -allowance: for
 G = Gx (+) Gx^-1, two 2x2 tests on Vx - Gx and Vp - Gx^-1 (`_certified`).
 """
 
@@ -140,12 +140,10 @@ def _stationary(rows) -> np.ndarray:
 
 
 def _parameters(g11, g22, g12) -> np.ndarray:
-    """(0, s_a, 0, s_b, r) rows of the pure matrices Gx (+) Gx^-1."""
+    """Witness rows (s_a, s_b, r) of the pure matrices Gx (+) Gx^-1 (see `_certified`)."""
     r = 0.5 * np.arcsinh(g12 / np.sqrt(g11 * g22 - g12 * g12))
     ch = np.cosh(2 * r)
-    p = np.zeros((r.size, 5))
-    p[:, 1], p[:, 3], p[:, 4] = 0.5 * np.log(g11 / ch), 0.5 * np.log(g22 / ch), r
-    return p
+    return np.array((0.5 * np.log(g11 / ch), 0.5 * np.log(g22 / ch), r)).T
 
 
 def _least_eigenvalue(d11, d22, d12):
@@ -153,11 +151,11 @@ def _least_eigenvalue(d11, d22, d12):
     return (d11 + d22 - np.hypot(d11 - d22, 2.0 * d12)) / 2.0
 
 
-def _certified(a, b, c1, c2, params, psd_tol: float) -> np.ndarray:
-    """Whether the witnesses G = Gx (+) Gx^-1 of the parameter rows are below V.
+def _certified(a, b, c1, c2, witness, psd_tol: float) -> np.ndarray:
+    """Whether the witnesses G = Gx (+) Gx^-1 of the rows (s_a, s_b, r) are below V.
 
     Gx = e^S [[ch, sh], [sh, ch]] e^S with S = diag(s_a, s_b) is rebuilt
-    from the parameters, and both Vx - Gx and Vp - Gx^-1 must have least
+    from each row, and both Vx - Gx and Vp - Gx^-1 must have least
     eigenvalue >= -(psd_tol + 16 eps max(a, b)^3).  An optimal witness
     touches V, so roundoff decides the sign of these tests.  Converting Gx
     to (s_a, s_b, r) takes sqrt(det Gx), and det Gx = Gx11 Gx22 - Gx12^2
@@ -168,12 +166,12 @@ def _certified(a, b, c1, c2, params, psd_tol: float) -> np.ndarray:
     (r up to 3, half in random local frames) and -2 on the README grids and
     on random forms with a, b up to 50.  16 eps max(a, b)^3 is allowed, as
     `least_mu_minus` allows 16 eps scale^2 for its own roundoff.  Rows with
-    non-finite parameters fail.
+    non-finite entries fail.
     """
     with np.errstate(over="ignore"):  # an inf allowance where max(a, b)^3 overflows
         allowance = psd_tol + 16.0 * np.finfo(float).eps * np.maximum(a, b) ** 3
-    ch, sh = np.cosh(2 * params[:, 4]), np.sinh(2 * params[:, 4])
-    ea, eb = np.exp(2 * params[:, 1]), np.exp(2 * params[:, 3])
+    ch, sh = np.cosh(2 * witness[:, 2]), np.sinh(2 * witness[:, 2])
+    ea, eb = np.exp(2 * witness[:, 0]), np.exp(2 * witness[:, 1])
     x = _least_eigenvalue(a - ch * ea, b - ch * eb, c1 - sh * np.sqrt(ea * eb))
     p = _least_eigenvalue(a - ch / ea, b - ch / eb, c2 + sh / np.sqrt(ea * eb))
     return np.minimum(x, p) >= -allowance
@@ -183,9 +181,9 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     """Gaussian EoF of physical standard forms (a, b, c1, c2), searched together.
 
     Takes numpy arrays of n standard forms and returns, per state, the value
-    (inf where the witness failed the certificate), the witness parameters
-    (n, 5), feasible and the witnesses evaluated.  `psd_tol` means what it
-    means in `geof`, for each state.
+    (NaN where no witness passed the certificate), the witness row
+    (s_a, s_b, r) of shape (n, 3), zeros where none passed, and the
+    witnesses evaluated.  `psd_tol` means what it means in `geof`.
     """
     a, b, c1, c2 = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
     n = a.size
@@ -193,11 +191,10 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     p = np.array(((b, -c2), (-c2, a))) / (a * b - c2 * c2)
     d = vx - p
     dd = d[0, 0] * d[1, 1]
-    value, params, feasible = np.full(n, np.inf), np.zeros((n, 5)), np.zeros(n, dtype=bool)
-    evals = np.zeros(n, dtype=np.int64)
+    value, witness, evals = np.full(n, np.nan), np.zeros((n, 3)), np.zeros(n, dtype=np.int64)
 
     def certify(k, g11, g22, g12):
-        """Parameters of the witnesses Gx = (g11, g22, g12) of states k, and which pass."""
+        """Witness rows of the matrices Gx = (g11, g22, g12) of states k, and which pass."""
         with np.errstate(invalid="ignore", divide="ignore"):
             trial = _parameters(g11, g22, g12)
             return trial, _certified(a[k], b[k], c1[k], c2[k], trial, psd_tol)
@@ -226,10 +223,10 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
         pick = np.arange(k.size) + k.size * ~passed[:k.size]  # the first witness if it passed
         evals[k], ok = 1 + (pick >= k.size), passed[pick]
         won = k[ok]
-        params[won], feasible[won], value[won] = trial[pick[ok]], True, 0.0
+        witness[won], value[won] = trial[pick[ok]], 0.0
 
     # Every other state: the least rho of its stationary angles on the curve.
-    k = np.flatnonzero(~feasible)
+    k = np.flatnonzero(np.isnan(value))
     if k.size:
         evals[k] += 4
         rows = _curve(vx[..., k], p[..., k])
@@ -238,9 +235,9 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
             best = (np.arange(k.size), np.argmin(np.abs(g12) / np.sqrt(g11 * g22), axis=1))
         trial, passed = certify(k, g11[best], g22[best], g12[best])
         won, trial = k[passed], trial[passed]
-        params[won], feasible[won] = trial, True
-        value[won] = entanglement_entropy_vec(np.exp(-2.0 * np.abs(trial[:, 4])))
-    return value, params, feasible, evals
+        witness[won] = trial
+        value[won] = entanglement_entropy_vec(np.exp(-2.0 * np.abs(trial[:, 2])))
+    return value, witness, evals
 
 
 def geof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> GeofResult:
@@ -253,8 +250,9 @@ def geof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> GeofResult:
 
     At most 6 witnesses are evaluated.  A separable state returns exactly
     0.0 from a product witness.  The returned value is that of a witness G
-    that passes the certificate V - G >= -(psd_tol + 16 eps max(a, b)^3);
-    when it fails, the result is infeasible with value inf.
+    that passes the certificate V - G >= -(psd_tol + 16 eps max(a, b)^3),
+    and `argmin_parameters` are its (0, s_a, 0, s_b, r); where none passes
+    (NaN in `_geof_forms`), the result is infeasible with value inf.
 
     Raises
     ------
@@ -265,9 +263,10 @@ def geof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> GeofResult:
     """
     _nonnegative(psd_tol=psd_tol)
     sf = standard_form(v, psd_tol)
-    value, params, feasible, evals = _geof_forms(*sf, psd_tol)
-    return GeofResult(float(value[0]), params[0], bool(feasible[0]), int(evals[0]),
-                      sf.to_covmat().matrix)
+    value, witness, evals = _geof_forms(*sf, psd_tol)
+    feasible = not np.isnan(value[0])
+    return GeofResult(float(value[0]) if feasible else np.inf, np.insert(witness[0], (0, 1), 0.0),
+                      feasible, int(evals[0]), sf.to_covmat().matrix)
 
 
 class _CallableModule(types.ModuleType):

@@ -32,6 +32,7 @@ J2.setflags(write=False)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (m + m^T)/2 as a fresh float array."""
+    """Return the symmetric part (m + m^T)/2 as a fresh float array, summed by
+    halves where asymmetric (or zero, for its sign) so that no finite entry overflows."""
     m = np.asarray(m, dtype=float)
-    return (m + m.T) / 2.0
+    return np.where((m == m.T) & (m != 0.0), m, m / 2.0 + m.T / 2.0)

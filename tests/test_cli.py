@@ -27,7 +27,7 @@ from eofbounds.cli import (
 )
 from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import NonPhysicalStateError, ParseError
-from eofbounds.geof import _geof_forms
+from eofbounds.geof import _geof_forms, geof
 from eofbounds.states import CovMat, Invariants, StandardForm, _standard_forms, standard_form
 
 from conftest import (
@@ -432,6 +432,45 @@ def test_report_layouts_follow_the_rows(tmp_path, capsys):
     assert {name for lo, hi, _ in _ORDER for name in (lo, hi)} <= allowed
 
 
+#: An entangled state of the analyze corpus whose searched line has no
+#: feasible node (its natural upper state is unphysical too).
+NO_SEARCHED_NODE = StandardForm(1.8897284129522964, 2.1608410473115596, 1.6434792741162767,
+                                -0.9286050470785248)
+
+
+def test_no_feasible_searched_node_is_not_available(tmp_path, capsys):
+    assert bound_report(NO_SEARCHED_NODE).upper_searched is None
+    path = write(tmp_path, "in.json", {"standard_form": dataclasses.asdict(NO_SEARCHED_NODE)})
+    assert main(["analyze", "--input", path]) == 0
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    assert bounds["upper_searched"] is None and bounds["flags"]["searched_feasible"] is False
+    assert bounds["upper_natural"] is None and bounds["geof"] is not None
+    assert bounds["flags"]["hierarchy_ok"] is True
+    assert not any("upper_searched" in v for v in bounds["flags"]["violations"])
+
+
+def test_every_witness_rejected_is_not_available(tmp_path, capsys, monkeypatch):
+    # A GeoF search whose certificate fails every witness: the one-state
+    # result is infeasible with value inf, and the report and the scan show
+    # no value.
+    v = CovMat.from_standard_form(1.2, 1.5, 0.447, -0.447)
+    before = geof(v)
+    monkeypatch.setattr("eofbounds.geof._certified", lambda a, *args: np.zeros(np.shape(a), dtype=bool))
+    res = geof(v)
+    assert before.feasible and res.value == math.inf and res.feasible is False
+    assert res.iterations == before.iterations
+    assert bound_report(v).geof is None
+    path = write(tmp_path, "in.json", {"matrix": v.matrix.tolist()})
+    assert main(["analyze", "--input", path]) == 0
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    assert bounds["geof"] is None and bounds["flags"]["geof_feasible"] is False
+    out = tmp_path / "out.csv"
+    assert main(["scan", "--input", write(tmp_path, "scan.json", scan_spec(steps=4)),
+                 "--output", str(out)]) == 0
+    rows = [row for row in read_rows(out) if row["status"] == "ok"]
+    assert rows and all(row["geof"] == "" for row in rows)
+
+
 #: A standard form without StandardForm's checks, so that its entries may be NaN.
 Form = namedtuple("Form", "a b c1 c2")
 
@@ -521,6 +560,21 @@ def test_overflowing_invariants_exit_3_without_warnings(tmp_path, capsys, tol):
         spec = write(tmp_path, "scan.json", scan_spec(steps=2, i4=1e200))
         assert main(["scan", "--input", spec, "--tol-psd", tol, "--output", str(out)]) == 0
     assert [row["status"] for row in read_rows(out)] == ["unphysical"] * 4
+
+
+@pytest.mark.parametrize("doc", [
+    {"matrix": np.diag([1e308, 1e308, 1.0, 1.0]).tolist()},
+    {"matrix": [[1e308, 1.7e308, 0, 0], [1.7e308, 1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    {"standard_form": {"a": 1e308, "b": 1e308, "c1": 0, "c2": 0}},
+], ids=["diagonal", "off-diagonal", "standard-form"])
+def test_huge_finite_entries_exit_3_without_warnings(tmp_path, capsys, doc):
+    # Entries above about 9e307 are finite, but their sum is not: symmetrizing
+    # the matrix must not overflow, so `python -W error` gets the verdict too.
+    path = write(tmp_path, "in.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", path]) == 3
+    assert capsys.readouterr().err.startswith("error: unphysical input: ")
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +699,22 @@ def test_scan_rejects_bad_i4_rule(tmp_path, capsys):
     path = write(tmp_path, "scan.json", scan_spec(steps=3, i4="cubic"))
     assert main(["scan", "--input", path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("i4", ["2|I3|sqrt(I1*I2)", "natural", "2|I3|sqrt(I1 I2)", ""])
+def test_scan_i4_rule_has_one_spelling(tmp_path, capsys, i4):
+    # The documented spelling is the default grid's rule; every other
+    # string is a parse error that names it.
+    path = write(tmp_path, "scan.json", {"i4": i4})
+    code = main(["scan", "--input", path])
+    out = capsys.readouterr()
+    if i4 == "2|I3|sqrt(I1*I2)":
+        assert code == 0 and out.err == ""
+        assert main(["scan"]) == 0
+        assert capsys.readouterr().out == out.out
+    else:
+        assert code == 2 and out.out == ""
+        assert out.err == f"error: i4 must be a number or '2|I3|sqrt(I1*I2)', got {i4!r}\n"
 
 
 def test_scan_default_spec_runs(tmp_path):
@@ -810,8 +880,7 @@ def reference_scan_csv(spec: dict, with_geof: bool, units: str) -> bytes:
     res = dict(zip(_ROWS, table))
     g = np.full_like(i1, np.nan)
     if with_geof:
-        value, _, feasible, _ = _geof_forms(*(x[ok] for x in forms))
-        g[ok] = np.where(feasible, value, np.nan)
+        g[ok] = _geof_forms(*(x[ok] for x in forms))[0]
     entropy = lambda x: x / LN2 if units == "bits" else x
     lines = [",".join(SCAN_COLUMNS)]
     for k in range(len(i1)):

@@ -193,11 +193,17 @@ def standard_matrices(forms):
     return np.array([CovMat.from_standard_form(*f).matrix for f in zip(a, b, c1, c2)])
 
 
+def padded(witness):
+    """The 5-parameter rows (0, s_a, 0, s_b, r) of witness rows (s_a, s_b, r)."""
+    return np.insert(witness, (0, 1), 0.0, axis=1)
+
+
 def assert_matches_reference(forms, refs):
-    value, params, feasible, _ = _geof_forms(*forms)
+    value, witness, _ = _geof_forms(*forms)
+    feasible = ~np.isnan(value)
     assert np.array_equal(feasible, [r.feasible for r in refs])
     np.testing.assert_allclose(value[feasible], [r.value for r in refs if r.feasible], rtol=0, atol=1e-12)
-    gamma = pure_cms_from_parameters(params[feasible])
+    gamma = pure_cms_from_parameters(padded(witness[feasible]))
     lam = np.linalg.eigvalsh(standard_matrices(forms)[feasible] - gamma)[:, 0]
     assert np.all(lam >= -PSD_TOL)
 
@@ -220,9 +226,10 @@ def test_array_search_matches_scalar_reference_on_random_states():
     forms = np.array([[g.reference_matrix[i, j] for g in single] for i, j in ((0, 0), (2, 2), (0, 2), (1, 3))])
     assert_matches_reference(forms, [scalar_geof(v, tol=1e-9) for v in states])
     # geof is the array search at n = 1: the same row, bit for bit.
-    value, params, feasible, evals = _geof_forms(*forms)
+    value, witness, evals = _geof_forms(*forms)
+    params = padded(witness)
     for k, g in enumerate(single):
-        assert (g.value, g.feasible, g.iterations) == (value[k], feasible[k], evals[k])
+        assert (g.value, g.feasible, g.iterations) == (value[k], not np.isnan(value[k]), evals[k])
         assert np.array_equal(g.argmin_parameters, params[k])
 
 
@@ -239,11 +246,11 @@ def random_standard_forms(seed, n):
 def test_at_most_six_angles_per_state(forms):
     # At most 2 product witnesses, then the 4 roots of the quartic unless
     # a product witness certified.
-    value, params, feasible, evals = _geof_forms(*forms)
-    assert feasible.all() and evals.max() <= 6
+    value, witness, evals = _geof_forms(*forms)
+    assert not np.isnan(value).any() and evals.max() <= 6
     product = evals <= 2
     assert np.all(evals[product] >= 1)
-    assert np.all(value[product] == 0.0) and np.all(params[product, 4] == 0.0)
+    assert np.all(value[product] == 0.0) and np.all(witness[product, 2] == 0.0)
     assert np.all(np.isin(evals[~product] - 4, (0, 2)))
     _, entangled, _ = _standard_bounds(*forms)
     assert not np.any(product & entangled)
@@ -252,10 +259,10 @@ def test_at_most_six_angles_per_state(forms):
 
 def assert_product_witnesses(forms, psd_tol=PSD_TOL):
     """Every form certifies a product witness: value exactly 0.0, r = 0 and G <= V."""
-    value, params, feasible, evals = _geof_forms(*forms, psd_tol)
-    assert feasible.all() and np.all(value == 0.0) and np.all(params[:, 4] == 0.0)
+    value, witness, evals = _geof_forms(*forms, psd_tol)
+    assert not np.isnan(value).any() and np.all(value == 0.0) and np.all(witness[:, 2] == 0.0)
     assert np.all((evals == 1) | (evals == 2))
-    gamma = pure_cms_from_parameters(params)
+    gamma = pure_cms_from_parameters(padded(witness))
     assert np.all(np.linalg.eigvalsh(standard_matrices(forms) - gamma)[:, 0] >= -PSD_TOL)
     return evals
 
@@ -294,7 +301,7 @@ def test_strongly_correlated_separable_states(a_max, c2_max, psd_tol, n):
 
 def test_empty_batch():
     out = _geof_forms(*np.zeros((4, 0)))
-    assert [x.shape for x in out] == [(0,), (0, 5), (0,), (0,)]
+    assert [x.shape for x in out] == [(0,), (0, 3), (0,)]
 
 
 def test_product_witnesses_need_no_curve(monkeypatch):
@@ -325,8 +332,8 @@ def test_never_above_dense_angle_grid():
     c1 = rng.uniform(0.0, 1.0, 200) * np.sqrt(a * b)
     ok = _standard_bounds(a, b, c1, 0.0 * a)[0]
     forms += list(zip(a[ok], b[ok], c1[ok], 0.0 * a[ok]))
-    value, _, feasible, _ = _geof_forms(*np.array(forms).T)
-    assert feasible.all()
+    value, _, _ = _geof_forms(*np.array(forms).T)
+    assert not np.isnan(value).any()
     phi = np.linspace(0.0, math.pi, 20001)
     for (a, b, c1, c2), v in zip(forms, value):
         vx = np.array([[a, c1], [c1, b]])

@@ -144,3 +144,32 @@ def test_symmetrize_idempotent(x, y):
     s = symmetrize(m)
     np.testing.assert_array_equal(s, s.T)
     np.testing.assert_array_equal(symmetrize(s), s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e300, 1e300).filter(
+    lambda x: x == 0.0 or abs(x) >= 1e-300), min_size=16, max_size=16), st.booleans())
+def test_symmetrize_is_the_mean_where_it_does_not_overflow(entries, symmetric):
+    # The bits of (m + m^T)/2, signed zeros included, wherever that sum
+    # neither overflows nor halves into subnormals.
+    m = np.array(entries).reshape(4, 4)
+    if symmetric:
+        m = np.triu(m) + np.triu(m, 1).T
+    with np.errstate(over="ignore"):
+        mean = (m + m.T) / 2.0
+    finite = np.isfinite(mean)
+    got = symmetrize(m)
+    assert np.array_equal(got[finite], mean[finite])
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(mean[finite]))
+    np.testing.assert_array_equal(got, got.T)
+
+
+def test_symmetrize_huge_entries_without_warnings():
+    # (m + m^T)/2 overflows above about 9e307; the halves do not.
+    m = np.diag([1e308, 1e308, 1.0, 1.0])
+    m[0, 1], m[1, 0], m[2, 3], m[3, 2] = 1.7e308, 1.7e308, 1.7e308, -1.7e308
+    with np.errstate(all="raise"):
+        got = symmetrize(m)
+    want = np.diag([1e308, 1e308, 1.0, 1.0])
+    want[0, 1] = want[1, 0] = 1.7e308
+    np.testing.assert_array_equal(got, want)
