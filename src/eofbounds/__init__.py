@@ -1,16 +1,10 @@
 """Bounds for the entanglement of formation of two-mode Gaussian states."""
 
-from .bounds import BoundReport, bound_report, eof_symmetric
+from .bounds import BoundReport, bound_report
 from .entanglement import entanglement_entropy
-from .errors import (
-    DomainError,
-    EofBoundsError,
-    NonPhysicalStateError,
-    NotSymmetricError,
-    ParseError,
-)
+from .errors import DomainError, EofBoundsError, NonPhysicalStateError, ParseError
 from .geof import GeofResult
 from .states import CovMat, Invariants, StandardForm, invariants, standard_form
-from .symplectic import J2, PSD_TOL, symmetrize
+from .symplectic import PSD_TOL
 
 __version__ = "0.1.0"

@@ -25,11 +25,12 @@ at the nodes of its line.  Every value is therefore invariant under local
 symplectics and under swapping the modes.  The GeoF is an upper bound as
 well, and never above the symmetric-state ones (see `bound_report`).
 
-Both one-state functions, `bound_report` (every bound) and
-`eof_symmetric` (the exact EoF of a symmetric state), reduce their CovMat
-or StandardForm once, by the route of `states.standard_form`, and raise
-NonPhysicalStateError on the verdict of that pass (`_checked`), the
-verdict `standard_form` gives.
+For a symmetric state (a = b) all three symmetric states are the state
+itself, so both lower bounds, the natural upper bound and the EeoF are its
+exact EoF (Giedke et al., PRL 91, 107901, 2003): `bound_report(v).eeof`.
+`bound_report` reduces its CovMat or StandardForm once, by the route of
+`states.standard_form`, and raises NonPhysicalStateError on the verdict of
+that pass (`_checked`), the verdict `standard_form` gives.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .errors import NotSymmetricError
 from .geof import _geof_forms
 from .states import (
     CovMat,
@@ -147,26 +147,6 @@ def _searched(a, b, c1, c2, psd_tol: float) -> float:
     if not np.any(feasible):
         return math.nan
     return float(np.min(entanglement_entropy_vec(nu_t[feasible])))
-
-
-def eof_symmetric(v: CovMat | StandardForm, tol: float = 1e-9, psd_tol: float = PSD_TOL) -> float:
-    """Exact entanglement of formation of a symmetric two-mode Gaussian state.
-
-    The state is symmetric iff its standard form has |a - b| <= tol, in
-    whatever local frame v is given.
-
-    Raises
-    ------
-    DomainError
-        If tol or psd_tol is not finite and non-negative.
-    NotSymmetricError
-        If |a - b| > tol.
-    """
-    _nonnegative(tol=tol, psd_tol=psd_tol)
-    sf, _, rows = _checked(v, psd_tol)
-    if abs(sf.a - sf.b) > tol:
-        raise NotSymmetricError(f"standard form has |a - b| = {abs(sf.a - sf.b):.3e} > {tol:.3e}")
-    return float(rows[_ROWS.index("eeof")])
 
 
 @dataclass(frozen=True)

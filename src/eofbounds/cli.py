@@ -89,7 +89,7 @@ def _load_document(path: str) -> dict:
         if text.startswith("\ufeff"):  # as json.loads rejects it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         doc = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long int, or too deep nesting
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
@@ -108,6 +108,24 @@ def _as_float(value, what: str) -> float:
     return x
 
 
+def _keys(body: dict, known: set[str], what: str, lower: bool = False) -> dict:
+    """body, with its keys lower-cased if lower, once every key is one of known.
+
+    A key not in known, and with lower two keys that differ only in case,
+    are a ParseError: neither may be dropped or overwritten silently.
+    """
+    if lower:
+        lowered = {k.lower(): v for k, v in body.items()}
+        if len(lowered) < len(body):
+            clashing = sorted(k for k in body if sum(j.lower() == k.lower() for j in body) > 1)
+            raise ParseError(f"{what} keys differ only in case: {clashing}")
+        body = lowered
+    unknown = set(body) - known
+    if unknown:
+        raise ParseError(f"unknown {what} keys: {sorted(unknown)}")
+    return body
+
+
 def resolve_state_document(doc: dict) -> CovMat | StandardForm:
     """The state of one of the three representations, for `run_analyze` to reduce once.
 
@@ -115,7 +133,7 @@ def resolve_state_document(doc: dict) -> CovMat | StandardForm:
     written; invariants give the standard form `_standard_forms` solves,
     or raise DomainError where it finds none (a scan's "no_state").
     """
-    keys = {"matrix", "standard_form", "invariants"} & set(doc)
+    keys = set(_keys(doc, {"matrix", "standard_form", "invariants"}, "document"))
     if len(keys) != 1:
         raise ParseError(
             "document must contain exactly one of 'matrix', 'standard_form', "
@@ -137,11 +155,11 @@ def resolve_state_document(doc: dict) -> CovMat | StandardForm:
     if not isinstance(body, dict):
         raise ParseError(f"'{key}' must be an object")
     if key == "standard_form":
-        missing = {"a", "b", "c1", "c2"} - set(body)
+        missing = {"a", "b", "c1", "c2"} - set(_keys(body, {"a", "b", "c1", "c2"}, key))
         if missing:
             raise ParseError(f"standard_form missing keys: {sorted(missing)}")
         return StandardForm(*(_as_float(body[k], k) for k in ("a", "b", "c1", "c2")))
-    body = {str(k).lower(): v for k, v in body.items()}
+    body = _keys(body, {"i1", "i2", "i3", "i4"}, key, lower=True)
     missing = {"i1", "i2", "i3", "i4"} - set(body)
     if missing:
         raise ParseError(f"invariants missing keys: {sorted(k.upper() for k in missing)}")
@@ -231,6 +249,7 @@ def _parse_axis(doc: dict, key: str) -> np.ndarray:
     body = doc.get(key, {"min": 1.0, "max": 4.0, "steps": 40})
     if not isinstance(body, dict):
         raise ParseError(f"'{key}' must be an object with min/max/steps")
+    _keys(body, {"min", "max", "steps"}, key)
     lo = _as_float(body.get("min", 1.0), f"{key}.min")
     hi = _as_float(body.get("max", 4.0), f"{key}.max")
     steps = body.get("steps", 40)
@@ -238,16 +257,15 @@ def _parse_axis(doc: dict, key: str) -> np.ndarray:
         raise ParseError(f"{key}.steps must be a positive integer")
     if hi < lo:
         raise ParseError(f"{key}: max < min")
-    return np.linspace(lo, hi, steps)
+    try:
+        return np.linspace(lo, hi, steps)
+    except (ValueError, IndexError) as exc:  # more steps than numpy can allocate or count
+        raise ParseError(f"{key}.steps is too large: {exc}") from exc
 
 
 def _parse_scan_spec(args: argparse.Namespace) -> dict:
-    doc = {str(k).lower(): v for k, v in (
-        _load_document(args.input) if args.input else {}
-    ).items()}
-    unknown = set(doc) - {"i1", "i2", "i3", "i4", "geof"}
-    if unknown:
-        raise ParseError(f"unknown scan keys: {sorted(unknown)}")
+    doc = _keys(_load_document(args.input) if args.input else {},
+                {"i1", "i2", "i3", "i4", "geof"}, "scan", lower=True)
     i4 = doc.get("i4", I4_RULE)
     if isinstance(i4, str):
         if i4 != I4_RULE:

@@ -16,19 +16,8 @@ class DomainError(EofBoundsError, ValueError):
 class NonPhysicalStateError(EofBoundsError):
     """State fails the physicality test: its standard form is not positive
     definite, or its mu_minus is below 1 (as it is where min(a, b) < 1),
-    beyond psd_tol.
-
-    Carries the offending smallest symplectic eigenvalue when known, so
-    callers can report how badly physicality failed.
+    beyond psd_tol.  The message gives the failing value.
     """
-
-    def __init__(self, message: str, mu_minus: float | None = None):
-        super().__init__(message)
-        self.mu_minus = mu_minus
-
-
-class NotSymmetricError(EofBoundsError):
-    """The two reduced blocks of the state differ beyond tolerance."""
 
 
 class ParseError(EofBoundsError):

@@ -185,9 +185,8 @@ def _rejected(lam_min, nu_minus, tol: float):
     """Raise the NonPhysicalStateError of a state that failed `_physical`."""
     if not lam_min > tol:
         raise NonPhysicalStateError(f"matrix is not positive definite: min eigenvalue {lam_min:.3e}")
-    nu_minus = float(nu_minus)
     raise NonPhysicalStateError(
-        f"state violates the uncertainty bound: mu_minus = {nu_minus:.12g} < 1", mu_minus=nu_minus)
+        f"state violates the uncertainty bound: mu_minus = {float(nu_minus):.12g} < 1")
 
 
 def _reduced(v: CovMat | StandardForm, inv: Invariants | None = None):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from eofbounds.bounds import bound_report, eof_symmetric
+from eofbounds.bounds import bound_report
 from eofbounds.cli import SCAN_COLUMNS, main
 from eofbounds.entanglement import entanglement_entropy
 from eofbounds.geof import geof
@@ -39,8 +39,9 @@ def equal_local_symplectic(rng):
 
 
 def test_criterion_1_closed_form_agreement():
-    # 1e4 symmetric physical states: eof_symmetric vs f(nu-tilde) from the
-    # invariant formula and from the general spectral route, within 1e-10.
+    # 1e4 symmetric physical states: the report's eeof, their exact EoF, vs
+    # f(nu-tilde) from the invariant formula and from the general spectral
+    # route, within 1e-10.
     rng = np.random.default_rng(101)
     worst = 0.0
     for i in range(10_000):
@@ -53,7 +54,9 @@ def test_criterion_1_closed_form_agreement():
         via_general = entanglement_entropy(
             symplectic_spectrum(partial_transpose(v.matrix)).mu_minus
         )
-        value = eof_symmetric(v, tol=1e-8)
+        rep = bound_report(v, include_geof=False)
+        assert abs(rep.standard_form.a - rep.standard_form.b) <= 1e-8
+        value = rep.eeof
         worst = max(
             worst,
             abs(value - via_invariants),

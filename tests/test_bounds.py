@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eofbounds import bounds, states
-from eofbounds.bounds import _ROWS, _standard_bounds, bound_report, eof_symmetric
+from eofbounds.bounds import _ROWS, _standard_bounds, bound_report
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import geof
@@ -32,10 +32,8 @@ SQ02 = math.sqrt(0.2)
 def test_natural_bounds_symmetric_collapse(rng):
     v = random_standard_form(rng, symmetric=True).to_covmat()
     rep = bound_report(v, include_geof=False)
-    lower, upper = rep.lower_natural, rep.upper_natural
-    expected = eof_symmetric(v)
-    assert lower == pytest.approx(expected, abs=1e-12)
-    assert upper == pytest.approx(expected, abs=1e-12)
+    assert rep.lower_natural == pytest.approx(rep.eeof, abs=1e-12)
+    assert rep.upper_natural == pytest.approx(rep.eeof, abs=1e-12)
 
 
 def test_natural_bounds_product_state_zero():
@@ -84,11 +82,13 @@ def test_natural_bounds_incomparable_raw_blocks_fall_back(rng):
             rep = bound_report(v, include_geof=False)
             lower, upper = rep.lower_natural, rep.upper_natural
             big, small = max(sf.a, sf.b), min(sf.a, sf.b)
-            expected = eof_symmetric(CovMat.from_standard_form(big, big, sf.c1, sf.c2))
+            lower_state = CovMat.from_standard_form(big, big, sf.c1, sf.c2)
+            expected = bound_report(lower_state, include_geof=False).eeof
             assert lower == pytest.approx(expected, abs=1e-9)
             upper_state = CovMat.from_standard_form(small, small, sf.c1, sf.c2)
             if is_physical(upper_state):
-                assert upper == pytest.approx(eof_symmetric(upper_state), abs=1e-9)
+                expected = bound_report(upper_state, include_geof=False).eeof
+                assert upper == pytest.approx(expected, abs=1e-9)
             found = True
             break
     assert found
@@ -106,8 +106,8 @@ def test_natural_bounds_rejects_unphysical():
 
 def test_sigma_equals_eof_on_symmetric(rng):
     v = random_standard_form(rng, symmetric=True).to_covmat()
-    assert bound_report(v, include_geof=False).lower_sigma == pytest.approx(
-        eof_symmetric(v), abs=1e-12)
+    rep = bound_report(v, include_geof=False)
+    assert rep.lower_sigma == pytest.approx(rep.eeof, abs=1e-12)
 
 
 def test_sigma_worked_example():
@@ -158,9 +158,9 @@ def test_searched_upper_symmetric_reaches_eof(rng):
     # The state itself is in the family (m=a, t=1).
     for _ in range(20):
         v = random_standard_form(rng, symmetric=True, entangled=True).to_covmat()
-        su = bound_report(v, include_geof=False).upper_searched
-        assert su is not None
-        assert su <= eof_symmetric(v) + 1e-12
+        rep = bound_report(v, include_geof=False)
+        assert rep.upper_searched is not None
+        assert rep.upper_searched <= rep.eeof + 1e-12
 
 
 def test_searched_upper_is_valid_upper_bound(rng):
@@ -251,12 +251,26 @@ def test_report_separable_product_state():
 def test_report_symmetric_collapse(rng):
     v = random_standard_form(rng, symmetric=True, entangled=True).to_covmat()
     rep = bound_report(v)
-    e = eof_symmetric(v)
+    e = bound_report(v, include_geof=False).eeof
     for value in (rep.lower_natural, rep.lower_sigma, rep.upper_natural, rep.eeof):
         assert value == pytest.approx(e, abs=1e-9)
     assert rep.geof == pytest.approx(e, abs=1e-6)
     assert rep.entangled
     assert not rep.violations
+
+
+def test_symmetric_bounds_are_the_eof():
+    # For a symmetric state every symmetric-state bound is the state's own
+    # EoF: the lower and upper natural states and the midpoint are the state.
+    # So bound_report(v).eeof is its exact EoF, as a StandardForm or a CovMat.
+    rng = np.random.default_rng(4)
+    for _ in range(500):
+        sf = random_standard_form(rng, symmetric=True)
+        for v in (sf, sf.to_covmat()):
+            rep = bound_report(v, include_geof=False)
+            assert rep.lower_natural == rep.lower_sigma == rep.upper_natural, (v, rep)
+            assert rep.upper_searched <= rep.upper_natural, (v, rep)
+            assert abs(rep.eeof - rep.lower_sigma) <= 1e-12, (v, rep)
 
 
 def test_report_hierarchy_random_states(rng):
@@ -293,8 +307,8 @@ def test_geof_sandwiched_by_comparable_symmetric_states(rng):
         b = a + rng.uniform(0.0, 0.6)
         n = b + rng.uniform(0.0, 0.6)
         v_ab = CovMat.from_standard_form(a, b, c1, c2)
-        upper = eof_symmetric(CovMat.from_standard_form(m, m, c1, c2))
-        lower = eof_symmetric(CovMat.from_standard_form(n, n, c1, c2))
+        upper = bound_report(CovMat.from_standard_form(m, m, c1, c2), include_geof=False).eeof
+        lower = bound_report(CovMat.from_standard_form(n, n, c1, c2), include_geof=False).eeof
         g = geof(v_ab).value
         assert lower - 1e-9 <= g <= upper + 1e-6
         count += 1
@@ -314,7 +328,8 @@ def test_sigma_is_best_channel_lower_bound(rng):
             mid + bump + eps * np.eye(2), mid + bump + eps * np.eye(2), v.block_c
         )
         delta_ok = loewner_ge(v.matrix, candidate.matrix)
-        value_ok = eof_symmetric(candidate) <= bound_report(v, include_geof=False).lower_sigma + 1e-9
+        value_ok = (bound_report(candidate, include_geof=False).eeof
+                    <= bound_report(v, include_geof=False).lower_sigma + 1e-9)
         assert (not delta_ok) or value_ok
 
 
@@ -335,9 +350,9 @@ def test_report_violation_strings(monkeypatch):
     )
 
 
-#: The entry points that check one state: every bound, the exact symmetric
-#: EoF, the lean check and the GeoF witness.
-ONE_STATE_FUNCTIONS = (bound_report, eof_symmetric, states.standard_form, geof)
+#: The entry points that check one state: every bound, the lean check and
+#: the GeoF witness.
+ONE_STATE_FUNCTIONS = (bound_report, states.standard_form, geof)
 
 
 def test_check_rejects_non_positive_and_subvacuum_matrices():
@@ -361,19 +376,14 @@ PHYSICAL = StandardForm(1.2, 1.5, 0.447, -0.447)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: eof_symmetric(StandardForm(1.2, 1.5, 0.447, -0.3), tol=math.nan),
-    lambda: eof_symmetric(StandardForm(1.2, 1.2, 0.4, -0.3), tol=-1.0),
-    lambda: eof_symmetric(StandardForm(1.2, 1.2, 0.4, -0.3), tol=math.inf),
     lambda: entanglement_entropy(math.nan),
-    lambda: eof_symmetric(StandardForm(1.2, 1.2, 0.4, -0.3), psd_tol=math.nan),
     lambda: bound_report(PHYSICAL, psd_tol=math.nan),
     lambda: bound_report(PHYSICAL, psd_tol=math.inf),
     lambda: bound_report(PHYSICAL, psd_tol=-1e-3),
     lambda: states.standard_form(PHYSICAL, tol=math.nan),
     lambda: states.standard_form(PHYSICAL, tol=-1e-3),
     lambda: geof(PHYSICAL.to_covmat(), psd_tol=math.nan),
-], ids=["eof_symmetric-tol-nan", "eof_symmetric-tol-negative", "eof_symmetric-tol-inf",
-        "entanglement_entropy-nan", "eof_symmetric-psd_tol-nan", "bound_report-psd_tol-nan",
+], ids=["entanglement_entropy-nan", "bound_report-psd_tol-nan",
         "bound_report-psd_tol-inf", "bound_report-psd_tol-negative", "standard_form-tol-nan",
         "standard_form-tol-negative", "geof-psd_tol-nan"])
 def test_arguments_that_switch_checks_off_are_rejected(call):

@@ -695,6 +695,64 @@ def test_scan_rejects_unknown_keys(tmp_path, capsys):
     capsys.readouterr()
 
 
+SF = {"a": 1.2, "b": 1.5, "c1": 0.3, "c2": -0.2}
+INV = {"I1": 1.44, "I2": 1.44, "I3": -0.2, "I4": 0.576}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("analyze", {"standard_form": SF, "units": "bits"}, "unknown document keys: ['units']"),
+    ("analyze", {"standard_form": {**SF, "C2": 0.25}}, "unknown standard_form keys: ['C2']"),
+    ("analyze", {"invariants": {**INV, "I5": 1.0}}, "unknown invariants keys: ['i5']"),
+    ("analyze", {"invariants": {**INV, "i1": 4.0}},
+     "invariants keys differ only in case: ['I1', 'i1']"),
+    ("scan", {"i1": {"min": 1, "max": 2, "stpes": 5}, "i2": {"min": 1, "max": 2, "steps": 2}},
+     "unknown i1 keys: ['stpes']"),
+    ("scan", {"i2": {"min": 1, "max": 2, "step": 5}}, "unknown i2 keys: ['step']"),
+    ("scan", {"I1": {"min": 1, "max": 2, "steps": 2}, "i1": {"min": 1, "max": 3, "steps": 3}},
+     "scan keys differ only in case: ['I1', 'i1']"),
+], ids=["analyze-top", "standard_form", "invariants", "invariants-case", "axis-typo", "axis-i2",
+        "scan-case"])
+def test_unknown_or_case_colliding_keys_exit_2(tmp_path, capsys, command, doc, message):
+    # No key is dropped or overwritten silently: a typo would fall back to a
+    # default, and of two keys that lower-case alike only the later would count.
+    assert main([command, "--input", write(tmp_path, "doc.json", doc)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_scan_mixed_case_keys_without_collision(tmp_path, capsys):
+    # Keys that lower-case to distinct names are accepted in any case.
+    doc = {"I1": {"min": 1, "max": 2, "steps": 2}, "i2": {"min": 1, "max": 2, "steps": 3},
+           "I3": 0.1}
+    assert main(["scan", "--input", write(tmp_path, "scan.json", doc), "--no-geof"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [row.split(",")[:3] for row in rows[:3]] == [["1", "1", "0.1"], ["1", "1.5", "0.1"],
+                                                        ["1", "2", "0.1"]]
+    assert len(rows) == 6
+
+
+def test_scan_huge_steps_exit_2(tmp_path, capsys):
+    # More steps than numpy can allocate: a parse error naming the axis.
+    doc = {"i1": {"min": 1, "max": 2, "steps": 10**30}}
+    assert main(["scan", "--input", write(tmp_path, "scan.json", doc)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: i1.steps is too large: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"i1": {"steps": 1%s}}' % ("0" * 5000), "Exceeds the limit (4300 digits)"),
+    ('{"matrix": %s%s}' % ("[" * 100_000, "]" * 100_000), "maximum recursion depth exceeded"),
+], ids=["int-over-4300-digits", "nested-100000-deep"])
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_json_the_decoder_raises_on_is_invalid(tmp_path, capsys, command, text, message):
+    # The decoder raises a plain ValueError or a RecursionError for these,
+    # not a JSONDecodeError.
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: invalid JSON in {path}: {message}")
+
+
 def test_scan_rejects_bad_i4_rule(tmp_path, capsys):
     path = write(tmp_path, "scan.json", scan_spec(steps=3, i4="cubic"))
     assert main(["scan", "--input", path]) == 2

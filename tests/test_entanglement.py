@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eofbounds.bounds import bound_report, eof_symmetric
+from eofbounds.bounds import bound_report
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
-from eofbounds.errors import DomainError, NonPhysicalStateError, NotSymmetricError
+from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.states import CovMat
 
 from conftest import random_local_symplectic, random_psd, random_standard_form
@@ -73,40 +73,32 @@ def test_entropy_vec_matches_scalar():
 
 
 def test_eof_symmetric_separable_is_zero():
-    assert eof_symmetric(CovMat.from_standard_form(1.5, 1.5, 0.1, 0.05)) == 0.0
+    v = CovMat.from_standard_form(1.5, 1.5, 0.1, 0.05)
+    assert bound_report(v, include_geof=False).eeof == 0.0
 
 
 def test_eof_symmetric_worked_example():
     v = CovMat.from_standard_form(1.2, 1.2, SQ02, -SQ02)
-    assert eof_symmetric(v) == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-12)
+    assert bound_report(v, include_geof=False).eeof == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-12)
     # Symmetry is a property of the standard form, not of the local frame.
     s = random_local_symplectic(np.random.default_rng(3), squeeze_max=0.6)
-    assert eof_symmetric(v.conjugate(s)) == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-12)
+    rep = bound_report(v.conjugate(s), include_geof=False)
+    assert abs(rep.standard_form.a - rep.standard_form.b) <= 1e-9
+    assert rep.eeof == pytest.approx(F_SYMMETRIC_EXAMPLE, abs=1e-12)
 
 
 def test_eof_symmetric_two_mode_squeezed():
     # equals the entropy of entanglement f(exp(-2r)) of the pure state
     for r in (0.25, 0.5, 1.0):
         v = CovMat.two_mode_squeezed(r)
-        assert eof_symmetric(v) == pytest.approx(
+        assert bound_report(v, include_geof=False).eeof == pytest.approx(
             entanglement_entropy(math.exp(-2 * r)), rel=1e-12
         )
 
 
-def test_eof_symmetric_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
-        eof_symmetric(CovMat.from_standard_form(1.2, 1.6, 0.1, -0.1))
-
-
 def test_eof_symmetric_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
-        eof_symmetric(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
-
-
-def test_eeof_matches_eof_symmetric(rng):
-    for _ in range(50):
-        v = random_standard_form(rng, symmetric=True).to_covmat()
-        assert bound_report(v, include_geof=False).eeof == eof_symmetric(v)
+        bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4), include_geof=False).eeof
 
 
 def test_eeof_separable_zero(rng):
@@ -148,8 +140,8 @@ def test_eeof_sandwiched_by_comparable_symmetric_states(rng):
         v_mm = CovMat.from_standard_form(m, m, c1, c2)
         v_ab = CovMat.from_standard_form(a, b, c1, c2)
         v_nn = CovMat.from_standard_form(n, n, c1, c2)
-        upper = eof_symmetric(v_mm)
-        lower = eof_symmetric(v_nn)
+        upper = bound_report(v_mm, include_geof=False).eeof
+        lower = bound_report(v_nn, include_geof=False).eeof
         est = bound_report(v_ab, include_geof=False).eeof
         assert lower - 1e-12 <= est <= upper + 1e-12
         count += 1

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from eofbounds.bounds import _ROWS, _standard_bounds, bound_report, eof_symmetric
+from eofbounds.bounds import _ROWS, _standard_bounds, bound_report
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import NonPhysicalStateError
 import eofbounds.geof as geof_module
@@ -77,7 +77,7 @@ def test_symmetric_states_match_closed_form(rng):
         v = random_standard_form(rng, symmetric=True, entangled=True).to_covmat()
         res = geof(v)
         assert res.feasible
-        assert res.value == pytest.approx(eof_symmetric(v), abs=1e-6)
+        assert res.value == pytest.approx(bound_report(v, include_geof=False).eeof, abs=1e-6)
 
 
 def test_result_invariants(rng):
@@ -136,7 +136,8 @@ def test_never_above_reference_search():
         assert res.feasible
         assert res.value <= reference_geof(v).value + 1e-9
         if kind == "sym":
-            assert res.value == pytest.approx(eof_symmetric(sf.to_covmat()), abs=1e-9)
+            exact = bound_report(sf.to_covmat(), include_geof=False).eeof
+            assert res.value == pytest.approx(exact, abs=1e-9)
         if kind == "sep":
             assert res.value == 0.0
 
