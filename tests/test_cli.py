@@ -719,6 +719,23 @@ def test_unknown_or_case_colliding_keys_exit_2(tmp_path, capsys, command, doc, m
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+MATRIX = json.dumps([[1.2, 0, 0.3, 0], [0, 1.2, 0, -0.2], [0.3, 0, 1.5, 0], [0, -0.2, 0, 1.5]])
+AXIS = json.dumps({"min": 1, "max": 2, "steps": 2})
+
+
+@pytest.mark.parametrize("command, text, repeated", [
+    ("analyze", '{"standard_form": {"a": 1.2, "b": 1.5, "c1": 0.3, "c2": -0.2, "a": 2.0}}', "a"),
+    ("analyze", '{"matrix": %s, "matrix": %s}' % (MATRIX, MATRIX), "matrix"),
+    ("scan", '{"i1": %s, "i2": %s, "i1": %s}' % (AXIS, AXIS, AXIS), "i1"),
+], ids=["standard_form", "matrix", "scan-axis"])
+def test_duplicate_keys_exit_2(tmp_path, capsys, command, text, repeated):
+    # The decoder would keep the later value of a repeated key, even an equal one.
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: duplicate keys in input JSON: ['{repeated}']\n")
+
+
 def test_scan_mixed_case_keys_without_collision(tmp_path, capsys):
     # Keys that lower-case to distinct names are accepted in any case.
     doc = {"I1": {"min": 1, "max": 2, "steps": 2}, "i2": {"min": 1, "max": 2, "steps": 3},
@@ -996,8 +1013,11 @@ def test_cells_match_reference_cell(data):
      ["--no-geof"], b",false,0,0,,0,"),
     ({"i1": {"min": 1.6, "max": 1.6, "steps": 1}, "i2": {"min": 1.0, "max": 2.2, "steps": 4}},
      [], b",true,0,"),
+    # Axes and I4 in exponent form: those columns skip _cells and its zero shortcut.
+    ({"i1": {"min": 1e-9, "max": 1e20, "steps": 3}, "i2": {"min": 1e-9, "max": 1e20, "steps": 3}},
+     ["--no-geof"], b"\n1e+20,1e-09,-0.2,126491.106407,"),
 ], ids=["readme-grid", "literal-i4-nats", "literal-i4-bits", "no-state", "negative-zero", "row-200",
-        "tile-4"])
+        "tile-4", "exponent-axes"])
 def test_scan_exact_bytes(tmp_path, capsys, spec, flags, marker):
     path = write(tmp_path, "scan.json", spec)
     out = tmp_path / "out.csv"
