@@ -30,7 +30,7 @@ itself, so both lower bounds, the natural upper bound and the EeoF are its
 exact EoF (Giedke et al., PRL 91, 107901, 2003): `bound_report(v).eeof`.
 `bound_report` reduces its CovMat or StandardForm once, by the route of
 `states.standard_form`, and raises NonPhysicalStateError on the verdict of
-that pass (`_checked`), the verdict `standard_form` gives.
+that pass, the verdict `standard_form` gives.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .states import (
     _reduced,
     _rejected,
     _spectra,
+    invariants,
 )
 from .symplectic import PSD_TOL
 
@@ -112,16 +113,6 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
     return physical, nu_t < 1.0 - psd_tol, table
 
 
-def _checked(v: CovMat | StandardForm, psd_tol: float, inv: Invariants | None = None,
-             include_geof: bool = False) -> tuple[StandardForm, bool, np.ndarray]:
-    """Standard form of one state, its PPT test and its rows, raising on its verdict."""
-    form, scale = _reduced(v, inv)
-    physical, entangled, rows = _standard_bounds(*form, psd_tol, scale, include_geof)
-    if not physical:
-        _rejected(_least_eigenvalue(*form[:3]), rows[_ROWS.index("nu_minus")], psd_tol)
-    return StandardForm(*map(float, form)), bool(entangled), rows
-
-
 #: The 64 nodes t = 1/64, ..., 1 of the searched bound's line.
 _NODES = np.linspace(0.0, 1.0, 65)[1:]
 
@@ -151,15 +142,18 @@ def _searched(a, b, c1, c2, psd_tol: float) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Full bound hierarchy for one state (values in nats).
+    """Full bound hierarchy for one state (values in nats), with what it rests on.
 
     `upper_natural` is None where the natural upper state is unphysical,
     `upper_searched` where no node of its line is feasible, and `geof` where
     no witness is certified or none was asked for.  `eeof` is the
     symmetric-state formula applied to the state, not proven equal to its
     EoF; `entangled` is the PPT test.  `violations` names each broken order
-    of the hierarchy (`_ORDER`) with both values and its slack; it is empty
-    where the hierarchy holds.
+    of the hierarchy (`_ORDER`) with both values, in nats, and its slack; it
+    is empty where the hierarchy holds.  `invariants` are those of the
+    state's matrix (of the standard form's for a StandardForm), and
+    `symplectic_eigenvalues` and `ppt_symplectic_eigenvalues` are
+    (nu_minus, nu_plus) of the standard form and of its partial transpose.
     """
 
     lower_natural: float
@@ -171,6 +165,9 @@ class BoundReport:
     entangled: bool
     violations: tuple[str, ...]
     standard_form: StandardForm
+    invariants: Invariants
+    symplectic_eigenvalues: tuple[float, float]
+    ppt_symplectic_eigenvalues: tuple[float, float]
 
 
 def bound_report(
@@ -180,11 +177,13 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
-    The state is reduced to its standard form once, and one pass of
-    `_standard_bounds` checks it and gives every closed-form value and the
-    GeoF of the array search `geof._geof_forms`, as a scan does for a
-    whole grid; `_searched` gives the searched one.
-    All run on that standard form, and the report carries it.
+    The state is reduced to its standard form once, from the invariants the
+    report carries, and one pass of `_standard_bounds` checks it and gives
+    its spectra, every closed-form value and the GeoF of the array search
+    `geof._geof_forms`, as a scan does for a whole grid; `_searched` gives
+    the searched one.  All run on that standard form, and the report
+    carries it.  The bound values are the pass's rows; a NaN, a value not
+    available, fails every order check, and the report gives it as None.
     Violations of the expected ordering are recorded in `violations` rather
     than raised, so callers can inspect borderline numerics.
 
@@ -201,7 +200,21 @@ def bound_report(
         If v is not physical within psd_tol.
     """
     _nonnegative(psd_tol=psd_tol)
-    return _report(*_checked(v, psd_tol, include_geof=include_geof), psd_tol)
+    inv = invariants(v.to_covmat() if isinstance(v, StandardForm) else v)
+    form, scale = _reduced(v, inv)
+    physical, entangled, rows = _standard_bounds(*form, psd_tol, scale, include_geof)
+    if not physical:
+        _rejected(_least_eigenvalue(*form[:3]), rows[_ROWS.index("nu_minus")], psd_tol)
+    sf = StandardForm(*map(float, form))
+    values = dict(zip(_ROWS[_BOUNDS:], rows[_BOUNDS:].tolist()))
+    values["upper_searched"] = _searched(*sf, psd_tol)
+    violations = tuple(f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {tol:g}"
+                       for lo, hi, tol in _ORDER if values[lo] > values[hi] + tol)
+    spectra = rows[:_BOUNDS].tolist()
+    return BoundReport(**{name: None if math.isnan(x) else x for name, x in values.items()},
+                       entangled=bool(entangled), violations=violations, standard_form=sf,
+                       invariants=inv, symplectic_eigenvalues=tuple(spectra[:2]),
+                       ppt_symplectic_eigenvalues=tuple(spectra[2:]))
 
 
 #: The expected order of the report's values, as (lower, upper, slack).
@@ -216,18 +229,3 @@ _ORDER = (
     ("geof", "upper_natural", GEOF_TOL),
     ("geof", "upper_searched", GEOF_TOL),
 )
-
-
-def _report(sf: StandardForm, entangled: bool, rows: np.ndarray, psd_tol: float) -> BoundReport:
-    """`bound_report` of a checked standard form sf, its PPT test and its rows.
-
-    The bound rows are the report's values, with the searched bound beside
-    them.  A NaN, a value not available, fails every order check, and the
-    report gives it as None.
-    """
-    values = dict(zip(_ROWS[_BOUNDS:], rows[_BOUNDS:].tolist()))
-    values["upper_searched"] = _searched(*sf, psd_tol)
-    violations = tuple(f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {tol:g}"
-                       for lo, hi, tol in _ORDER if values[lo] > values[hi] + tol)
-    return BoundReport(**{name: None if math.isnan(x) else x for name, x in values.items()},
-                       entangled=entangled, violations=violations, standard_form=sf)

@@ -15,10 +15,10 @@ import sys
 
 import numpy as np
 
-from .bounds import _BOUNDS, _ROWS, _checked, _report, _standard_bounds
+from .bounds import _ROWS, _standard_bounds, bound_report
 from .entanglement import LN2
 from .errors import DomainError, NonPhysicalStateError, ParseError
-from .states import CovMat, Invariants, StandardForm, _standard_forms, invariants
+from .states import CovMat, Invariants, StandardForm, _standard_forms
 
 #: Fixed column order of scan output.
 SCAN_COLUMNS = [
@@ -136,7 +136,7 @@ def _keys(body: dict, known: set[str], what: str, lower: bool = False) -> dict:
 
 
 def resolve_state_document(doc: dict) -> CovMat | StandardForm:
-    """The state of one of the three representations, for `run_analyze` to reduce once.
+    """The state of one of the three representations, for `bound_report` to reduce once.
 
     A matrix gives its CovMat and a standard form its StandardForm as
     written; invariants give the standard form `_standard_forms` solves,
@@ -230,20 +230,14 @@ def _write_text(path: str | None, text: str) -> None:
 def run_analyze(args: argparse.Namespace) -> None:
     if args.input is None:
         raise ParseError("analyze requires --input PATH")
-    doc = _load_document(args.input)
-    state = resolve_state_document(doc)
-
-    # The invariants are printed, and a matrix is reduced to its standard
-    # form from them, so they are computed once, here; a standard form's
-    # are those of its matrix.
-    inv = invariants(state if isinstance(state, CovMat) else state.to_covmat())
-    sf, entangled, rows = _checked(state, args.tol_psd, inv, not args.no_geof)
-    report = _report(sf, entangled, rows, args.tol_psd)
+    report = bound_report(resolve_state_document(_load_document(args.input)),
+                          not args.no_geof, args.tol_psd)
 
     values = (report.lower_natural, report.lower_sigma, report.upper_natural,
               report.upper_searched, report.eeof, report.geof)
     leaves = (
-        *inv, *sf, *rows[:_BOUNDS], report.entangled,
+        *report.invariants, *report.standard_form, *report.symplectic_eigenvalues,
+        *report.ppt_symplectic_eigenvalues, report.entangled,
         *(_convert(x, args.units) for x in values), report.entangled,
         report.upper_natural is not None, report.upper_searched is not None,
         None if args.no_geof else report.geof is not None, not report.violations,

@@ -193,8 +193,9 @@ def _reduced(v: CovMat | StandardForm, inv: Invariants | None = None):
     """Standard form (a, b, c1, c2) of one state and the largest |entry| of v as given.
 
     One eigvalsh tests that a CovMat V is positive definite (-V has its
-    invariants `inv`), or raises NonPhysicalStateError.  Then V has a standard
-    form, solved from `inv`, and the physicality test of that form judges V.
+    invariants), or raises NonPhysicalStateError.  Then V has a standard
+    form, solved from its invariants (`inv` if the caller has them), and the
+    physicality test of that form judges V.
     """
     if isinstance(v, StandardForm):
         return tuple(v), max(map(abs, v))
@@ -220,7 +221,7 @@ def standard_form(v: CovMat | StandardForm, tol: float = PSD_TOL) -> StandardFor
     The one route from a state to its standard form (`_reduced`) and the one
     verdict (`_physical` at tol): it gives `bound_report(v).standard_form` and
     rejects what `bound_report` rejects.  It is the lean physicality check,
-    and that of `geof`, which needs no bounds; `bounds._checked` takes the
+    and that of `geof`, which needs no bounds; `bound_report` takes the
     same verdict from its closed-form pass.  Raises DomainError if tol is not
     finite and non-negative.
     """

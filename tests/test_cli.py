@@ -424,7 +424,8 @@ def test_report_layouts_follow_the_rows(tmp_path, capsys):
     report_keys = [k for k in json.loads(capsys.readouterr().out)["bounds"]
                    if k not in ("entangled", "flags")]
     fields = [f.name for f in dataclasses.fields(BoundReport)
-              if f.name not in ("entangled", "violations", "standard_form")]
+              if f.name not in ("entangled", "violations", "standard_form", "invariants",
+                                "symplectic_eigenvalues", "ppt_symplectic_eigenvalues")]
     for names in (report_keys, fields):
         assert set(names) == allowed, names
         assert [n for n in names if n != "upper_searched"] == list(bound_rows), names
@@ -487,16 +488,14 @@ def test_analyze_report_is_json_dumps_of_its_values(data):
     violations = data.draw(st.lists(st.text(), max_size=3))
     units = data.draw(st.sampled_from(["nats", "bits"]))
     report = BoundReport(*values, entangled=entangled, violations=tuple(violations),
-                         standard_form=None)
-    # The rows of the pass: the four spectra drawn, the bounds (which the
-    # patched _report stands for) NaN.
-    rows = np.array(spectra + [math.nan] * (len(_ROWS) - len(spectra)))
+                         standard_form=Form(*sf), invariants=Invariants(*inv),
+                         symplectic_eigenvalues=tuple(spectra[:2]),
+                         ppt_symplectic_eigenvalues=tuple(spectra[2:]))
     args = argparse.Namespace(input="in.json", output=None, tol_psd=1e-10, units=units,
                               no_geof=no_geof)
     with patch.multiple("eofbounds.cli", _load_document=lambda path: {},
                         resolve_state_document=lambda doc: CovMat(np.eye(4)),
-                        invariants=lambda v: Invariants(*inv),
-                        _checked=lambda *a: (Form(*sf), entangled, rows), _report=lambda *a: report), \
+                        bound_report=lambda *a: report), \
             contextlib.redirect_stdout(io.StringIO()) as out:
         run_analyze(args)
 
@@ -522,6 +521,80 @@ def test_analyze_report_is_json_dumps_of_its_values(data):
         },
     }
     assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+
+
+#: The report's bound values, by name, as the analyze JSON prints them.
+BOUND_NAMES = ("lower_natural", "lower_sigma", "upper_natural", "upper_searched", "eeof", "geof")
+
+
+def printed_fields(out: dict) -> dict:
+    """BoundReport's fields, by name, as an analyze report in nats prints them."""
+    bounds = out["bounds"]
+    return {
+        **{name: tuple(out[name].values()) for name in (
+            "invariants", "standard_form", "symplectic_eigenvalues", "ppt_symplectic_eigenvalues")},
+        **{name: bounds[name] for name in BOUND_NAMES},
+        "entangled": out["entangled"],
+        "violations": tuple(bounds["flags"]["violations"]),
+    }
+
+
+@pytest.mark.parametrize("kind", EXACT_DOCS)
+def test_analyze_prints_bound_report(tmp_path, capsys, kind):
+    # One path from a document to its report: every field of
+    # bound_report(state) is printed, as it is, for each document kind.
+    doc = EXACT_DOCS[kind]
+    assert main(["analyze", "--input", write(tmp_path, "in.json", doc)]) == 0
+    printed = printed_fields(json.loads(capsys.readouterr().out))
+    report = bound_report(resolve_state_document(doc))
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(BoundReport)}
+    assert printed.keys() == fields.keys()
+    for name, value in fields.items():
+        assert printed[name] == (tuple(value) if isinstance(value, (Invariants, StandardForm))
+                                 else value), name
+
+
+def test_violation_strings_are_in_nats_under_bits(tmp_path, capsys, monkeypatch):
+    # --units converts the bound values, not the violation strings, which
+    # give the values bound_report compared.
+    monkeypatch.setattr("eofbounds.bounds._searched", lambda *args: -1.0)
+    path = write(tmp_path, "in.json", EXACT_DOCS["standard-form"])
+    reports = []
+    for units in ("nats", "bits"):
+        assert main(["analyze", "--input", path, "--units", units]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["bounds"])
+    nats, bits = reports
+    assert bits["upper_searched"] == -1.0 / LN2 and nats["upper_searched"] == -1.0
+    assert nats["flags"]["violations"] and bits["flags"]["violations"] == nats["flags"]["violations"]
+    assert all(v.endswith(" > -1 + 1e-09") or v.endswith(" > -1 + 1e-06")
+               for v in bits["flags"]["violations"])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the physicality allowance 16 eps s^2 passes 1 "
+                          "once the largest entry s exceeds about 1.7e7")
+def test_sub_vacuum_states_with_a_huge_entry_are_rejected(tmp_path, capsys):
+    # A sub-vacuum mode (a = 0.5) beside a thermal one of 1e9 is unphysical
+    # in either representation.
+    for doc in ({"standard_form": {"a": 0.5, "b": 1e9, "c1": 0, "c2": 0}},
+                {"matrix": np.diag([0.5, 0.5, 1e9, 1e9]).tolist()}):
+        path = write(tmp_path, "in.json", doc)
+        for flags in ([], ["--no-geof"]):
+            assert main(["analyze", "--input", path, *flags]) == 3, (doc, flags)
+            capsys.readouterr()
+        with pytest.raises(NonPhysicalStateError):
+            bound_report(resolve_state_document(doc))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: the spectra of a huge standard form overflow "
+                          "to inf, which the report prints as Infinity")
+def test_huge_standard_form_report_is_strict_json(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {"standard_form": {"a": 1e100, "b": 1e100, "c1": 1, "c2": 0}})
+    assert main(["analyze", "--input", path]) == 0
+    constants = []  # NaN, Infinity and -Infinity, which strict JSON has not
+    json.loads(capsys.readouterr().out, parse_constant=constants.append)
+    assert not constants, constants
 
 
 @pytest.mark.parametrize("c1", [1, 0])
