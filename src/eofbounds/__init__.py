@@ -3,7 +3,6 @@
 from .bounds import BoundReport, bound_report
 from .entanglement import entanglement_entropy
 from .errors import DomainError, EofBoundsError, NonPhysicalStateError, ParseError
-from .geof import GeofResult
 from .states import CovMat, Invariants, StandardForm, invariants, standard_form
 from .symplectic import PSD_TOL
 

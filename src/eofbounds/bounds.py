@@ -16,13 +16,13 @@ computable bounds:
 
 The first four are closed forms in (a, b, c1, c2).  `_standard_bounds`
 evaluates them, with the physicality and PPT tests of the state, its
-spectra, the EeoF estimator and the certified GeoF of `geof._geof_forms`,
-in one pass over numpy arrays of standard forms: one state for
-`bound_report`, a whole grid for a scan.  The pass returns its values as
-one table, a row for each name of `_ROWS`, and the report and the scan
-read its rows by name.  The searched bound evaluates the same closed forms
-at the nodes of its line.  Every value is therefore invariant under local
-symplectics and under swapping the modes.  The GeoF is an upper bound as
+spectra, the EeoF estimator and the certified GeoF of `geof._geof_forms`
+with its witness, in one pass over numpy arrays of standard forms: one
+state for `bound_report`, a whole grid for a scan.  The pass returns its
+values as one table, a row for each name of `_ROWS`, and the report and
+the scan read its rows by name.  The searched bound evaluates the same
+closed forms at the nodes of its line.  Every value is therefore invariant
+under local symplectics and under swapping the modes.  The GeoF is an upper bound as
 well, and never above the symmetric-state ones (see `bound_report`).
 
 For a symmetric state (a = b) all three symmetric states are the state
@@ -65,12 +65,15 @@ GEOF_TOL = 1e-6
 #: The values of the closed-form pass, one row each of its table, in the order
 #: the analyze report prints them: the symplectic eigenvalues of the state and
 #: of its partial transpose (c2 -> -c2), NaN in nu_minus and nu_t where
-#: det V < 0, then the bounds.  upper_natural is NaN where the natural upper
-#: state is unphysical, geof where not asked for, not physical or not certified.
+#: det V < 0, then the bounds, then the GeoF's witness (s_a, s_b, r).
+#: upper_natural is NaN where the natural upper state is unphysical, geof and
+#: its witness where not asked for, not physical or not certified.
 _ROWS = ("nu_minus", "nu_plus", "nu_t", "nu_t_plus",
-         "lower_natural", "lower_sigma", "upper_natural", "eeof", "geof")
-#: Index of the first bound row; the rows before it are the spectra.
-_BOUNDS = _ROWS.index("lower_natural")
+         "lower_natural", "lower_sigma", "upper_natural", "eeof", "geof",
+         "geof_s_a", "geof_s_b", "geof_r")
+#: Indices of the first bound row and of the first witness row; the rows
+#: before the bounds are the spectra.
+_BOUNDS, _WITNESS = _ROWS.index("lower_natural"), _ROWS.index("geof_s_a")
 
 
 def _symmetric(m, c1, c2, psd_tol: float, scale):
@@ -91,7 +94,7 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
     nu_minus sqrt((m - c1)(m - c2)) and PPT eigenvalue sqrt((m - c1)(m + c2));
     the standard form's spectra, and those of its partial transpose, come
     from `states._spectra`.  With include_geof, `_geof_forms` searches the
-    physical states together.
+    physical states together, and its witness rows are kept.
     """
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
     top = np.maximum(a, b)
@@ -108,8 +111,9 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
     # The rows lower_natural, lower_sigma, upper_natural and eeof.
     table[4:8] = entanglement_entropy_vec(np.array((*nu_sym, nu_t)))
     table[6] = np.where(physical_sym[2], table[6], np.nan)
-    if include_geof:  # the row geof
-        table[8, physical] = _geof_forms(*(x[physical] for x in (a, b, c1, c2)), psd_tol)[0]
+    if include_geof:  # the rows geof, geof_s_a, geof_s_b and geof_r
+        value, witness, _ = _geof_forms(*(x[physical] for x in (a, b, c1, c2)), psd_tol)
+        table[8, physical], table[9:, physical] = value, witness.T
     return physical, nu_t < 1.0 - psd_tol, table
 
 
@@ -146,14 +150,17 @@ class BoundReport:
 
     `upper_natural` is None where the natural upper state is unphysical,
     `upper_searched` where no node of its line is feasible, and `geof` where
-    no witness is certified or none was asked for.  `eeof` is the
-    symmetric-state formula applied to the state, not proven equal to its
-    EoF; `entangled` is the PPT test.  `violations` names each broken order
-    of the hierarchy (`_ORDER`) with both values, in nats, and its slack; it
-    is empty where the hierarchy holds.  `invariants` are those of the
-    state's matrix (of the standard form's for a StandardForm), and
-    `symplectic_eigenvalues` and `ppt_symplectic_eigenvalues` are
-    (nu_minus, nu_plus) of the standard form and of its partial transpose.
+    no witness is certified or none was asked for.  `geof_witness` is
+    (s_a, s_b, r) of the certified pure witness G = Gx (+) Gx^-1 <= V, in
+    the frame of `standard_form` (`geof._certified` rebuilds it), and None
+    exactly where `geof` is.  `eeof` is the symmetric-state formula applied
+    to the state, not proven equal to its EoF; `entangled` is the PPT test.
+    `violations` names each broken order of the hierarchy (`_ORDER`) with
+    both values, in nats, and its slack; it is empty where the hierarchy
+    holds.  `invariants` are those of the state's matrix (of the standard
+    form's for a StandardForm), and `symplectic_eigenvalues` and
+    `ppt_symplectic_eigenvalues` are (nu_minus, nu_plus) of the standard
+    form and of its partial transpose.
     """
 
     lower_natural: float
@@ -162,6 +169,7 @@ class BoundReport:
     upper_searched: float | None
     eeof: float
     geof: float | None
+    geof_witness: tuple[float, float, float] | None
     entangled: bool
     violations: tuple[str, ...]
     standard_form: StandardForm
@@ -187,8 +195,8 @@ def bound_report(
     Violations of the expected ordering are recorded in `violations` rather
     than raised, so callers can inspect borderline numerics.
 
-    A certified `geof` is an upper bound on the EoF: its witness G <= V
-    gives E(G) >= GEoF(V) >= EoF(V).  It is also never above
+    A certified `geof` is an upper bound on the EoF: its witness G <= V,
+    `geof_witness`, gives E(G) >= GEoF(V) >= EoF(V).  It is also never above
     `upper_natural` or `upper_searched`: for a symmetric V' <= V,
     EoF(V') = GEoF(V') >= GEoF(V), since every pure G <= V' is below V.
 
@@ -206,12 +214,13 @@ def bound_report(
     if not physical:
         _rejected(_least_eigenvalue(*form[:3]), rows[_ROWS.index("nu_minus")], psd_tol)
     sf = StandardForm(*map(float, form))
-    values = dict(zip(_ROWS[_BOUNDS:], rows[_BOUNDS:].tolist()))
+    values = dict(zip(_ROWS[_BOUNDS:_WITNESS], rows[_BOUNDS:_WITNESS].tolist()))
     values["upper_searched"] = _searched(*sf, psd_tol)
     violations = tuple(f"{lo}<={hi}: {values[lo]:.12g} > {values[hi]:.12g} + {tol:g}"
                        for lo, hi, tol in _ORDER if values[lo] > values[hi] + tol)
-    spectra = rows[:_BOUNDS].tolist()
+    spectra, witness = rows[:_BOUNDS].tolist(), tuple(rows[_WITNESS:].tolist())
     return BoundReport(**{name: None if math.isnan(x) else x for name, x in values.items()},
+                       geof_witness=None if math.isnan(witness[0]) else witness,
                        entangled=bool(entangled), violations=violations, standard_form=sf,
                        invariants=inv, symplectic_eigenvalues=tuple(spectra[:2]),
                        ppt_symplectic_eigenvalues=tuple(spectra[2:]))

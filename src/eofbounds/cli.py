@@ -19,6 +19,7 @@ from .bounds import _ROWS, _standard_bounds, bound_report
 from .entanglement import LN2
 from .errors import DomainError, NonPhysicalStateError, ParseError
 from .states import CovMat, Invariants, StandardForm, _standard_forms
+from .symplectic import PSD_TOL
 
 #: Fixed column order of scan output.
 SCAN_COLUMNS = [
@@ -198,7 +199,9 @@ _REPORT = json.dumps({
     "entangled": "%s",
     "bounds": {
         **dict.fromkeys(("lower_natural", "lower_sigma", "upper_natural", "upper_searched",
-                         "eeof", "geof", "entangled"), "%s"),
+                         "eeof", "geof"), "%s"),
+        "geof_witness": dict.fromkeys(("s_a", "s_b", "r"), "%s"),
+        "entangled": "%s",
         "flags": dict.fromkeys(("upper_natural_physical", "searched_feasible", "geof_feasible",
                                 "hierarchy_ok", "violations"), "%s"),
     },
@@ -238,7 +241,8 @@ def run_analyze(args: argparse.Namespace) -> None:
     leaves = (
         *report.invariants, *report.standard_form, *report.symplectic_eigenvalues,
         *report.ppt_symplectic_eigenvalues, report.entangled,
-        *(_convert(x, args.units) for x in values), report.entangled,
+        *(_convert(x, args.units) for x in values), *(report.geof_witness or (None,) * 3),
+        report.entangled,
         report.upper_natural is not None, report.upper_searched is not None,
         None if args.no_geof else report.geof is not None, not report.violations,
     )
@@ -348,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "scan: sweep a grid of invariants and emit CSV rows")
     parser.add_argument("--input", help="path to the JSON input document")
     parser.add_argument("--output", help="output path (default: stdout)")
-    parser.add_argument("--tol-psd", type=float, default=1e-10,
-                        help="PSD / physicality tolerance (default 1e-10)")
+    parser.add_argument("--tol-psd", type=float, default=PSD_TOL,
+                        help="PSD / physicality tolerance (default %(default)g)")
     parser.add_argument("--units", choices=("nats", "bits"), default="nats",
                         help="units for entanglement values")
     parser.add_argument("--no-geof", action="store_true",

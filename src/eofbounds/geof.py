@@ -33,8 +33,8 @@ g12 = 0 or where the quartic 2 g12' g11 g22 - g12 (g11 g22)' vanishes
 Q = 2 Gx12' Gx11 Gx22 - Gx12 (Gx11 Gx22)' (' is d/dtheta) less its factor
 (1 + t^2)/2, whose roots +-i give no angle, so rho has at most two local
 minima away from Gx12 = 0.  `_geof_forms` finds them for
-arrays of standard forms, each step over all states at once (`geof` is
-the case n = 1):
+arrays of standard forms, each step over all states at once (`bound_report`
+is the case n = 1):
 
 * a separable state (Werner & Wolf, PRL 86, 3658, 2001) has a product
   witness (r = 0), of value exactly 0.0.  On the curve Gx12 is
@@ -65,13 +65,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .states import CovMat, StandardForm, _nonnegative, standard_form
+from .states import _nonnegative, standard_form
 from .symplectic import PSD_TOL
 
 
 @dataclass(frozen=True)
 class GeofResult:
-    """Outcome of the Gaussian EoF minimization.
+    """Outcome of the benchmark's module call `eofbounds.geof(v)`.
 
     `argmin_parameters` are (theta_a, s_a, theta_b, s_b, r) for the pure
     covariance matrix achieving `value`; they refer to the standard-form
@@ -182,8 +182,9 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
 
     Takes numpy arrays of n standard forms and returns, per state, the value
     (NaN where no witness passed the certificate), the witness row
-    (s_a, s_b, r) of shape (n, 3), zeros where none passed, and the
-    witnesses evaluated.  `psd_tol` means what it means in `geof`.
+    (s_a, s_b, r) of shape (n, 3), NaN where none passed, and the
+    witnesses evaluated.  `psd_tol` widens the certificate's allowance, as
+    in `_certified`.
     """
     a, b, c1, c2 = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
     n = a.size
@@ -191,7 +192,7 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     p = np.array(((b, -c2), (-c2, a))) / (a * b - c2 * c2)
     d = vx - p
     dd = d[0, 0] * d[1, 1]
-    value, witness, evals = np.full(n, np.nan), np.zeros((n, 3)), np.zeros(n, dtype=np.int64)
+    value, witness, evals = np.full(n, np.nan), np.full((n, 3), np.nan), np.zeros(n, dtype=np.int64)
 
     def certify(k, g11, g22, g12):
         """Witness rows of the matrices Gx = (g11, g22, g12) of states k, and which pass."""
@@ -240,40 +241,25 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     return value, witness, evals
 
 
-def geof(v: CovMat | StandardForm, psd_tol: float = PSD_TOL) -> GeofResult:
-    """Minimize pure-state entanglement over pure covariance matrices <= v.
-
-    Checks v and reduces it to its standard form once, by the lean check
-    `states.standard_form`, then runs `_geof_forms` on it at n = 1;
-    `bound_report` and `scan` run `_geof_forms` inside their closed-form
-    pass (`bounds._standard_bounds`).  Deterministic.
-
-    At most 6 witnesses are evaluated.  A separable state returns exactly
-    0.0 from a product witness.  The returned value is that of a witness G
-    that passes the certificate V - G >= -(psd_tol + 16 eps max(a, b)^3),
-    and `argmin_parameters` are its (0, s_a, 0, s_b, r); where none passes
-    (NaN in `_geof_forms`), the result is infeasible with value inf.
-
-    Raises
-    ------
-    DomainError
-        If psd_tol is not finite and non-negative.
-    NonPhysicalStateError
-        If v is not physical within psd_tol.
-    """
-    _nonnegative(psd_tol=psd_tol)
-    sf = standard_form(v, psd_tol)
-    value, witness, evals = _geof_forms(*sf, psd_tol)
-    feasible = not np.isnan(value[0])
-    return GeofResult(float(value[0]) if feasible else np.inf, np.insert(witness[0], (0, 1), 0.0),
-                      feasible, int(evals[0]), sf.to_covmat().matrix)
-
-
 class _CallableModule(types.ModuleType):
-    """This module, callable as `geof` for `eofbounds.geof(v)` callers (bench/selftest.py)."""
+    """This module, callable as `eofbounds.geof(v)` for the benchmark (bench/selftest.py)."""
 
-    def __call__(self, *args, **kwargs):
-        return geof(*args, **kwargs)
+    def __call__(self, v, psd_tol: float = PSD_TOL) -> GeofResult:
+        """The GeoF of v and its padded witness, the benchmark's only entry.
+
+        The library's GeoF is `bound_report(v).geof`, with its witness
+        `geof_witness`.  This call is kept until ROADMAP item 1 moves the
+        benchmark to the report and deletes it and `GeofResult`.  It checks
+        v and reduces it by `states.standard_form`, then runs `_geof_forms`
+        at n = 1; where no witness passes, the result is infeasible with
+        value inf.
+        """
+        _nonnegative(psd_tol=psd_tol)
+        sf = standard_form(v, psd_tol)
+        value, witness, evals = _geof_forms(*sf, psd_tol)
+        feasible = not np.isnan(value[0])
+        return GeofResult(float(value[0]) if feasible else np.inf, np.insert(witness[0], (0, 1), 0.0),
+                          feasible, int(evals[0]), sf.to_covmat().matrix)
 
 
 sys.modules[__name__].__class__ = _CallableModule

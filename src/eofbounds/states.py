@@ -221,8 +221,8 @@ def standard_form(v: CovMat | StandardForm, tol: float = PSD_TOL) -> StandardFor
     The one route from a state to its standard form (`_reduced`) and the one
     verdict (`_physical` at tol): it gives `bound_report(v).standard_form` and
     rejects what `bound_report` rejects.  It is the lean physicality check,
-    and that of `geof`, which needs no bounds; `bound_report` takes the
-    same verdict from its closed-form pass.  Raises DomainError if tol is not
+    for a caller that needs no bounds; `bound_report` takes the same
+    verdict from its closed-form pass.  Raises DomainError if tol is not
     finite and non-negative.
     """
     _nonnegative(tol=tol)

@@ -15,23 +15,35 @@ points of the same reduction instead, so the two must agree to within the
 golden-section bracket's error.
 
 `pure_cms_from_parameters` builds the 5-parameter pure family that
-`reference_geof` searches.
+`reference_geof` searches.  Both searches return a `SearchResult`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError
-from eofbounds.geof import GeofResult
 from eofbounds.states import CovMat, standard_form
 from eofbounds.symplectic import PSD_TOL
 
 from conftest import is_physical, partial_transpose, symplectic_spectrum
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """A reference search's least value, inf where no evaluated witness was
+    feasible, its witness (theta_a, s_a, theta_b, s_b, r) in the standard
+    form's frame, and the witnesses evaluated."""
+
+    value: float
+    argmin_parameters: np.ndarray
+    feasible: bool
+    iterations: int
 
 
 def pure_cms_from_parameters(params: np.ndarray) -> np.ndarray:
@@ -239,7 +251,7 @@ def reference_geof(
     budget: int = 100_000,
     starts: int = 3,
     psd_tol: float = PSD_TOL,
-) -> GeofResult:
+) -> SearchResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
     Deterministic: the coarse grid and seeds are fixed by the state,
@@ -328,20 +340,8 @@ def reference_geof(
                 break
 
     if search.best_params is None:
-        return GeofResult(
-            value=math.inf,
-            argmin_parameters=np.zeros(5),
-            feasible=False,
-            iterations=search.evals,
-            reference_matrix=search.v,
-        )
-    return GeofResult(
-        value=max(search.best_value, 0.0),
-        argmin_parameters=search.best_params,
-        feasible=True,
-        iterations=search.evals,
-        reference_matrix=search.v,
-    )
+        return SearchResult(math.inf, np.zeros(5), False, search.evals)
+    return SearchResult(max(search.best_value, 0.0), search.best_params, True, search.evals)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,7 @@ def scalar_geof(
     tol: float = 1e-6,
     budget: int = 100_000,
     psd_tol: float = PSD_TOL,
-) -> GeofResult:
+) -> SearchResult:
     """Minimize pure-state entanglement over pure covariance matrices <= v.
 
     Deterministic.  `tol` is the width, in radians of phi, below which a
@@ -501,12 +501,12 @@ def scalar_geof(
         delta *= 4.0
     curve = _Curve(a, b, c1, c2, budget)
 
-    def finish(g: tuple[float, float, float]) -> GeofResult:
+    def finish(g: tuple[float, float, float]) -> SearchResult:
         params = curve.certify(ref.matrix, g, psd_tol)
         if params is None:
-            return GeofResult(math.inf, np.zeros(5), False, curve.evals, ref.matrix)
+            return SearchResult(math.inf, np.zeros(5), False, curve.evals)
         value = entanglement_entropy(math.exp(-2 * abs(float(params[4]))))
-        return GeofResult(value, params, True, curve.evals, ref.matrix)
+        return SearchResult(value, params, True, curve.evals)
 
     for phi in curve.zero_angles()[:budget]:
         curve.evals += 1
@@ -517,7 +517,7 @@ def scalar_geof(
 
     n = min(_COARSE, budget - curve.evals)
     if n < 1:  # uncertified zero angles used up the whole budget
-        return GeofResult(math.inf, np.zeros(5), False, curve.evals, ref.matrix)
+        return SearchResult(math.inf, np.zeros(5), False, curve.evals)
     grid = np.arange(n) * (math.pi / n)
     rho = curve.rho(grid)
     best = (float(np.min(rho)), float(grid[np.argmin(rho)]))

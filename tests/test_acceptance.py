@@ -13,7 +13,6 @@ import numpy as np
 from eofbounds.bounds import bound_report
 from eofbounds.cli import SCAN_COLUMNS, main
 from eofbounds.entanglement import entanglement_entropy
-from eofbounds.geof import geof
 from eofbounds.states import CovMat
 
 from conftest import (
@@ -72,13 +71,13 @@ def test_criterion_2_symmetric_collapse():
     worst = 0.0
     for _ in range(1_000):
         v = random_standard_form(rng, symmetric=True, entangled=True).to_covmat()
-        rep = bound_report(v, include_geof=False)
+        rep = bound_report(v)
         values = [
             rep.lower_natural,
             rep.upper_natural,
             rep.lower_sigma,
             rep.eeof,
-            geof(v).value,
+            rep.geof,
         ]
         worst = max(worst, max(values) - min(values))
     report(2, "symmetric collapse", worst < 1e-6, f"max spread {worst:.3e}")
@@ -95,10 +94,9 @@ def test_criterion_3_bound_sandwich():
         v = random_standard_form(
             rng, entangled=True, physical_upper=True, min_asymmetry=0.01
         ).to_covmat()
-        rep = bound_report(v, include_geof=False)
-        lower, upper, sigma = rep.lower_natural, rep.upper_natural, rep.lower_sigma
+        rep = bound_report(v)
+        lower, upper, sigma, g = rep.lower_natural, rep.upper_natural, rep.lower_sigma, rep.geof
         assert upper is not None
-        g = geof(v).value
         ok = (
             lower <= sigma + 1e-9
             and sigma <= g + 1e-6
@@ -125,9 +123,9 @@ def test_criterion_4_noise_monotonicity():
         v = random_standard_form(rng).to_covmat()
         g = rng.normal(size=(4, 4)) * rng.uniform(0.05, 0.3)
         noisy = CovMat(v.matrix + g @ g.T)
-        eeof_noisy, eeof_v = (bound_report(w, include_geof=False).eeof for w in (noisy, v))
-        worst_eeof = max(worst_eeof, eeof_noisy - eeof_v)
-        worst_geof = max(worst_geof, geof(noisy).value - geof(v).value)
+        rep_noisy, rep_v = bound_report(noisy), bound_report(v)
+        worst_eeof = max(worst_eeof, rep_noisy.eeof - rep_v.eeof)
+        worst_geof = max(worst_geof, rep_noisy.geof - rep_v.geof)
     ok = worst_eeof <= 1e-12 and worst_geof <= 2e-6
     report(
         4,

@@ -8,7 +8,7 @@ from eofbounds import bounds, states
 from eofbounds.bounds import _ROWS, _standard_bounds, bound_report
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError
-from eofbounds.geof import geof
+from eofbounds.geof import _geof_forms
 from eofbounds.states import CovMat, StandardForm, _standard_forms, invariants
 from eofbounds.symplectic import PSD_TOL, least_mu_minus
 
@@ -143,10 +143,10 @@ def test_sigma_in_a_general_frame_is_the_standard_form_value():
         if not (loewner_ge(v.block_a, v.block_b) or loewner_ge(v.block_b, v.block_a)):
             continue
         checked += 1
-        sigma = bound_report(v, include_geof=False).lower_sigma
-        assert sigma == pytest.approx(
+        rep = bound_report(v)
+        assert rep.lower_sigma == pytest.approx(
             bound_report(sf.to_covmat(), include_geof=False).lower_sigma, abs=1e-9)
-        assert sigma <= geof(v).value + 1e-6
+        assert rep.lower_sigma <= rep.geof + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +166,10 @@ def test_searched_upper_symmetric_reaches_eof(rng):
 def test_searched_upper_is_valid_upper_bound(rng):
     for _ in range(30):
         v = random_standard_form(rng, entangled=True).to_covmat()
-        su = bound_report(v, include_geof=False).upper_searched
-        if su is None:
+        rep = bound_report(v)
+        if rep.upper_searched is None:
             continue
-        assert geof(v).value <= su + 1e-6
+        assert rep.geof <= rep.upper_searched + 1e-6
 
 
 def test_searched_upper_covers_unphysical_natural(rng):
@@ -186,7 +186,7 @@ def test_searched_upper_covers_unphysical_natural(rng):
         examined += 1
         su = rep.upper_searched
         if su is not None:
-            assert geof(v).value <= su + 1e-6
+            assert bound_report(v).geof <= su + 1e-6
             restored += 1
         if examined >= 40:
             break
@@ -309,7 +309,7 @@ def test_geof_sandwiched_by_comparable_symmetric_states(rng):
         v_ab = CovMat.from_standard_form(a, b, c1, c2)
         upper = bound_report(CovMat.from_standard_form(m, m, c1, c2), include_geof=False).eeof
         lower = bound_report(CovMat.from_standard_form(n, n, c1, c2), include_geof=False).eeof
-        g = geof(v_ab).value
+        g = bound_report(v_ab).geof
         assert lower - 1e-9 <= g <= upper + 1e-6
         count += 1
 
@@ -350,9 +350,9 @@ def test_report_violation_strings(monkeypatch):
     )
 
 
-#: The entry points that check one state: every bound, the lean check and
-#: the GeoF witness.
-ONE_STATE_FUNCTIONS = (bound_report, states.standard_form, geof)
+#: The entry points that check one state: every bound with the GeoF witness,
+#: and the lean check.
+ONE_STATE_FUNCTIONS = (bound_report, states.standard_form)
 
 
 def test_check_rejects_non_positive_and_subvacuum_matrices():
@@ -382,10 +382,9 @@ PHYSICAL = StandardForm(1.2, 1.5, 0.447, -0.447)
     lambda: bound_report(PHYSICAL, psd_tol=-1e-3),
     lambda: states.standard_form(PHYSICAL, tol=math.nan),
     lambda: states.standard_form(PHYSICAL, tol=-1e-3),
-    lambda: geof(PHYSICAL.to_covmat(), psd_tol=math.nan),
 ], ids=["entanglement_entropy-nan", "bound_report-psd_tol-nan",
         "bound_report-psd_tol-inf", "bound_report-psd_tol-negative", "standard_form-tol-nan",
-        "standard_form-tol-negative", "geof-psd_tol-nan"])
+        "standard_form-tol-negative"])
 def test_arguments_that_switch_checks_off_are_rejected(call):
     with pytest.raises(DomainError):
         call()
@@ -437,10 +436,12 @@ def report_values(rep):
 
 
 def checked_report(v):
-    """bound_report(v), after checking that its GeoF is geof(v) bit for bit."""
+    """bound_report(v), after checking that its GeoF and witness are those of
+    the array search on its standard form, bit for bit."""
     rep = bound_report(v)
-    g = geof(v)
-    assert rep.geof == (g.value if g.feasible else None)
+    value, witness, _ = _geof_forms(*rep.standard_form)
+    assert (rep.geof, rep.geof_witness) == (
+        (None, None) if np.isnan(value[0]) else (value[0], tuple(witness[0])))
     return rep
 
 

@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eofbounds.bounds import _BOUNDS, _ORDER, _ROWS, BoundReport, _standard_bounds, bound_report
+from eofbounds.bounds import (
+    _BOUNDS,
+    _ORDER,
+    _ROWS,
+    _WITNESS,
+    BoundReport,
+    _standard_bounds,
+    bound_report,
+)
 from eofbounds.cli import (
     SCAN_COLUMNS,
     _cells,
@@ -27,12 +35,13 @@ from eofbounds.cli import (
 )
 from eofbounds.entanglement import LN2, entanglement_entropy
 from eofbounds.errors import NonPhysicalStateError, ParseError
-from eofbounds.geof import _geof_forms, geof
+from eofbounds.geof import _geof_forms
 from eofbounds.states import CovMat, Invariants, StandardForm, _standard_forms, standard_form
 
 from conftest import (
     partial_transpose,
     random_local_symplectic,
+    random_standard_form,
     symplectic_spectrum,
     unphysical_matrices,
 )
@@ -211,6 +220,60 @@ def test_analyze_units_bits(tmp_path, capsys):
         F_SYMMETRIC_EXAMPLE / LN2, abs=1e-9
     )
     assert out["bounds"]["geof"] is None
+
+
+def test_witness_is_null_without_geof_and_unconverted_in_bits(tmp_path, capsys):
+    # The witness (s_a, s_b, r) is dimensionless: bits print it as nats do.
+    path = write(tmp_path, "in.json", EXACT_DOCS["matrix"])
+    printed = {}
+    for flags in ([], ["--units", "bits"], ["--no-geof"], ["--no-geof", "--units", "bits"]):
+        assert main(["analyze", "--input", path, *flags]) == 0
+        printed[" ".join(flags)] = json.loads(capsys.readouterr().out)["bounds"]["geof_witness"]
+    assert list(printed[""]) == ["s_a", "s_b", "r"]
+    assert all(isinstance(x, float) for x in printed[""].values())
+    assert printed["--units bits"] == printed[""]
+    assert printed["--no-geof"] == printed["--no-geof --units bits"] == dict.fromkeys(printed[""])
+
+
+def recertify_states():
+    """Entangled (symmetric and not), separable and pure (TMSV, r <= 3)
+    states in random local frames."""
+    rng = np.random.default_rng(41)
+    states = []
+    for i in range(300):
+        if i % 4 == 3:
+            v = CovMat.two_mode_squeezed(rng.uniform(0.0, 3.0))
+        else:
+            v = random_standard_form(rng, symmetric=i % 4 == 0, entangled=i % 4 != 2).to_covmat()
+        states.append(v.conjugate(random_local_symplectic(rng, 0.3)))
+    return states
+
+
+def test_every_printed_witness_recertifies(tmp_path, capsys):
+    # From the printed report alone: G = Gx (+) Gx^-1, rebuilt from
+    # geof_witness, is below the printed standard form within the
+    # certificate's allowance, and its entanglement is the printed geof.
+    path = tmp_path / "in.json"
+    for k, v in enumerate(recertify_states()):
+        tol = (1e-10, 0.0)[k % 2]
+        path.write_text(json.dumps({"matrix": v.matrix.tolist()}))
+        assert main(["analyze", "--input", str(path), "--tol-psd", repr(tol)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        value, (s_a, s_b, r) = out["bounds"]["geof"], out["bounds"]["geof_witness"].values()
+        a, b, c1, c2 = out["standard_form"].values()
+        # Gx = e^S [[ch, sh], [sh, ch]] e^S with S = diag(s_a, s_b), on (x1, x2).
+        ch, sh, e = math.cosh(2 * r), math.sinh(2 * r), np.exp([s_a, s_b])
+        g = np.zeros((4, 4))
+        g[np.ix_((0, 2), (0, 2))] = np.outer(e, e) * [[ch, sh], [sh, ch]]
+        g[np.ix_((1, 3), (1, 3))] = np.array([[ch, -sh], [-sh, ch]]) / np.outer(e, e)
+        allowance = tol + 16.0 * np.finfo(float).eps * max(a, b) ** 3
+        least = np.linalg.eigvalsh(CovMat.from_standard_form(a, b, c1, c2).matrix - g)[0]
+        assert least >= -allowance, (k, least, allowance)
+        if value == 0.0:
+            assert r == 0.0, k
+        else:
+            nu = symplectic_spectrum(partial_transpose(g)).mu_minus
+            assert math.isclose(entanglement_entropy(nu), value, rel_tol=1e-9), (k, nu, value)
 
 
 def test_analyze_rejects_negative_tol_psd(tmp_path, capsys):
@@ -416,21 +479,24 @@ def test_report_layouts_follow_the_rows(tmp_path, capsys):
     # The analyze report's bounds, BoundReport's values and the hierarchy
     # checks name bound rows of the pass, or the searched bound, and the
     # first two list them in table order, the searched bound after the
-    # natural one.
-    bound_rows = _ROWS[_BOUNDS:]
-    allowed = {*bound_rows, "upper_searched"}
+    # natural one and the GeoF's witness, the pass's last rows, after geof.
+    bound_rows = _ROWS[_BOUNDS:_WITNESS]
+    allowed = {*bound_rows, "upper_searched", "geof_witness"}
     path = write(tmp_path, "in.json", EXACT_DOCS["standard-form"])
     assert main(["analyze", "--input", path]) == 0
-    report_keys = [k for k in json.loads(capsys.readouterr().out)["bounds"]
-                   if k not in ("entangled", "flags")]
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    report_keys = [k for k in bounds if k not in ("entangled", "flags")]
     fields = [f.name for f in dataclasses.fields(BoundReport)
               if f.name not in ("entangled", "violations", "standard_form", "invariants",
                                 "symplectic_eigenvalues", "ppt_symplectic_eigenvalues")]
     for names in (report_keys, fields):
         assert set(names) == allowed, names
-        assert [n for n in names if n != "upper_searched"] == list(bound_rows), names
+        rows = [n for n in names if n not in ("upper_searched", "geof_witness")]
+        assert rows == list(bound_rows), names
         assert names.index("upper_searched") == names.index("upper_natural") + 1, names
-    assert {name for lo, hi, _ in _ORDER for name in (lo, hi)} <= allowed
+        assert names.index("geof_witness") == names.index("geof") + 1, names
+    assert ["geof_" + k for k in bounds["geof_witness"]] == list(_ROWS[_WITNESS:])
+    assert {name for lo, hi, _ in _ORDER for name in (lo, hi)} <= allowed - {"geof_witness"}
 
 
 #: An entangled state of the analyze corpus whose searched line has no
@@ -451,20 +517,22 @@ def test_no_feasible_searched_node_is_not_available(tmp_path, capsys):
 
 
 def test_every_witness_rejected_is_not_available(tmp_path, capsys, monkeypatch):
-    # A GeoF search whose certificate fails every witness: the one-state
-    # result is infeasible with value inf, and the report and the scan show
-    # no value.
+    # A GeoF search whose certificate fails every witness: the search gives
+    # NaN after as many evaluations, and the report, its printed witness
+    # and the scan show no value.
     v = CovMat.from_standard_form(1.2, 1.5, 0.447, -0.447)
-    before = geof(v)
+    form = tuple(bound_report(v).standard_form)
+    value, _, evals = _geof_forms(*form)
     monkeypatch.setattr("eofbounds.geof._certified", lambda a, *args: np.zeros(np.shape(a), dtype=bool))
-    res = geof(v)
-    assert before.feasible and res.value == math.inf and res.feasible is False
-    assert res.iterations == before.iterations
-    assert bound_report(v).geof is None
+    rejected, _, rejected_evals = _geof_forms(*form)
+    assert not np.isnan(value[0]) and np.isnan(rejected[0]) and rejected_evals[0] == evals[0]
+    rep = bound_report(v)
+    assert rep.geof is None and rep.geof_witness is None
     path = write(tmp_path, "in.json", {"matrix": v.matrix.tolist()})
     assert main(["analyze", "--input", path]) == 0
     bounds = json.loads(capsys.readouterr().out)["bounds"]
     assert bounds["geof"] is None and bounds["flags"]["geof_feasible"] is False
+    assert bounds["geof_witness"] == {"s_a": None, "s_b": None, "r": None}
     out = tmp_path / "out.csv"
     assert main(["scan", "--input", write(tmp_path, "scan.json", scan_spec(steps=4)),
                  "--output", str(out)]) == 0
@@ -484,10 +552,12 @@ def test_analyze_report_is_json_dumps_of_its_values(data):
     floats = st.lists(st.floats(), min_size=4, max_size=4)
     inv, sf, spectra = data.draw(floats), data.draw(floats), data.draw(floats)
     values = data.draw(st.lists(st.none() | st.floats(), min_size=6, max_size=6))
+    witness = data.draw(st.none() | st.tuples(st.floats(), st.floats(), st.floats()))
     entangled, no_geof = data.draw(st.booleans()), data.draw(st.booleans())
     violations = data.draw(st.lists(st.text(), max_size=3))
     units = data.draw(st.sampled_from(["nats", "bits"]))
-    report = BoundReport(*values, entangled=entangled, violations=tuple(violations),
+    report = BoundReport(*values, geof_witness=witness, entangled=entangled,
+                         violations=tuple(violations),
                          standard_form=Form(*sf), invariants=Invariants(*inv),
                          symplectic_eigenvalues=tuple(spectra[:2]),
                          ppt_symplectic_eigenvalues=tuple(spectra[2:]))
@@ -510,6 +580,7 @@ def test_analyze_report_is_json_dumps_of_its_values(data):
         "entangled": entangled,
         "bounds": {
             **{k: convert(x) for k, x in zip(names, values)},
+            "geof_witness": dict(zip(("s_a", "s_b", "r"), witness or (None,) * 3)),
             "entangled": entangled,
             "flags": {
                 "upper_natural_physical": values[2] is not None,
@@ -534,6 +605,8 @@ def printed_fields(out: dict) -> dict:
         **{name: tuple(out[name].values()) for name in (
             "invariants", "standard_form", "symplectic_eigenvalues", "ppt_symplectic_eigenvalues")},
         **{name: bounds[name] for name in BOUND_NAMES},
+        "geof_witness": (None if set(bounds["geof_witness"].values()) == {None}
+                         else tuple(bounds["geof_witness"].values())),
         "entangled": out["entangled"],
         "violations": tuple(bounds["flags"]["violations"]),
     }

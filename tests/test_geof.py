@@ -9,7 +9,7 @@ from eofbounds.bounds import _ROWS, _standard_bounds, bound_report
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import NonPhysicalStateError
 import eofbounds.geof as geof_module
-from eofbounds.geof import _geof_forms, geof
+from eofbounds.geof import _geof_forms
 from eofbounds.states import CovMat, _standard_forms
 from eofbounds.symplectic import PSD_TOL
 
@@ -36,6 +36,14 @@ def general_frame_corpus(seed, n):
     return out
 
 
+def witness_and_frame(rep):
+    """The pure witness G of a report's GeoF, and the standard-form matrix it
+    was certified against."""
+    assert rep.geof_witness is not None
+    g = pure_cms_from_parameters(np.insert(rep.geof_witness, (0, 1), 0.0))
+    return g, rep.standard_form.to_covmat().matrix
+
+
 def test_pure_parametrization_is_pure(rng):
     for _ in range(100):
         params = rng.uniform(-1.0, 1.0, size=5)
@@ -57,27 +65,21 @@ def test_pure_parametrization_ppt_eigenvalue(rng):
 def test_separable_states_give_zero(rng):
     for _ in range(50):
         v = random_standard_form(rng, entangled=False).to_covmat()
-        res = geof(v)
-        assert res.feasible
-        assert res.value == 0.0
+        assert bound_report(v).geof == 0.0
 
 
 def test_two_mode_squeezed_is_own_minimizer():
     # The only pure matrix below a pure state is the state itself.
     for r in (0.2, 0.6, 1.1):
-        res = geof(CovMat.two_mode_squeezed(r))
-        assert res.feasible
-        assert res.value == pytest.approx(
-            entanglement_entropy(math.exp(-2 * r)), abs=1e-6
-        )
+        value = bound_report(CovMat.two_mode_squeezed(r)).geof
+        assert value == pytest.approx(entanglement_entropy(math.exp(-2 * r)), abs=1e-6)
 
 
 def test_symmetric_states_match_closed_form(rng):
     for _ in range(40):
         v = random_standard_form(rng, symmetric=True, entangled=True).to_covmat()
-        res = geof(v)
-        assert res.feasible
-        assert res.value == pytest.approx(bound_report(v, include_geof=False).eeof, abs=1e-6)
+        rep = bound_report(v)
+        assert rep.geof == pytest.approx(rep.eeof, abs=1e-6)
 
 
 def test_result_invariants(rng):
@@ -85,18 +87,17 @@ def test_result_invariants(rng):
     states += [v for _, _, v in general_frame_corpus(7, 30)]
     states += [CovMat.two_mode_squeezed(r) for r in np.linspace(0.0, 2.0, 9)]
     for v in states:
-        res = geof(v)
-        assert res.feasible
-        g = pure_cms_from_parameters(res.argmin_parameters)
+        rep = bound_report(v)
+        g, frame = witness_and_frame(rep)
         # purity of the reconstructed matrix
         spec = symplectic_spectrum(g)
         assert spec.mu_minus == pytest.approx(1.0, abs=1e-8)
         assert spec.mu_plus == pytest.approx(1.0, abs=1e-8)
         # feasibility against the frame it optimized in
-        assert loewner_ge(res.reference_matrix, g, 1e-9)
+        assert loewner_ge(frame, g, 1e-9)
         # reported value is the entanglement of the reconstructed matrix
         nu = symplectic_spectrum(partial_transpose(g)).mu_minus
-        assert res.value == pytest.approx(entanglement_entropy(nu), abs=1e-9)
+        assert rep.geof == pytest.approx(entanglement_entropy(nu), abs=1e-9)
 
 
 def test_pure_states_are_their_own_witness():
@@ -111,9 +112,9 @@ def test_pure_states_are_their_own_witness():
         states.append((r, v.conjugate(random_local_symplectic(rng, 0.3)) if i % 2 else v))
     for psd_tol in (PSD_TOL, 0.0):
         for r, v in states:
-            res = geof(v, psd_tol=psd_tol)
-            assert res.feasible, (r, psd_tol)
-            assert res.value == pytest.approx(entanglement_entropy(math.exp(-2 * r)), abs=1e-6)
+            value = bound_report(v, psd_tol=psd_tol).geof
+            assert value is not None, (r, psd_tol)
+            assert value == pytest.approx(entanglement_entropy(math.exp(-2 * r)), abs=1e-6)
 
 
 def test_zero_psd_tol_still_certifies(rng):
@@ -121,47 +122,45 @@ def test_zero_psd_tol_still_certifies(rng):
     # min eig(V - G); with no tolerance the search must still certify one.
     for i in range(40):
         v = random_standard_form(rng, entangled=(i % 2 == 0)).to_covmat()
-        res = geof(v, psd_tol=0.0)
-        assert res.feasible
-        g = pure_cms_from_parameters(res.argmin_parameters)
-        assert loewner_ge(res.reference_matrix, g, 1e-12)
-        assert res.value <= geof(v).value + 1e-8
+        rep = bound_report(v, psd_tol=0.0)
+        g, frame = witness_and_frame(rep)
+        assert loewner_ge(frame, g, 1e-12)
+        assert rep.geof <= bound_report(v).geof + 1e-8
 
 
 def test_never_above_reference_search():
     # The 5-parameter search the reduction replaced reports its best
     # strictly feasible point, an upper bound on the minimum.
     for kind, sf, v in general_frame_corpus(11, 99):
-        res = geof(v)
-        assert res.feasible
-        assert res.value <= reference_geof(v).value + 1e-9
+        value = bound_report(v).geof
+        assert value <= reference_geof(v).value + 1e-9
         if kind == "sym":
             exact = bound_report(sf.to_covmat(), include_geof=False).eeof
-            assert res.value == pytest.approx(exact, abs=1e-9)
+            assert value == pytest.approx(exact, abs=1e-9)
         if kind == "sep":
-            assert res.value == 0.0
+            assert value == 0.0
 
 
 def test_value_nonnegative_and_zero_iff_separable(rng):
     for _ in range(60):
         v = random_standard_form(rng).to_covmat()
-        value = geof(v).value
-        assert value >= 0.0
+        rep = bound_report(v)
+        assert rep.geof >= 0.0
         mu_t = symplectic_spectrum(partial_transpose(v.matrix)).mu_minus
         if abs(mu_t - 1.0) > 1e-6:
-            assert (value > 1e-9) == bound_report(v, include_geof=False).entangled
+            assert (rep.geof > 1e-9) == rep.entangled
 
 
 def test_monotone_under_noise(rng):
     for _ in range(20):
         v = random_standard_form(rng, entangled=True).to_covmat()
         noisy = CovMat(v.matrix + random_psd(rng, scale=0.2))
-        assert geof(noisy).value <= geof(v).value + 2e-6
+        assert bound_report(noisy).geof <= bound_report(v).geof + 2e-6
 
 
 def test_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
-        geof(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
+        bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
 
 
 def grid_forms(steps, i3, i4=None):
@@ -222,16 +221,16 @@ def test_array_search_matches_scalar_reference_on_grids(forms):
 
 def test_array_search_matches_scalar_reference_on_random_states():
     states = random_forms(17, 200)
-    single = [geof(v) for v in states]
-    # The standard forms geof searched, after its reduction.
-    forms = np.array([[g.reference_matrix[i, j] for g in single] for i, j in ((0, 0), (2, 2), (0, 2), (1, 3))])
+    reports = [bound_report(v) for v in states]
+    # The standard forms the reports searched, after their reduction.
+    forms = np.array([tuple(rep.standard_form) for rep in reports]).T
     assert_matches_reference(forms, [scalar_geof(v, tol=1e-9) for v in states])
-    # geof is the array search at n = 1: the same row, bit for bit.
+    # A report's GeoF is the array search at n = 1: the same row, bit for
+    # bit, and as many witnesses evaluated alone as in the batch.
     value, witness, evals = _geof_forms(*forms)
-    params = padded(witness)
-    for k, g in enumerate(single):
-        assert (g.value, g.feasible, g.iterations) == (value[k], not np.isnan(value[k]), evals[k])
-        assert np.array_equal(g.argmin_parameters, params[k])
+    for k, rep in enumerate(reports):
+        assert (rep.geof, rep.geof_witness) == (value[k], tuple(witness[k])), k
+        assert _geof_forms(*forms[:, k])[2][0] == evals[k], k
 
 
 def random_standard_forms(seed, n):
@@ -316,11 +315,29 @@ def test_product_witnesses_need_no_curve(monkeypatch):
 
 
 def test_geof_submodule_import_gives_the_module():
+    # The module is callable for the benchmark's `eofbounds.geof(v)`, and
+    # has no function geof: the report is the one GeoF answer.
     import eofbounds.geof as module
 
     assert isinstance(module, types.ModuleType)
     assert module is importlib.import_module("eofbounds.geof")
-    assert callable(module.geof)
+    assert callable(module) and not hasattr(module, "geof")
+
+
+def test_module_call_is_the_report(monkeypatch):
+    # The benchmark's entry, the module call, gives the report's GeoF, its
+    # witness padded with zero angles and its standard form, bit for bit,
+    # and is infeasible with value inf where the report has none.
+    states = [v for _, _, v in general_frame_corpus(13, 30)] + random_forms(19, 20)
+    for v in states:
+        rep, res = bound_report(v), geof_module(v)
+        assert res.feasible and res.value == rep.geof
+        assert np.array_equal(res.argmin_parameters, np.insert(rep.geof_witness, (0, 1), 0.0))
+        assert np.array_equal(res.reference_matrix, rep.standard_form.to_covmat().matrix)
+    monkeypatch.setattr(geof_module, "_certified", lambda a, *args: np.zeros(np.shape(a), dtype=bool))
+    rep, res = bound_report(states[1]), geof_module(states[1])
+    assert (rep.geof, rep.geof_witness) == (None, None)
+    assert res.value == math.inf and res.feasible is False
 
 
 def test_never_above_dense_angle_grid():
@@ -353,20 +370,20 @@ def test_no_full_family_witness_below_geof():
     n, feasible = 200, 0
     for i in range(150):
         sf = random_standard_form(rng, a_max=5.0, symmetric=i % 3 == 0, entangled=True)
-        res = geof(sf.to_covmat())
-        assert res.feasible
-        s_max, r_max = 0.25 * math.log(max(sf.a, sf.b)), 2.0 * abs(res.argmin_parameters[4])
+        rep = bound_report(sf.to_covmat())
+        witness = np.insert(rep.geof_witness, (0, 1), 0.0)
+        frame = rep.standard_form.to_covmat().matrix
+        s_max, r_max = 0.25 * math.log(max(sf.a, sf.b)), 2.0 * abs(witness[4])
         drawn = np.column_stack([
             rng.uniform(0.0, math.pi, n), rng.uniform(-s_max, s_max, n),
             rng.uniform(0.0, math.pi, n), rng.uniform(-s_max, s_max, n),
             rng.uniform(-r_max, r_max, n),
         ])
-        nearby = res.argmin_parameters + 10.0 ** rng.uniform(-7.0, -1.0, (n, 1)) * rng.normal(
-            size=(n, 5))
+        nearby = witness + 10.0 ** rng.uniform(-7.0, -1.0, (n, 1)) * rng.normal(size=(n, 5))
         params = np.vstack([drawn, nearby])
         g = pure_cms_from_parameters(params)
-        below = np.linalg.eigvalsh(res.reference_matrix - g)[:, 0] >= 0.0
+        below = np.linalg.eigvalsh(frame - g)[:, 0] >= 0.0
         ent = entanglement_entropy_vec(np.exp(-2.0 * np.abs(params[below, 4])))
-        assert np.all(ent >= res.value - 1e-9), (sf, res.value, ent.min())
+        assert np.all(ent >= rep.geof - 1e-9), (sf, rep.geof, ent.min())
         feasible += below.sum()
     assert feasible > 5000
