@@ -3,7 +3,7 @@
 from .bounds import BoundReport, bound_report
 from .entanglement import entanglement_entropy
 from .errors import DomainError, EofBoundsError, NonPhysicalStateError, ParseError
-from .states import CovMat, Invariants, StandardForm, invariants, standard_form
+from .states import CovMat, Invariants, StandardForm, invariants
 from .symplectic import PSD_TOL
 
 __version__ = "0.1.0"

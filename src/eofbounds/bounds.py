@@ -28,9 +28,9 @@ well, and never above the symmetric-state ones (see `bound_report`).
 For a symmetric state (a = b) all three symmetric states are the state
 itself, so both lower bounds, the natural upper bound and the EeoF are its
 exact EoF (Giedke et al., PRL 91, 107901, 2003): `bound_report(v).eeof`.
-`bound_report` reduces its CovMat or StandardForm once, by the route of
-`states.standard_form`, and raises NonPhysicalStateError on the verdict of
-that pass, the verdict `standard_form` gives.
+`bound_report` is the one route from a CovMat or StandardForm to its
+standard form: it reduces the state once, and raises NonPhysicalStateError
+on the verdict of that pass.
 """
 
 from __future__ import annotations
@@ -41,17 +41,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
+from .errors import DomainError
 from .geof import _geof_forms
 from .states import (
     CovMat,
     Invariants,
     StandardForm,
     _least_eigenvalue,
-    _nonnegative,
     _physical,
-    _reduced,
     _rejected,
     _spectra,
+    _standard_forms,
     invariants,
 )
 from .symplectic import PSD_TOL
@@ -185,8 +185,10 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
-    The state is reduced to its standard form once, from the invariants the
-    report carries, and one pass of `_standard_bounds` checks it and gives
+    The state is reduced to its standard form once: a StandardForm is its
+    own, and a CovMat V, once one eigvalsh has tested it positive definite
+    (-V has its invariants), has the form solved from the invariants the
+    report carries.  One pass of `_standard_bounds` then checks it and gives
     its spectra, every closed-form value and the GeoF of the array search
     `geof._geof_forms`, as a scan does for a whole grid; `_searched` gives
     the searched one.  All run on that standard form, and the report
@@ -207,9 +209,16 @@ def bound_report(
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
-    _nonnegative(psd_tol=psd_tol)
-    inv = invariants(v.to_covmat() if isinstance(v, StandardForm) else v)
-    form, scale = _reduced(v, inv)
+    if not 0.0 <= psd_tol < math.inf:  # a NaN or infinite tolerance would switch the test off
+        raise DomainError(f"psd_tol must be finite and non-negative, got {psd_tol}")
+    if isinstance(v, StandardForm):
+        form, scale, inv = tuple(v), max(map(abs, v)), invariants(v.to_covmat())
+    else:
+        lam_min = np.linalg.eigvalsh(v.matrix)[0]
+        if not lam_min > 0.0:
+            _rejected(lam_min, math.nan, 0.0)
+        inv = invariants(v)
+        form, scale = _standard_forms(*inv)[0], np.max(np.abs(v.matrix))
     physical, entangled, rows = _standard_bounds(*form, psd_tol, scale, include_geof)
     if not physical:
         _rejected(_least_eigenvalue(*form[:3]), rows[_ROWS.index("nu_minus")], psd_tol)

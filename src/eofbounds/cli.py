@@ -253,7 +253,7 @@ def run_analyze(args: argparse.Namespace) -> None:
 
 
 def _parse_axis(doc: dict, key: str) -> np.ndarray:
-    body = doc.get(key, {"min": 1.0, "max": 4.0, "steps": 40})
+    body = doc.get(key, {})
     if not isinstance(body, dict):
         raise ParseError(f"'{key}' must be an object with min/max/steps")
     _keys(body, {"min", "max", "steps"}, key)
@@ -264,6 +264,8 @@ def _parse_axis(doc: dict, key: str) -> np.ndarray:
         raise ParseError(f"{key}.steps must be a positive integer")
     if hi < lo:
         raise ParseError(f"{key}: max < min")
+    if not math.isfinite(hi - lo):
+        raise ParseError(f"{key}: max - min overflows")
     try:
         return np.linspace(lo, hi, steps)
     except (ValueError, IndexError) as exc:  # more steps than numpy can allocate or count
@@ -297,7 +299,8 @@ def run_scan(args: argparse.Namespace) -> None:
     # The grid, I1-major.
     i1, i2 = np.repeat(spec["i1"], len(spec["i2"])), np.tile(spec["i2"], len(spec["i1"]))
     i3 = np.full_like(i1, spec["i3"])
-    with np.errstate(over="ignore"):  # I1 I2 may overflow to inf: an unphysical point
+    # I1 I2 may overflow to inf, an unphysical point, or be negative, no state.
+    with np.errstate(over="ignore", invalid="ignore"):
         i4 = (2.0 * abs(spec["i3"]) * np.sqrt(i1 * i2) if spec["i4_literal"] is None
               else np.full_like(i1, spec["i4_literal"]))
     forms, solved = _standard_forms(i1, i2, i3, i4)

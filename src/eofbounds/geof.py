@@ -65,7 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .states import _nonnegative, standard_form
 from .symplectic import PSD_TOL
 
 
@@ -250,12 +249,13 @@ class _CallableModule(types.ModuleType):
         The library's GeoF is `bound_report(v).geof`, with its witness
         `geof_witness`.  This call is kept until ROADMAP item 1 moves the
         benchmark to the report and deletes it and `GeofResult`.  It checks
-        v and reduces it by `states.standard_form`, then runs `_geof_forms`
-        at n = 1; where no witness passes, the result is infeasible with
-        value inf.
+        and reduces v by `bound_report(v, False, psd_tol)`, then runs
+        `_geof_forms` at n = 1; where no witness passes, the result is
+        infeasible with value inf.
         """
-        _nonnegative(psd_tol=psd_tol)
-        sf = standard_form(v, psd_tol)
+        from .bounds import bound_report  # bounds imports this module
+
+        sf = bound_report(v, False, psd_tol).standard_form
         value, witness, evals = _geof_forms(*sf, psd_tol)
         feasible = not np.isnan(value[0])
         return GeofResult(float(value[0]) if feasible else np.inf, np.insert(witness[0], (0, 1), 0.0),

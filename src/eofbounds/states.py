@@ -11,9 +11,10 @@ with 2x2 blocks A, B (reduced single-mode covariances) and C
 
 unchanged (J the single-mode symplectic form), and every physical state
 can be brought to the standard form A = a*I, B = b*I, C = diag(c1, c2)
-with c1 >= |c2|.  `standard_form` (through `_reduced`) is the one route from
-a state to that form, and the physicality test at psd_tol, a, b >= 1
-included, is its one verdict.
+with c1 >= |c2|.  This module solves that form from the invariants
+(`_standard_forms`) and holds the pieces of the physicality test at psd_tol,
+a, b >= 1 included; `bounds.bound_report` is the one route from a state to
+its standard form and that test's verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPhysicalStateError
-from .symplectic import J2, PSD_TOL, least_mu_minus, symmetrize
+from .symplectic import J2, least_mu_minus, symmetrize
 
 # Slack for the c1 >= |c2| convention and for the I4/(a b) >= 2|I3| test
 # of `_standard_forms`, absorbing roundoff from invariant arithmetic.
@@ -187,50 +188,6 @@ def _rejected(lam_min, nu_minus, tol: float):
         raise NonPhysicalStateError(f"matrix is not positive definite: min eigenvalue {lam_min:.3e}")
     raise NonPhysicalStateError(
         f"state violates the uncertainty bound: mu_minus = {float(nu_minus):.12g} < 1")
-
-
-def _reduced(v: CovMat | StandardForm, inv: Invariants | None = None):
-    """Standard form (a, b, c1, c2) of one state and the largest |entry| of v as given.
-
-    One eigvalsh tests that a CovMat V is positive definite (-V has its
-    invariants), or raises NonPhysicalStateError.  Then V has a standard
-    form, solved from its invariants (`inv` if the caller has them), and the
-    physicality test of that form judges V.
-    """
-    if isinstance(v, StandardForm):
-        return tuple(v), max(map(abs, v))
-    lam_min = np.linalg.eigvalsh(v.matrix)[0]
-    if not lam_min > 0.0:
-        _rejected(lam_min, math.nan, 0.0)
-    return _standard_forms(*(invariants(v) if inv is None else inv))[0], np.max(np.abs(v.matrix))
-
-
-def _nonnegative(**tols: float) -> None:
-    """Raise DomainError unless every named tolerance is finite and non-negative.
-
-    A NaN or infinite tolerance would switch its check off.
-    """
-    for name, value in tols.items():
-        if not 0.0 <= value < math.inf:
-            raise DomainError(f"{name} must be finite and non-negative, got {value}")
-
-
-def standard_form(v: CovMat | StandardForm, tol: float = PSD_TOL) -> StandardForm:
-    """Standard form of one state, raising NonPhysicalStateError if it is unphysical.
-
-    The one route from a state to its standard form (`_reduced`) and the one
-    verdict (`_physical` at tol): it gives `bound_report(v).standard_form` and
-    rejects what `bound_report` rejects.  It is the lean physicality check,
-    for a caller that needs no bounds; `bound_report` takes the same
-    verdict from its closed-form pass.  Raises DomainError if tol is not
-    finite and non-negative.
-    """
-    _nonnegative(tol=tol)
-    form, scale = _reduced(v)
-    lam_min, nu_minus = _least_eigenvalue(*form[:3]), _spectra(*form)[0]
-    if not _physical(lam_min, nu_minus, scale, tol):
-        _rejected(lam_min, nu_minus, tol)
-    return StandardForm(*map(float, form))
 
 
 def _standard_forms(i1, i2, i3, i4):

@@ -4,8 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from eofbounds.bounds import bound_report
 from eofbounds.errors import NonPhysicalStateError
-from eofbounds.states import StandardForm, _spectra, standard_form
+from eofbounds.states import StandardForm, _spectra
 from eofbounds.symplectic import PSD_TOL, symmetrize
 
 #: Two-mode symplectic form, one J2 block per mode.
@@ -80,9 +81,9 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
 
 
 def is_physical(v, tol=PSD_TOL):
-    """True iff `standard_form` accepts v."""
+    """True iff `bound_report` accepts v."""
     try:
-        standard_form(v, tol)
+        bound_report(v, include_geof=False, psd_tol=tol)
     except NonPhysicalStateError:
         return False
     return True

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from eofbounds.bounds import bound_report
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError
-from eofbounds.states import CovMat, standard_form
+from eofbounds.states import CovMat
 from eofbounds.symplectic import PSD_TOL
 
 from conftest import is_physical, partial_transpose, symplectic_spectrum
@@ -265,7 +266,7 @@ def reference_geof(
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
-    sf = standard_form(v, psd_tol)
+    sf = bound_report(v, include_geof=False, psd_tol=psd_tol).standard_form
     nu_t = symplectic_spectrum(partial_transpose(sf.to_covmat().matrix), psd_tol).mu_minus
 
     search = _Search(sf, psd_tol, budget)
@@ -489,7 +490,7 @@ def scalar_geof(
     """
     if budget < 1:
         raise DomainError(f"geof budget must be at least 1, got {budget}")
-    a, b, c1, c2 = standard_form(v, psd_tol)
+    a, b, c1, c2 = bound_report(v, include_geof=False, psd_tol=psd_tol).standard_form
     # Reconstruction roundoff can leave the standard-form matrix a hair
     # below physicality, emptying the feasible set; inflate minimally.
     delta = 1e-12

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from eofbounds import bounds, states
+from eofbounds import bounds
 from eofbounds.bounds import _ROWS, _standard_bounds, bound_report
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError
@@ -70,9 +70,9 @@ def test_natural_bounds_unphysical_upper_absent(rng):
     assert found
 
 
-def test_natural_bounds_incomparable_raw_blocks_fall_back(rng):
-    # Conjugate so the raw blocks are Loewner incomparable; the bounds are
-    # still those of the standard form's larger and smaller block.
+def test_bounds_with_incomparable_blocks_are_those_of_the_standard_form(rng):
+    # Conjugate so the blocks of the frame are Loewner incomparable; the
+    # bounds are those of the standard form's larger and smaller block.
     found = False
     for _ in range(200):
         sf = random_standard_form(rng, min_asymmetry=0.2)
@@ -350,9 +350,13 @@ def test_report_violation_strings(monkeypatch):
     )
 
 
-#: The entry points that check one state: every bound with the GeoF witness,
-#: and the lean check.
-ONE_STATE_FUNCTIONS = (bound_report, states.standard_form)
+def reduced_without_geof(v):
+    return bound_report(v, include_geof=False).standard_form
+
+
+#: The one entry point that checks a state, bound_report, with the GeoF and
+#: its witness and without them.
+ONE_STATE_FUNCTIONS = (bound_report, reduced_without_geof)
 
 
 def test_check_rejects_non_positive_and_subvacuum_matrices():
@@ -380,11 +384,8 @@ PHYSICAL = StandardForm(1.2, 1.5, 0.447, -0.447)
     lambda: bound_report(PHYSICAL, psd_tol=math.nan),
     lambda: bound_report(PHYSICAL, psd_tol=math.inf),
     lambda: bound_report(PHYSICAL, psd_tol=-1e-3),
-    lambda: states.standard_form(PHYSICAL, tol=math.nan),
-    lambda: states.standard_form(PHYSICAL, tol=-1e-3),
 ], ids=["entanglement_entropy-nan", "bound_report-psd_tol-nan",
-        "bound_report-psd_tol-inf", "bound_report-psd_tol-negative", "standard_form-tol-nan",
-        "standard_form-tol-negative"])
+        "bound_report-psd_tol-inf", "bound_report-psd_tol-negative"])
 def test_arguments_that_switch_checks_off_are_rejected(call):
     with pytest.raises(DomainError):
         call()
@@ -481,7 +482,7 @@ def test_one_state_and_a_grid_take_the_same_pass(include_geof):
     # The standard forms of the README scan grid, its unphysical points
     # included, of two invariants with none (NaN, as a scan passes them) and
     # of random draws: the pass over all of them at once and over each
-    # alone, with the 0-d inputs that `_checked` gives it, agree bit for bit.
+    # alone, with the 0-d inputs that `bound_report` gives it, agree bit for bit.
     axis = np.linspace(1.0, 4.0, 40)
     i1, i2 = np.concatenate((np.repeat(axis, 40), (1.44, -1.0))), np.append(np.tile(axis, 40), (1.44, 1.0))
     i3 = np.append(np.full(1600, -0.2), (-0.3, 0.0))

@@ -22,15 +22,15 @@ def test_readme_python_blocks_run():
 
 
 def test_public_names_are_pinned():
-    # One entry point per question: bound_report (every bound, the GeoF with
-    # its witness, and the exact EoF of a symmetric state as its eeof) and
-    # standard_form (the check).  Submodules are not counted.
+    # One entry point: bound_report, the check of a state with its standard
+    # form, every bound, the GeoF with its witness and the exact EoF of a
+    # symmetric state as its eeof.  Submodules are not counted.
     public = {name for name, obj in vars(eofbounds).items()
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert public == {
         "BoundReport", "bound_report",
         "entanglement_entropy",
         "DomainError", "EofBoundsError", "NonPhysicalStateError", "ParseError",
-        "CovMat", "Invariants", "StandardForm", "invariants", "standard_form",
+        "CovMat", "Invariants", "StandardForm", "invariants",
         "PSD_TOL",
     }

@@ -13,7 +13,6 @@ from eofbounds.states import (
     _spectra,
     _standard_forms,
     invariants,
-    standard_form,
 )
 
 from conftest import (
@@ -78,7 +77,8 @@ def test_invariants_local_symplectic_invariance(rng):
 
 
 def test_standard_form_fixed_point():
-    sf = standard_form(CovMat.from_standard_form(1.4, 1.9, 0.6, -0.3))
+    v = CovMat.from_standard_form(1.4, 1.9, 0.6, -0.3)
+    sf = bound_report(v, include_geof=False).standard_form
     assert (sf.a, sf.b, sf.c1, sf.c2) == pytest.approx((1.4, 1.9, 0.6, -0.3), abs=1e-12)
 
 
@@ -103,7 +103,7 @@ def test_standard_form_recovers_after_rotation(rng):
     for _ in range(100):
         sf0 = random_standard_form(rng)
         cm = sf0.to_covmat().conjugate(random_local_symplectic(rng))
-        sf1 = standard_form(cm)
+        sf1 = bound_report(cm, include_geof=False).standard_form
         assert sf1.a == pytest.approx(sf0.a, abs=1e-9)
         assert sf1.b == pytest.approx(sf0.b, abs=1e-9)
         assert sf1.c1 == pytest.approx(sf0.c1, abs=1e-9)
@@ -113,7 +113,7 @@ def test_standard_form_recovers_after_rotation(rng):
 def test_standard_form_roundtrip_preserves_invariants(rng):
     for _ in range(100):
         cm = random_standard_form(rng).to_covmat().conjugate(random_local_symplectic(rng))
-        rebuilt = standard_form(cm).to_covmat()
+        rebuilt = bound_report(cm, include_geof=False).standard_form.to_covmat()
         for x, y in zip(invariants(cm), invariants(rebuilt)):
             assert x == pytest.approx(y, rel=1e-10, abs=1e-10)
 
