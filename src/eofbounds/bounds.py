@@ -17,20 +17,18 @@ computable bounds:
 The first four are closed forms in (a, b, c1, c2).  `_standard_bounds`
 evaluates them, with the physicality and PPT tests of the state, its
 spectra, the EeoF estimator and the certified GeoF of `geof._geof_forms`
-with its witness, in one pass over numpy arrays of standard forms: one
-state for `bound_report`, a whole grid for a scan.  The pass returns its
-values as one table, a row for each name of `_ROWS`, and the report and
-the scan read its rows by name.  The searched bound evaluates the same
-closed forms at the nodes of its line.  Every value is therefore invariant
-under local symplectics and under swapping the modes.  The GeoF is an upper bound as
-well, and never above the symmetric-state ones (see `bound_report`).
+with its witness, in one pass over numpy arrays of standard forms (one
+state for `bound_report`, a whole grid for a scan) into one table, a row
+for each name of `_ROWS`.  The searched bound evaluates the same closed
+forms at the nodes of its line.  Every value is therefore invariant under
+local symplectics and under swapping the modes.  The GeoF is an upper
+bound as well, and never above the symmetric-state ones (see `bound_report`).
 
 For a symmetric state (a = b) all three symmetric states are the state
 itself, so both lower bounds, the natural upper bound and the EeoF are its
 exact EoF (Giedke et al., PRL 91, 107901, 2003): `bound_report(v).eeof`.
-`bound_report` is the one route from a CovMat or StandardForm to its
-standard form: it reduces the state once, and raises NonPhysicalStateError
-on the verdict of that pass.
+`bound_report` is the one route from a CovMat, StandardForm or Invariants
+to its standard form and the verdict of that pass.
 """
 
 from __future__ import annotations
@@ -158,7 +156,7 @@ class BoundReport:
     `violations` names each broken order of the hierarchy (`_ORDER`) with
     both values, in nats, and its slack; it is empty where the hierarchy
     holds.  `invariants` are those of the state's matrix (of the standard
-    form's for a StandardForm), and `symplectic_eigenvalues` and
+    form's for a StandardForm or Invariants), and `symplectic_eigenvalues` and
     `ppt_symplectic_eigenvalues` are (nu_minus, nu_plus) of the standard
     form and of its partial transpose.
     """
@@ -179,23 +177,21 @@ class BoundReport:
 
 
 def bound_report(
-    v: CovMat | StandardForm,
+    v: CovMat | StandardForm | Invariants,
     include_geof: bool = True,
     psd_tol: float = PSD_TOL,
 ) -> BoundReport:
     """Assemble every bound for a physical state and verify the hierarchy.
 
     The state is reduced to its standard form once: a StandardForm is its
-    own, and a CovMat V, once one eigvalsh has tested it positive definite
-    (-V has its invariants), has the form solved from the invariants the
-    report carries.  One pass of `_standard_bounds` then checks it and gives
-    its spectra, every closed-form value and the GeoF of the array search
-    `geof._geof_forms`, as a scan does for a whole grid; `_searched` gives
-    the searched one.  All run on that standard form, and the report
-    carries it.  The bound values are the pass's rows; a NaN, a value not
-    available, fails every order check, and the report gives it as None.
-    Violations of the expected ordering are recorded in `violations` rather
-    than raised, so callers can inspect borderline numerics.
+    own, Invariants have the one `_standard_forms` solves, and a CovMat V,
+    once one eigvalsh has tested it positive definite (-V has its
+    invariants), the one solved from the invariants the report carries.
+    One pass of `_standard_bounds` checks the form and gives its spectra,
+    every closed-form value and the GeoF of `geof._geof_forms`, as a scan
+    does for a whole grid; `_searched` gives the searched bound.  A NaN row
+    of the pass, a value not available, fails every order check and is
+    None in the report; a broken order is recorded, not raised.
 
     A certified `geof` is an upper bound on the EoF: its witness G <= V,
     `geof_witness`, gives E(G) >= GEoF(V) >= EoF(V).  It is also never above
@@ -205,20 +201,31 @@ def bound_report(
     Raises
     ------
     DomainError
-        If psd_tol is not finite and non-negative.
+        If psd_tol is not finite and non-negative, or v has no finite standard form.
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
     if not 0.0 <= psd_tol < math.inf:  # a NaN or infinite tolerance would switch the test off
         raise DomainError(f"psd_tol must be finite and non-negative, got {psd_tol}")
-    if isinstance(v, StandardForm):
-        form, scale, inv = tuple(v), max(map(abs, v)), invariants(v.to_covmat())
-    else:
+    if isinstance(v, CovMat):
         lam_min = np.linalg.eigvalsh(v.matrix)[0]
         if not lam_min > 0.0:
             _rejected(lam_min, math.nan, 0.0)
         inv = invariants(v)
         form, scale = _standard_forms(*inv)[0], np.max(np.abs(v.matrix))
+    else:
+        if isinstance(v, Invariants):
+            form, ok = _standard_forms(*v)
+            if not ok:
+                raise DomainError("no standard form: need I1, I2 > 0 and "
+                                  f"I4/sqrt(I1*I2) >= 2|I3|, got {v}")
+            v = StandardForm(*map(float, form))
+        a, b, c1, c2 = form = tuple(map(float, v))
+        # `invariants` of its matrix, unbuilt: the zeros of its chain make NaN of an I4
+        # that overflows before the last product.  Scale None is max(a, b): no larger |c| passes.
+        p, q = a * c2 * b, a * c1 * b
+        i4 = p * c2 + q * c1 if math.isfinite(p) and math.isfinite(q) else math.nan
+        inv, scale = Invariants(a * a, b * b, c1 * c2, i4), None
     physical, entangled, rows = _standard_bounds(*form, psd_tol, scale, include_geof)
     if not physical:
         _rejected(_least_eigenvalue(*form[:3]), rows[_ROWS.index("nu_minus")], psd_tol)

@@ -136,12 +136,11 @@ def _keys(body: dict, known: set[str], what: str, lower: bool = False) -> dict:
     return body
 
 
-def resolve_state_document(doc: dict) -> CovMat | StandardForm:
-    """The state of one of the three representations, for `bound_report` to reduce once.
+def resolve_state_document(doc: dict) -> CovMat | StandardForm | Invariants:
+    """The state of one of the three representations, parsed, for `bound_report` to reduce.
 
-    A matrix gives its CovMat and a standard form its StandardForm as
-    written; invariants give the standard form `_standard_forms` solves,
-    or raise DomainError where it finds none (a scan's "no_state").
+    A matrix gives its CovMat, a standard form its StandardForm and
+    invariants their Invariants, each as written; nothing is solved here.
     """
     keys = set(_keys(doc, {"matrix", "standard_form", "invariants"}, "document"))
     if len(keys) != 1:
@@ -173,13 +172,7 @@ def resolve_state_document(doc: dict) -> CovMat | StandardForm:
     missing = {"i1", "i2", "i3", "i4"} - set(body)
     if missing:
         raise ParseError(f"invariants missing keys: {sorted(k.upper() for k in missing)}")
-    inv = Invariants(*(_as_float(body[k], k.upper()) for k in ("i1", "i2", "i3", "i4")))
-    form, ok = _standard_forms(*inv)
-    if not ok:
-        raise DomainError(
-            f"no standard form: need I1, I2 > 0 and I4/sqrt(I1*I2) >= 2|I3|, got {inv}"
-        )
-    return StandardForm(*map(float, form))
+    return Invariants(*(_as_float(body[k], k.upper()) for k in ("i1", "i2", "i3", "i4")))
 
 
 def _convert(value: float | None, units: str) -> float | None:
@@ -268,7 +261,7 @@ def _parse_axis(doc: dict, key: str) -> np.ndarray:
         raise ParseError(f"{key}: max - min overflows")
     try:
         return np.linspace(lo, hi, steps)
-    except (ValueError, IndexError) as exc:  # more steps than numpy can allocate or count
+    except (ValueError, IndexError, MemoryError) as exc:  # steps numpy cannot count or allocate
         raise ParseError(f"{key}.steps is too large: {exc}") from exc
 
 
@@ -296,8 +289,11 @@ def _parse_scan_spec(args: argparse.Namespace) -> dict:
 
 def run_scan(args: argparse.Namespace) -> None:
     spec = _parse_scan_spec(args)
-    # The grid, I1-major.
-    i1, i2 = np.repeat(spec["i1"], len(spec["i2"])), np.tile(spec["i2"], len(spec["i1"]))
+    n1, n2 = len(spec["i1"]), len(spec["i2"])
+    try:  # the grid, I1-major
+        i1, i2 = np.repeat(spec["i1"], n2), np.tile(spec["i2"], n1)
+    except MemoryError as exc:  # more points than numpy can allocate
+        raise ParseError(f"grid of {n1 * n2} points is too large: {exc}") from exc
     i3 = np.full_like(i1, spec["i3"])
     # I1 I2 may overflow to inf, an unphysical point, or be negative, no state.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,8 +320,8 @@ def run_scan(args: argparse.Namespace) -> None:
 
     # Grid order is I1-major, so each axis value is formatted only once.
     columns = [
-        [cell for cell in _formatted(spec["i1"]) for _ in range(len(spec["i2"]))],
-        _formatted(spec["i2"]) * len(spec["i1"]),
+        [cell for cell in _formatted(spec["i1"]) for _ in range(n2)],
+        _formatted(spec["i2"]) * n1,
         [_FLOAT % spec["i3"]] * len(i1),
         _formatted(i4),
         nu_t, entangled_flag, lower, sigma, geof, eeof, upper, upper_flag, status,

@@ -11,10 +11,10 @@ with 2x2 blocks A, B (reduced single-mode covariances) and C
 
 unchanged (J the single-mode symplectic form), and every physical state
 can be brought to the standard form A = a*I, B = b*I, C = diag(c1, c2)
-with c1 >= |c2|.  This module solves that form from the invariants
-(`_standard_forms`) and holds the pieces of the physicality test at psd_tol,
-a, b >= 1 included; `bounds.bound_report` is the one route from a state to
-its standard form and that test's verdict.
+with c1 >= |c2|.  `_standard_forms` solves that form from invariants, for
+`bounds.bound_report` (the one route from a state to its standard form and
+the verdict of the physicality test) and for scans; this module also holds
+the pieces of that test at psd_tol, a, b >= 1 included.
 """
 
 from __future__ import annotations

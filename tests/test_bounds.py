@@ -1,15 +1,19 @@
+import dataclasses
+import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from eofbounds import bounds
-from eofbounds.bounds import _ROWS, _standard_bounds, bound_report
+from eofbounds.bounds import _ROWS, BoundReport, _standard_bounds, bound_report
+from eofbounds.cli import main
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import _geof_forms
-from eofbounds.states import CovMat, StandardForm, _standard_forms, invariants
+from eofbounds.states import CovMat, Invariants, StandardForm, _standard_forms, invariants
 from eofbounds.symplectic import PSD_TOL, least_mu_minus
 
 from conftest import (
@@ -497,3 +501,91 @@ def test_one_state_and_a_grid_take_the_same_pass(include_geof):
         one_physical, one_entangled, rows = _standard_bounds(*form, include_geof=include_geof)
         assert (one_physical, one_entangled) == (physical[k], entangled[k]), k
         assert rows.shape == (len(_ROWS),) and same_bits(rows, table[:, k]), (k, rows, table[:, k])
+
+
+# ---------------------------------------------------------------------------
+# a standard form's and invariants' reports
+# ---------------------------------------------------------------------------
+
+
+def test_a_forms_report_invariants_are_those_of_its_matrix_bit_for_bit():
+    # bound_report takes a form's invariants from their closed form, not from
+    # its matrix: the bits of `invariants` on the matrix, signed zeros included,
+    # over physical forms V >= I scaled up to 1e150, and NaN in I4 where an
+    # overflow meets the zeros of its matmul chain (the last form).
+    rng = np.random.default_rng(29)
+    n = 12_000
+    a, b = 1.0 + 3.0 * rng.random((2, n))
+    c1 = rng.random(n) * np.sqrt((a - 1.0) * (b - 1.0))
+    c2 = rng.uniform(-1.0, 1.0, n) * c1
+    # From a scale of about 1e77 on, the spectra overflow to NaN unless a = b and c2 = -c1.
+    high = slice(n - 1_500, n)
+    b[high], c2[high] = a[high], -c1[high]
+    # Signed zeros: c2 = ±0 in every tenth form, and c1 = ±0 too in every twentieth.
+    c2[::10], c1[::20] = rng.choice((0.0, -0.0), n // 10), rng.choice((0.0, -0.0), n // 20)
+    forms = np.array((a, b, c1, c2)) * 10.0 ** np.r_[rng.uniform(0.0, 75.0, n - 1_500),
+                                                    rng.uniform(75.0, 150.0, 1_500)]
+    checked = []
+    for form in [*forms.T, (1e150, 1e150, 1e149, -1e149)]:
+        sf = StandardForm(*map(float, form))
+        try:
+            got = bound_report(sf, include_geof=False).invariants
+        except NonPhysicalStateError:
+            continue
+        checked.append(sf.a)
+        assert same_bits(np.array(tuple(got)), np.array(tuple(invariants(sf.to_covmat())))), sf
+    assert len(checked) >= 10_000 and sum(x > 1e77 for x in checked) > 100
+    assert math.isnan(got.i4)
+    assert np.signbit(forms[2:]).any() and (forms[2:] == 0.0).all(axis=0).any()
+
+
+def test_invariants_report_is_that_of_their_solved_form():
+    # Invariants are solved once by `_standard_forms`, and their report is that
+    # of the StandardForm solved, field by field: its invariants are those of
+    # that form's matrix, as analyze prints them.
+    rng = np.random.default_rng(31)
+    states = [CovMat.from_standard_form(1.2, 1.2, SQ02, -SQ02)] + [
+        random_standard_form(rng, entangled=k % 2 == 0).to_covmat().conjugate(
+            random_local_symplectic(rng)) for k in range(40)]
+    for k, v in enumerate(states):
+        inv = invariants(v)
+        sf = StandardForm(*map(float, _standard_forms(*inv)[0]))
+        got, want = (bound_report(x, include_geof=k < 4) for x in (inv, sf))
+        for field in dataclasses.fields(BoundReport):
+            assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), (k, field)
+    assert got.invariants == invariants(sf.to_covmat())
+
+
+@pytest.mark.parametrize("inv, message", [
+    (Invariants(1.44, 1.44, -0.3, 0.1), "no standard form: need I1, I2 > 0 and "
+     "I4/sqrt(I1*I2) >= 2|I3|, got Invariants(i1=1.44, i2=1.44, i3=-0.3, i4=0.1)"),
+    (Invariants(math.nan, 1.0, 0.0, 0.0), "no standard form: need I1, I2 > 0 and "
+     "I4/sqrt(I1*I2) >= 2|I3|, got Invariants(i1=nan, i2=1.0, i3=0.0, i4=0.0)"),
+    (Invariants(1e-320, 1.0, 0.0, 1.0),
+     "standard form contains non-finite entries: (9.99994433575849e-161, 1.0, inf, 0.0)"),
+], ids=["no-real-form", "nan", "subnormal-i1"])
+def test_invariants_without_a_finite_form_raise_domain_error(inv, message):
+    # The messages analyze printed when its resolver solved invariants itself.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            bound_report(inv)
+    assert str(info.value) == message
+
+
+def test_a_form_or_invariants_build_no_covmat(monkeypatch, tmp_path, capsys):
+    # Neither the library nor analyze rebuilds a form as a validated matrix.
+    def refuse(self):
+        raise AssertionError("a CovMat was built")
+
+    monkeypatch.setattr(CovMat, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        CovMat.vacuum()
+    for v in (StandardForm(1.2, 1.5, 0.447, -0.3), Invariants(1.44, 1.44, -0.2, 0.576)):
+        assert bound_report(v).geof is not None
+    path = tmp_path / "doc.json"
+    for doc in ({"standard_form": {"a": 1.2, "b": 1.5, "c1": 0.3, "c2": -0.2}},
+                {"invariants": {"I1": 1.44, "I2": 1.44, "I3": -0.2, "I4": 0.576}}):
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--input", str(path)]) == 0
+    assert capsys.readouterr().err == ""

@@ -84,9 +84,13 @@ def test_resolve_standard_form():
 
 
 def test_resolve_invariants_case_insensitive():
-    sf = resolve_state_document(
+    # Parsed as written; bound_report solves their standard form (mu_minus
+    # 0.987, so only a loose psd_tol lets the report show it).
+    inv = resolve_state_document(
         {"invariants": {"I1": 1.44, "I2": 2.25, "I3": -0.1, "i4": 0.8}}
     )
+    assert inv == Invariants(1.44, 2.25, -0.1, 0.8)
+    sf = bound_report(inv, include_geof=False, psd_tol=0.02).standard_form
     assert sf == StandardForm(*_standard_forms(1.44, 2.25, -0.1, 0.8)[0])
     assert (sf.a, sf.b) == pytest.approx((1.2, 1.5))
 
@@ -897,11 +901,21 @@ def test_scan_mixed_case_keys_without_collision(tmp_path, capsys):
 
 
 def test_scan_huge_steps_exit_2(tmp_path, capsys):
-    # More steps than numpy can allocate: a parse error naming the axis.
-    doc = {"i1": {"min": 1, "max": 2, "steps": 10**30}}
-    assert main(["scan", "--input", write(tmp_path, "scan.json", doc)]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error: i1.steps is too large: ")
+    # More steps than numpy can count (10**30) or allocate (10**17, 711 PiB), or
+    # a grid of more points than it can allocate (10**14, 728 TiB): a parse
+    # error naming the axis or the point count.  Each allocation exceeds any
+    # address space, so it is refused before any memory is touched.
+    axis = {"min": 1, "max": 2, "steps": 10**7}
+    for doc, message in [
+        ({"i1": {"min": 1, "max": 2, "steps": 10**30}}, "i1.steps is too large: "),
+        ({"i1": {"min": 1, "max": 2, "steps": 10**17}}, "i1.steps is too large: "),
+        ({"i1": axis, "i2": axis}, "grid of 100000000000000 points is too large: "),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan", "--input", write(tmp_path, "scan.json", doc)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: " + message), out.err
 
 
 def test_scan_axis_whose_span_overflows_exits_2(tmp_path, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from eofbounds.bounds import bound_report
-from eofbounds.cli import main, resolve_state_document
+from eofbounds.cli import main
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.states import (
     CovMat,
+    Invariants,
     StandardForm,
     _least_eigenvalue,
     _spectra,
@@ -119,11 +120,11 @@ def test_standard_form_roundtrip_preserves_invariants(rng):
 
 
 def test_standard_form_no_real_solution():
-    # I4/(ab) < 2|I3| admits no real (c1, c2): no standard form, and an
-    # invariants document is rejected.
+    # I4/(ab) < 2|I3| admits no real (c1, c2): no standard form, and
+    # bound_report rejects the invariants.
     assert not _standard_forms(1.44, 1.44, -0.3, 0.1)[1]
     with pytest.raises(DomainError, match="no standard form"):
-        resolve_state_document({"invariants": {"I1": 1.44, "I2": 1.44, "I3": -0.3, "I4": 0.1}})
+        bound_report(Invariants(1.44, 1.44, -0.3, 0.1))
 
 
 def test_standard_form_convention_validation(tmp_path, capsys):
