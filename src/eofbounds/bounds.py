@@ -28,7 +28,7 @@ For a symmetric state (a = b) all three symmetric states are the state
 itself, so both lower bounds, the natural upper bound and the EeoF are its
 exact EoF (Giedke et al., PRL 91, 107901, 2003): `bound_report(v).eeof`.
 `bound_report` is the one route from a CovMat, StandardForm or Invariants
-to its standard form and the verdict of that pass.
+to its standard form and the physicality verdict (`_physical`, `_rejected`).
 """
 
 from __future__ import annotations
@@ -39,19 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
-from .errors import DomainError
+from .errors import DomainError, NonPhysicalStateError
 from .geof import _geof_forms
-from .states import (
-    CovMat,
-    Invariants,
-    StandardForm,
-    _least_eigenvalue,
-    _physical,
-    _rejected,
-    _spectra,
-    _standard_forms,
-    invariants,
-)
+from .states import (CovMat, Invariants, StandardForm, _least_eigenvalue, _spectra,
+                     _standard_forms, invariants)
 from .symplectic import PSD_TOL
 
 #: Slack of the hierarchy checks between entanglement values, and of those
@@ -74,8 +65,26 @@ _ROWS = ("nu_minus", "nu_plus", "nu_t", "nu_t_plus",
 _BOUNDS, _WITNESS = _ROWS.index("lower_natural"), _ROWS.index("geof_s_a")
 
 
+def _physical(lam_min, nu_minus, scale, tol: float):
+    """The physicality test: least eigenvalue lam_min > tol, and least symplectic
+    eigenvalue nu_minus (False where NaN) >= 1 - tol less its roundoff for largest
+    |entry| scale.  Computed by `states._spectra` on the form solved from the
+    invariants, pure states came out up to 3.3 eps scale^2 below 1 (40000 TMSV
+    states, r up to 3, half in local frames squeezed up to 1.5): 16 eps scale^2 is ample.
+    """
+    return (lam_min > tol) & (nu_minus >= 1.0 - tol - 16.0 * np.finfo(float).eps * np.square(scale))
+
+
+def _rejected(lam_min, nu_minus, tol: float):
+    """Raise the NonPhysicalStateError of a state that failed `_physical`."""
+    if not lam_min > tol:
+        raise NonPhysicalStateError(f"matrix is not positive definite: min eigenvalue {lam_min:.3e}")
+    raise NonPhysicalStateError(
+        f"state violates the uncertainty bound: mu_minus = {float(nu_minus):.12g} < 1")
+
+
 def _symmetric(m, c1, c2, psd_tol: float, scale):
-    """(PPT eigenvalue, physical) of the symmetric states (m, m, c1, c2), c1 >= |c2|."""
+    """(PPT eigenvalue, physical) of the symmetric states (m, m, c1, c2), c1 >= |c2|, in closed form."""
     with np.errstate(invalid="ignore"):
         nu_minus = np.sqrt((m - c1) * (m - c2))
         return np.sqrt((m - c1) * (m + c2)), _physical(m - c1, nu_minus, scale, psd_tol)
@@ -86,13 +95,12 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
     """(physical, entangled, table) of the standard forms (a, b, c1, c2), c1 >= |c2|.
 
     table[k] is the value `_ROWS[k]` of every form.  Each state takes the
-    physicality test `states._physical`: the standard form with the scale
-    of the input (max(a, b) if None), the symmetric states (m, m, c1, c2)
-    with max(a, b).  The symmetric state has least eigenvalue m - c1,
-    nu_minus sqrt((m - c1)(m - c2)) and PPT eigenvalue sqrt((m - c1)(m + c2));
-    the standard form's spectra, and those of its partial transpose, come
-    from `states._spectra`.  With include_geof, `_geof_forms` searches the
-    physical states together, and its witness rows are kept.
+    physicality test `_physical`: the standard form with the scale of the
+    input (max(a, b) if None), the symmetric states (m, m, c1, c2) of
+    `_symmetric` with max(a, b).  The standard form's spectra, and those of
+    its partial transpose, come from `states._spectra`.  With include_geof,
+    `_geof_forms` searches the physical states together, and its witness
+    rows are kept.
     """
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
     top = np.maximum(a, b)
@@ -200,11 +208,15 @@ def bound_report(
 
     Raises
     ------
+    TypeError
+        If v is not a CovMat, StandardForm or Invariants.
     DomainError
         If psd_tol is not finite and non-negative, or v has no finite standard form.
     NonPhysicalStateError
         If v is not physical within psd_tol.
     """
+    if not isinstance(v, (CovMat, StandardForm, Invariants)):
+        raise TypeError(f"bound_report takes a CovMat, StandardForm or Invariants, got {type(v).__name__}")
     if not 0.0 <= psd_tol < math.inf:  # a NaN or infinite tolerance would switch the test off
         raise DomainError(f"psd_tol must be finite and non-negative, got {psd_tol}")
     if isinstance(v, CovMat):

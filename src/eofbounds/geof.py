@@ -54,6 +54,8 @@ certified by a product witness, its product witnesses (0 or 2) plus 4
 angles for every other.  A value is kept only if its witness G, rebuilt
 from its row (s_a, s_b, r), passes V - G >= -allowance: for
 G = Gx (+) Gx^-1, two 2x2 tests on Vx - Gx and Vp - Gx^-1 (`_certified`).
+A candidate left inf or NaN by overflow fails it too, under the search's
+one floating-point policy (`_geof_forms`).
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ def _mul(p, q):
 
 
 def _stationary(rows) -> np.ndarray:
-    """Candidate angles theta (n, 4): the real parts of the roots of the quartic."""
+    """Candidate angles theta (n, 4): the real parts of the roots of the quartic,
+    NaN where the companion matrix is not finite."""
     g11, g22, g12 = rows @ _HALF
     g = _mul(g11, g22)
     # 2 g12' g - g12 g', whose t^5 terms cancel.
@@ -135,7 +138,10 @@ def _stationary(rows) -> np.ndarray:
     companion = np.zeros((quartic.shape[0], 4, 4))
     companion[:, np.arange(1, 4), np.arange(3)] = 1.0
     companion[:, :, 3] = -quartic[:, :4] / quartic[:, 4:]
-    return 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+    finite = np.isfinite(companion).all(axis=(1, 2))
+    roots = np.full(quartic[:, :4].shape, np.nan)
+    roots[finite] = np.linalg.eigvals(companion[finite]).real
+    return 2.0 * np.arctan(roots)
 
 
 def _parameters(g11, g22, g12) -> np.ndarray:
@@ -164,11 +170,11 @@ def _certified(a, b, c1, c2, witness, psd_tol: float) -> np.ndarray:
     tests came out no lower than -9 eps max(a, b)^3 on 40000 TMSV states
     (r up to 3, half in random local frames) and -2 on the README grids and
     on random forms with a, b up to 50.  16 eps max(a, b)^3 is allowed, as
-    `least_mu_minus` allows 16 eps scale^2 for its own roundoff.  Rows with
-    non-finite entries fail.
+    the physicality test (`bounds._physical`) allows 16 eps scale^2 for its
+    own roundoff.  NaN rows fail; infinite ones fail while the allowance is
+    finite, max(a, b) < 5.6e102.
     """
-    with np.errstate(over="ignore"):  # an inf allowance where max(a, b)^3 overflows
-        allowance = psd_tol + 16.0 * np.finfo(float).eps * np.maximum(a, b) ** 3
+    allowance = psd_tol + 16.0 * np.finfo(float).eps * np.maximum(a, b) ** 3
     ch, sh = np.cosh(2 * witness[:, 2]), np.sinh(2 * witness[:, 2])
     ea, eb = np.exp(2 * witness[:, 0]), np.exp(2 * witness[:, 1])
     x = _least_eigenvalue(a - ch * ea, b - ch * eb, c1 - sh * np.sqrt(ea * eb))
@@ -176,6 +182,7 @@ def _certified(a, b, c1, c2, witness, psd_tol: float) -> np.ndarray:
     return np.minimum(x, p) >= -allowance
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     """Gaussian EoF of physical standard forms (a, b, c1, c2), searched together.
 
@@ -184,6 +191,13 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     (s_a, s_b, r) of shape (n, 3), NaN where none passed, and the
     witnesses evaluated.  `psd_tol` widens the certificate's allowance, as
     in `_certified`.
+
+    One floating-point policy covers the search: overflow, invalid operations
+    and division by zero are ignored, and the inf or NaN they leave in a
+    candidate (on huge forms: the allowance max(a, b)^3, the product
+    witnesses' w, a vanishing g11 g22 on the curve; sqrt and log of a det Gx
+    or entry that is not positive) fails the certificate like any other.
+    `_stationary` hands `eigvals` only finite companion matrices.
     """
     a, b, c1, c2 = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
     n = a.size
@@ -195,9 +209,8 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
 
     def certify(k, g11, g22, g12):
         """Witness rows of the matrices Gx = (g11, g22, g12) of states k, and which pass."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            trial = _parameters(g11, g22, g12)
-            return trial, _certified(a[k], b[k], c1[k], c2[k], trial, psd_tol)
+        trial = _parameters(g11, g22, g12)
+        return trial, _certified(a[k], b[k], c1[k], c2[k], trial, psd_tol)
 
     # Separable states, where Gx12 changes sign on the curve: the product
     # witnesses, a - g11 = D11 c1^2 / w and b - g22 = D22 c1^2 / w with
@@ -209,10 +222,8 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
         c, q, s = c1[k], np.abs(p12), np.sqrt(dd)
         cc, qq = c * c, q * q
         # K^2 - 4 D11 D22 c1^2 with K = D11 D22 + c1^2 - P12^2, factored so
-        # that it keeps its digits where the two witnesses meet; on huge
-        # forms it overflows to inf, and w with it.
-        with np.errstate(over="ignore"):
-            disc = np.maximum((s - c - q) * (s - c + q), 0.0) * ((s + c) ** 2 - qq)
+        # that it keeps its digits where the two witnesses meet.
+        disc = np.maximum((s - c - q) * (s - c + q), 0.0) * ((s + c) ** 2 - qq)
         # The floors make a tangency term that vanishes (c1 = 0, where w may
         # be 0, or P12 = 0) exactly 0, not 0/0.
         w = np.maximum((dd + cc - qq + np.sqrt(disc)) / 2.0, _TINY)
@@ -231,8 +242,7 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
         evals[k] += 4
         rows = _curve(vx[..., k], p[..., k])
         g11, g22, g12 = _at(rows, _stationary(rows))
-        with np.errstate(divide="ignore"):  # g11 g22 = 0, as on huge states: rho = inf
-            best = (np.arange(k.size), np.argmin(np.abs(g12) / np.sqrt(g11 * g22), axis=1))
+        best = (np.arange(k.size), np.argmin(np.abs(g12) / np.sqrt(g11 * g22), axis=1))
         trial, passed = certify(k, g11[best], g22[best], g12[best])
         won, trial = k[passed], trial[passed]
         witness[won] = trial

@@ -11,10 +11,11 @@ with 2x2 blocks A, B (reduced single-mode covariances) and C
 
 unchanged (J the single-mode symplectic form), and every physical state
 can be brought to the standard form A = a*I, B = b*I, C = diag(c1, c2)
-with c1 >= |c2|.  `_standard_forms` solves that form from invariants, for
-`bounds.bound_report` (the one route from a state to its standard form and
-the verdict of the physicality test) and for scans; this module also holds
-the pieces of that test at psd_tol, a, b >= 1 included.
+with c1 >= |c2|.  This module keeps the state types, `invariants`, the
+solve of that form from invariants (`_standard_forms`) and its spectra
+(`_spectra`, `_least_eigenvalue`).  The physicality verdict on them is
+`bounds._physical`, and `bounds.bound_report` the one route from a state
+to its standard form and that verdict.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonPhysicalStateError
-from .symplectic import J2, least_mu_minus, symmetrize
+from .errors import DomainError
+from .symplectic import J2, symmetrize
 
 # Slack for the c1 >= |c2| convention and for the I4/(a b) >= 2|I3| test
 # of `_standard_forms`, absorbing roundoff from invariant arithmetic.
@@ -174,20 +175,6 @@ def _least_eigenvalue(a, b, c1):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         d = a - b
         return 2.0 * (a * b - c1 * c1) / ((a + b) + np.sqrt(d * d + 4.0 * c1 * c1))
-
-
-def _physical(lam_min, nu_minus, scale, tol: float):
-    """The physicality test, for least eigenvalue lam_min, least symplectic
-    eigenvalue nu_minus (False where NaN) and largest |entry| scale."""
-    return (lam_min > tol) & (nu_minus >= least_mu_minus(scale, tol))
-
-
-def _rejected(lam_min, nu_minus, tol: float):
-    """Raise the NonPhysicalStateError of a state that failed `_physical`."""
-    if not lam_min > tol:
-        raise NonPhysicalStateError(f"matrix is not positive definite: min eigenvalue {lam_min:.3e}")
-    raise NonPhysicalStateError(
-        f"state violates the uncertainty bound: mu_minus = {float(nu_minus):.12g} < 1")
 
 
 def _standard_forms(i1, i2, i3, i4):

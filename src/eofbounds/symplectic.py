@@ -1,4 +1,4 @@
-"""Phase-space conventions, the physicality tolerance and small matrix utilities.
+"""Phase-space conventions: the default tolerance `PSD_TOL`, `J2` and `symmetrize`.
 
 Conventions
 -----------
@@ -13,17 +13,6 @@ import numpy as np
 
 #: Default tolerance on the minimum eigenvalue for all PSD checks.
 PSD_TOL = 1e-10
-
-
-def least_mu_minus(scale, tol: float = PSD_TOL):
-    """Least computed mu_minus taken as physical, for largest matrix entry `scale`.
-
-    1 - tol, less the roundoff of mu_minus: computed by `states._spectra`
-    on the standard form solved from the invariants, pure states came out
-    up to 3.3 eps scale^2 below 1 (40000 TMSV states, r up to 3, half in
-    local frames squeezed up to 1.5), so 16 eps scale^2 is ample.
-    """
-    return 1.0 - tol - 16.0 * np.finfo(float).eps * np.square(scale)
 
 
 #: Single-mode symplectic form.

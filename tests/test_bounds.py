@@ -14,7 +14,7 @@ from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_ve
 from eofbounds.errors import DomainError, NonPhysicalStateError
 from eofbounds.geof import _geof_forms
 from eofbounds.states import CovMat, Invariants, StandardForm, _standard_forms, invariants
-from eofbounds.symplectic import PSD_TOL, least_mu_minus
+from eofbounds.symplectic import PSD_TOL
 
 from conftest import (
     is_physical,
@@ -211,8 +211,7 @@ def mesh_searched(a, b, c1, c2, steps=64, psd_tol=PSD_TOL):
     da, db, off = a - m, b - m, (1.0 - t) * max(abs(c1), abs(c2))
     psd_ok = (da >= -psd_tol) & (db >= -psd_tol) & (da * db - off**2 >= -psd_tol)
     with np.errstate(invalid="ignore"):
-        physical = (m - t * c1 > psd_tol) & (
-            np.sqrt((m - t * c1) * (m - t * c2)) >= least_mu_minus(max(a, b), psd_tol))
+        physical = bounds._physical(m - t * c1, np.sqrt((m - t * c1) * (m - t * c2)), max(a, b), psd_tol)
         nu_t = np.sqrt((m - t * c1) * (m + t * c2))
     feasible = psd_ok & physical
     return float(np.min(entanglement_entropy_vec(nu_t[feasible]))) if feasible.any() else None
@@ -393,6 +392,14 @@ PHYSICAL = StandardForm(1.2, 1.5, 0.447, -0.447)
 def test_arguments_that_switch_checks_off_are_rejected(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("v", [np.eye(4), np.eye(4).tolist(), tuple(PHYSICAL)],
+                         ids=["array", "nested-list", "tuple"])
+def test_bound_report_takes_only_its_three_types(v):
+    # Neither a bare matrix nor a bare 4-tuple is read as a state.
+    with pytest.raises(TypeError, match=r"^bound_report takes a CovMat, StandardForm or Invariants, got "):
+        bound_report(v)
 
 
 def test_one_state_functions_reject_unphysical_standard_form():

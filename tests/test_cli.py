@@ -686,6 +686,31 @@ def test_huge_standard_forms_print_the_same_report_under_warnings_as_errors(tmp_
     assert plain.err == ""
 
 
+#: Physical standard forms on which every GeoF candidate overflows: an
+#: entangled one, and a separable one (s, s, 0.99 s, -0.99 s).
+HUGE_GEOF_FORMS = ({"a": 1e150, "b": 1e150, "c1": 1e149, "c2": -1e149},
+                   {"a": 1e120, "b": 1e120, "c1": 9.9e119, "c2": -9.9e119})
+
+
+@pytest.mark.parametrize("form", HUGE_GEOF_FORMS, ids=["entangled-1e150", "separable-1e120"])
+def test_huge_forms_whose_geof_overflows_report_no_geof(tmp_path, capsys, form):
+    # The companion matrix or the product witness is not finite, so no
+    # candidate is certified: the report is that of --no-geof, with the GeoF
+    # asked for and not feasible, and `python -W error` prints the same bytes.
+    path = write(tmp_path, "in.json", {"standard_form": form})
+    assert main(["analyze", "--input", path, "--no-geof"]) == 0
+    no_geof = capsys.readouterr().out
+    assert main(["analyze", "--input", path]) == 0
+    plain = capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--input", path]) == 0
+    assert capsys.readouterr() == plain and plain.err == ""
+    assert no_geof.count('"geof_feasible": null') == 1
+    assert plain.out == no_geof.replace('"geof_feasible": null', '"geof_feasible": false')
+    assert json.loads(plain.out)["bounds"]["geof"] is None
+
+
 @pytest.mark.parametrize("tol", ["0", "1e-10", "1e-3"])
 def test_overflowing_invariants_exit_3_without_warnings(tmp_path, capsys, tol):
     # A subnormal I1 or a huge I4 overflows s^2 in the standard-form solver;

@@ -1,6 +1,7 @@
 import importlib
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,26 @@ def test_strongly_correlated_separable_states(a_max, c2_max, psd_tol, n):
 def test_empty_batch():
     out = _geof_forms(*np.zeros((4, 0)))
     assert [x.shape for x in out] == [(0,), (0, 3), (0,)]
+
+
+def test_forms_whose_candidates_overflow_fail_beside_ordinary_ones():
+    # Huge physical forms, an entangled one whose companion matrix is not
+    # finite and a separable one whose product witness overflows, get NaN
+    # with no warning, and every other row of the batch is its n = 1 row.
+    rng = np.random.default_rng(3)
+    forms = np.array([(1e150, 1e150, 1e149, -1e149),
+                      tuple(random_standard_form(rng, symmetric=True, entangled=True)),
+                      tuple(random_standard_form(rng, entangled=True, min_asymmetry=0.5)),
+                      (1e120, 1e120, 9.9e119, -9.9e119),
+                      tuple(random_standard_form(rng, entangled=False))]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, witness, evals = _geof_forms(*forms)
+        alone = [_geof_forms(*forms[:, k]) for k in (1, 2, 4)]
+    assert np.isnan(value[[0, 3]]).all() and np.isnan(witness[[0, 3]]).all()
+    for k, (one_value, one_witness, one_evals) in zip((1, 2, 4), alone):
+        assert (value[k], tuple(witness[k]), evals[k]) == (one_value[0], tuple(one_witness[0]), one_evals[0]), k
+    assert not np.isnan(value[[1, 2]]).any() and value[4] == 0.0
 
 
 def test_product_witnesses_need_no_curve(monkeypatch):
