@@ -40,7 +40,7 @@ import numpy as np
 
 from .entanglement import entanglement_entropy_vec
 from .errors import DomainError, NonPhysicalStateError
-from .geof import _geof_forms
+from .geof import _ROUNDOFF, _geof_forms
 from .states import (CovMat, Invariants, StandardForm, _least_eigenvalue, _spectra,
                      _standard_forms, invariants)
 from .symplectic import PSD_TOL
@@ -70,9 +70,10 @@ def _physical(lam_min, nu_minus, scale, tol: float):
     eigenvalue nu_minus (False where NaN) >= 1 - tol less its roundoff for largest
     |entry| scale.  Computed by `states._spectra` on the form solved from the
     invariants, pure states came out up to 3.3 eps scale^2 below 1 (40000 TMSV
-    states, r up to 3, half in local frames squeezed up to 1.5): 16 eps scale^2 is ample.
+    states, r up to 3, half in local frames squeezed up to 1.5): 16 eps scale^2
+    (`geof._ROUNDOFF` scale^2) is ample.
     """
-    return (lam_min > tol) & (nu_minus >= 1.0 - tol - 16.0 * np.finfo(float).eps * np.square(scale))
+    return (lam_min > tol) & (nu_minus >= 1.0 - tol - _ROUNDOFF * np.square(scale))
 
 
 def _rejected(lam_min, nu_minus, tol: float):
@@ -84,12 +85,13 @@ def _rejected(lam_min, nu_minus, tol: float):
 
 
 def _symmetric(m, c1, c2, psd_tol: float, scale):
-    """(PPT eigenvalue, physical) of the symmetric states (m, m, c1, c2), c1 >= |c2|, in closed form."""
-    with np.errstate(invalid="ignore"):
-        nu_minus = np.sqrt((m - c1) * (m - c2))
-        return np.sqrt((m - c1) * (m + c2)), _physical(m - c1, nu_minus, scale, psd_tol)
+    """(PPT eigenvalue, physical) of the symmetric states (m, m, c1, c2), c1 >= |c2|, in
+    closed form, under the floating-point policy of its caller (`_standard_bounds`, `_searched`)."""
+    nu_minus = np.sqrt((m - c1) * (m - c2))
+    return np.sqrt((m - c1) * (m + c2)), _physical(m - c1, nu_minus, scale, psd_tol)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
                      include_geof: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(physical, entangled, table) of the standard forms (a, b, c1, c2), c1 >= |c2|.
@@ -101,6 +103,10 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
     its partial transpose, come from `states._spectra`.  With include_geof,
     `_geof_forms` searches the physical states together, and its witness
     rows are kept.
+
+    The pass sets the floating-point policy of everything it calls:
+    overflow, invalid operations and division by zero are ignored, and the
+    inf or NaN they leave fails the physicality test or is NaN in its row.
     """
     a, b, c1, c2 = (np.asarray(x, dtype=float) for x in (a, b, c1, c2))
     top = np.maximum(a, b)
@@ -109,11 +115,10 @@ def _standard_bounds(a, b, c1, c2, psd_tol: float = PSD_TOL, scale=None,
     # The rows (nu_minus, nu_t) and (nu_plus, nu_t_plus).
     table[0:4:2], table[1:4:2] = _spectra(a, b, c1, np.array((c2, -c2)))
     nu_minus, nu_t = table[0], table[2]
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        physical = _physical(_least_eigenvalue(a, b, c1), nu_minus, scale, psd_tol)
-        # The symmetric states with m = max(a, b), (a + b)/2 and min(a, b), together.
-        m = np.array((top, (a + b) / 2.0, np.minimum(a, b)))
-        nu_sym, physical_sym = _symmetric(m, c1, c2, psd_tol, top)
+    physical = _physical(_least_eigenvalue(a, b, c1), nu_minus, scale, psd_tol)
+    # The symmetric states with m = max(a, b), (a + b)/2 and min(a, b), together.
+    m = np.array((top, (a + b) / 2.0, np.minimum(a, b)))
+    nu_sym, physical_sym = _symmetric(m, c1, c2, psd_tol, top)
     # The rows lower_natural, lower_sigma, upper_natural and eeof.
     table[4:8] = entanglement_entropy_vec(np.array((*nu_sym, nu_t)))
     table[6] = np.where(physical_sym[2], table[6], np.nan)
@@ -139,15 +144,16 @@ def _searched(a, b, c1, c2, psd_tol: float) -> float:
     rise with m, so at each t the boundary point m(t) is the best one.
     Physicality implies m >= 1 within its allowance, so m is not tested
     against 1.  The least EoF over the feasible nodes `_NODES` is returned,
-    or NaN if none is; t = 1 is the natural upper state.
+    or NaN if none is; t = 1 is the natural upper state.  Runs under the
+    floating-point policy of its caller, `bound_report`.
     """
     t = _NODES
     d = abs(a - b)
     m = min(a, b) - (np.hypot(d, 2.0 * (1.0 - t) * c1) - d) / 2.0
     nu_t, feasible = _symmetric(m, t * c1, t * c2, psd_tol, max(a, b))
-    if not np.any(feasible):
+    if not feasible.any():
         return math.nan
-    return float(np.min(entanglement_entropy_vec(nu_t[feasible])))
+    return float(entanglement_entropy_vec(nu_t[feasible]).min())
 
 
 @dataclass(frozen=True)
@@ -184,6 +190,7 @@ class BoundReport:
     ppt_symplectic_eigenvalues: tuple[float, float]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def bound_report(
     v: CovMat | StandardForm | Invariants,
     include_geof: bool = True,
@@ -199,7 +206,9 @@ def bound_report(
     every closed-form value and the GeoF of `geof._geof_forms`, as a scan
     does for a whole grid; `_searched` gives the searched bound.  A NaN row
     of the pass, a value not available, fails every order check and is
-    None in the report; a broken order is recorded, not raised.
+    None in the report; a broken order is recorded, not raised.  The report
+    sets the pass's floating-point policy (see `_standard_bounds`) for
+    everything it calls, `_searched` included.
 
     A certified `geof` is an upper bound on the EoF: its witness G <= V,
     `geof_witness`, gives E(G) >= GEoF(V) >= EoF(V).  It is also never above
@@ -224,7 +233,7 @@ def bound_report(
         if not lam_min > 0.0:
             _rejected(lam_min, math.nan, 0.0)
         inv = invariants(v)
-        form, scale = _standard_forms(*inv)[0], np.max(np.abs(v.matrix))
+        form, scale = _standard_forms(*inv)[0], np.abs(v.matrix).max()
     else:
         if isinstance(v, Invariants):
             form, ok = _standard_forms(*v)

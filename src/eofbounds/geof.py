@@ -93,8 +93,21 @@ class GeofResult:
 #: t = tan(theta / 2) (ascending powers).
 _HALF = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
 
-#: Floor of the denominators of the product witnesses' tangency terms.
-_TINY = np.finfo(float).tiny
+#: Machine epsilon, and the floor of the denominators of the product
+#: witnesses' tangency terms and of the quartic's leading coefficient.
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+#: Roundoff allowed per max(a, b)^3 by the certificate (`_certified`), and
+#: per scale^2 by the physicality test (`bounds._physical`): 16 eps.
+_ROUNDOFF = 16.0 * _EPS
+
+#: Row and column indices of the entries (11, 22, 12) of 2x2 matrices, and
+#: those of the subdiagonal of a 4x4 companion matrix.
+_ROW, _COL = np.array((0, 1, 0)), np.array((0, 1, 1))
+_SUB_ROW, _SUB_COL = np.arange(1, 4), np.arange(3)
+#: The diagonal of Z = diag(1, -1), and the powers that differentiate
+#: polynomials of degree 2 and 4 (ascending, constant term dropped).
+_Z = np.array((1.0, -1.0))
+_D2, _D4 = np.array((1.0, 2.0)), np.array((1.0, 2.0, 3.0, 4.0))
 
 
 def _curve(vx, p) -> np.ndarray:
@@ -105,8 +118,8 @@ def _curve(vx, p) -> np.ndarray:
     # Roundoff can leave Vx - P a hair indefinite for (near) pure states.
     s = (q * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ q.transpose(0, 2, 1)
     # Gx = (Vx + P)/2 - (S Z S cos theta + S X S sin theta)/2.
-    f = np.stack([vx + p, -(s * [1.0, -1.0]) @ s, -s[:, :, ::-1] @ s]) / 2.0
-    return f[..., (0, 1, 0), (0, 1, 1)].transpose(2, 1, 0)
+    f = np.array([vx + p, -(s * _Z) @ s, -s[:, :, ::-1] @ s]) / 2.0
+    return f[..., _ROW, _COL].transpose(2, 1, 0)
 
 
 def _at(rows, theta):
@@ -128,15 +141,15 @@ def _stationary(rows) -> np.ndarray:
     g11, g22, g12 = rows @ _HALF
     g = _mul(g11, g22)
     # 2 g12' g - g12 g', whose t^5 terms cancel.
-    quartic = _mul(2.0 * g12[:, 1:] * [1.0, 2.0], g) - _mul(g12, g[:, 1:] * [1.0, 2.0, 3.0, 4.0])
+    quartic = _mul(2.0 * g12[:, 1:] * _D2, g) - _mul(g12, g[:, 1:] * _D4)
     quartic = quartic[:, :5]
     # A vanishing leading coefficient is a root at theta = pi (t = inf); the
     # floor keeps that root finite and large, and a pure state's all-zero
     # quartic (rho constant on a one-point curve) finite.
-    floor = np.finfo(float).eps * np.abs(quartic).max(axis=1) + np.finfo(float).tiny
+    floor = _EPS * np.abs(quartic).max(axis=1) + _TINY
     quartic[:, 4] = np.where(np.abs(quartic[:, 4]) > floor, quartic[:, 4], floor)
     companion = np.zeros((quartic.shape[0], 4, 4))
-    companion[:, np.arange(1, 4), np.arange(3)] = 1.0
+    companion[:, _SUB_ROW, _SUB_COL] = 1.0
     companion[:, :, 3] = -quartic[:, :4] / quartic[:, 4:]
     finite = np.isfinite(companion).all(axis=(1, 2))
     roots = np.full(quartic[:, :4].shape, np.nan)
@@ -171,15 +184,16 @@ def _certified(a, b, c1, c2, witness, psd_tol: float) -> np.ndarray:
     (r up to 3, half in random local frames) and -2 on the README grids and
     on random forms with a, b up to 50.  16 eps max(a, b)^3 is allowed, as
     the physicality test (`bounds._physical`) allows 16 eps scale^2 for its
-    own roundoff.  NaN rows fail; infinite ones fail while the allowance is
-    finite, max(a, b) < 5.6e102.
+    own roundoff.  NaN rows fail, and so does every row where the allowance
+    is not finite (max(a, b) >= 5.6e102): a non-finite allowance certifies nothing.
     """
-    allowance = psd_tol + 16.0 * np.finfo(float).eps * np.maximum(a, b) ** 3
+    allowance = psd_tol + _ROUNDOFF * np.maximum(a, b) ** 3
     ch, sh = np.cosh(2 * witness[:, 2]), np.sinh(2 * witness[:, 2])
     ea, eb = np.exp(2 * witness[:, 0]), np.exp(2 * witness[:, 1])
-    x = _least_eigenvalue(a - ch * ea, b - ch * eb, c1 - sh * np.sqrt(ea * eb))
-    p = _least_eigenvalue(a - ch / ea, b - ch / eb, c2 + sh / np.sqrt(ea * eb))
-    return np.minimum(x, p) >= -allowance
+    root = np.sqrt(ea * eb)
+    x = _least_eigenvalue(a - ch * ea, b - ch * eb, c1 - sh * root)
+    p = _least_eigenvalue(a - ch / ea, b - ch / eb, c2 + sh / root)
+    return np.isfinite(allowance) & (np.minimum(x, p) >= -allowance)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -216,9 +230,9 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     # witnesses, a - g11 = D11 c1^2 / w and b - g22 = D22 c1^2 / w with
     # w = (K + sqrt(K^2 - 4 D11 D22 c1^2))/2, each with its other entry
     # from its tangency with P; 1 evaluation if the first passes, else 2.
-    k = np.flatnonzero((c1 + p[0, 1]) ** 2 <= dd)
+    k = ((c1 + p[0, 1]) ** 2 <= dd).nonzero()[0]
     if k.size:
-        (p11, p22, p12), (d11, d22), dd = p[(0, 1, 0), (0, 1, 1)][:, k], d[(0, 1), (0, 1)][:, k], dd[k]
+        (p11, p22, p12), (d11, d22), dd = p[_ROW, _COL][:, k], d[(0, 1), (0, 1)][:, k], dd[k]
         c, q, s = c1[k], np.abs(p12), np.sqrt(dd)
         cc, qq = c * c, q * q
         # K^2 - 4 D11 D22 c1^2 with K = D11 D22 + c1^2 - P12^2, factored so
@@ -237,7 +251,7 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
         witness[won], value[won] = trial[pick[ok]], 0.0
 
     # Every other state: the least rho of its stationary angles on the curve.
-    k = np.flatnonzero(np.isnan(value))
+    k = np.isnan(value).nonzero()[0]
     if k.size:
         evals[k] += 4
         rows = _curve(vx[..., k], p[..., k])

@@ -85,7 +85,7 @@ class CovMat:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise DomainError(f"covariance matrix must be 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise DomainError("covariance matrix contains non-finite entries")
         m = symmetrize(m)
         m.setflags(write=False)
@@ -155,14 +155,14 @@ def _spectra(a, b, c1, c2):
     nu-^2 = det Vx det Vp / nu+^2, which does not cancel for pure or
     strongly entangled states.  nu_minus is NaN where det Vx det Vp < 0.
     The partially transposed state is (a, b, c1, -c2).  Works on floats
-    and on numpy arrays alike.
+    and on numpy arrays alike, under the floating-point policy of its caller
+    (`bounds._standard_bounds`).
     """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ab = a * b
-        tr = a * a + b * b + 2.0 * c1 * c2
-        disc = (a * a - b * b) ** 2 + 4.0 * (a * c2 + b * c1) * (a * c1 + b * c2)
-        plus = (tr + np.sqrt(np.maximum(disc, 0.0))) / 2.0
-        return np.sqrt((ab - c1 * c1) * (ab - c2 * c2) / plus), np.sqrt(plus)
+    ab = a * b
+    tr = a * a + b * b + 2.0 * c1 * c2
+    disc = (a * a - b * b) ** 2 + 4.0 * (a * c2 + b * c1) * (a * c1 + b * c2)
+    plus = (tr + np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    return np.sqrt((ab - c1 * c1) * (ab - c2 * c2) / plus), np.sqrt(plus)
 
 
 def _least_eigenvalue(a, b, c1):
@@ -170,11 +170,12 @@ def _least_eigenvalue(a, b, c1):
 
     NaN where both vanish, which only a Vx with det Vx = 0 and a + b <= 0 has,
     and where the products overflow.  Works on floats and on numpy arrays
-    alike: a product, unlike ** on floats, overflows to inf without raising.
+    alike (a product, unlike ** on floats, overflows to inf without raising),
+    under the floating-point policy of its caller (`bounds.bound_report` or
+    `bounds._standard_bounds`).
     """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        d = a - b
-        return 2.0 * (a * b - c1 * c1) / ((a + b) + np.sqrt(d * d + 4.0 * c1 * c1))
+    d = a - b
+    return 2.0 * (a * b - c1 * c1) / ((a + b) + np.sqrt(d * d + 4.0 * c1 * c1))
 
 
 def _standard_forms(i1, i2, i3, i4):

@@ -772,6 +772,10 @@ def test_scan_huge_axes_print_the_same_csv_under_warnings_as_errors(tmp_path, ca
         assert main(["scan", "--input", spec]) == 0
     assert capsys.readouterr().out == plain
     assert all(marker in plain for marker in markers)
+    # Every ok row here has max(a, b) >= 5.6e102, where the GeoF certificate's
+    # allowance is not finite: it certifies nothing, so no geof cell prints.
+    rows = [dict(zip(SCAN_COLUMNS, line.split(","))) for line in plain.splitlines()[1:]]
+    assert not [row for row in rows if row["status"] == "ok" and row["geof"]]
 
 
 def scan_spec(steps=4, i3=-0.2, **extra):

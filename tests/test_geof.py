@@ -325,6 +325,15 @@ def test_forms_whose_candidates_overflow_fail_beside_ordinary_ones():
     assert not np.isnan(value[[1, 2]]).any() and value[4] == 0.0
 
 
+def test_a_certificate_whose_allowance_is_not_finite_passes_nothing():
+    # Past max(a, b) = 5.6e102 the allowance psd_tol + 16 eps max(a, b)^3 is
+    # inf, and every row would pass it, rows with infinite entries included.
+    form = np.repeat([[1e150], [1e150], [1e149], [-1e149]], 3, axis=1)
+    rows = np.array([(np.inf, 0.0, 0.0), (0.0, 0.0, np.inf), (-np.inf, 0.0, 0.0)])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # that of _geof_forms
+        assert not geof_module._certified(*form, rows, PSD_TOL).any()
+
+
 def test_product_witnesses_need_no_curve(monkeypatch):
     def curve(*args):
         raise AssertionError("_curve called on a batch of separable states")
