@@ -79,7 +79,7 @@ def _physical(lam_min, nu_minus, scale, tol: float):
 def _rejected(lam_min, nu_minus, tol: float):
     """Raise the NonPhysicalStateError of a state that failed `_physical`."""
     if not lam_min > tol:
-        raise NonPhysicalStateError(f"matrix is not positive definite: min eigenvalue {lam_min:.3e}")
+        raise NonPhysicalStateError(f"min eigenvalue {lam_min:.3e} is not above psd_tol = {tol:g}")
     raise NonPhysicalStateError(
         f"state violates the uncertainty bound: mu_minus = {float(nu_minus):.12g} < 1")
 
@@ -231,7 +231,7 @@ def bound_report(
     if isinstance(v, CovMat):
         lam_min = np.linalg.eigvalsh(v.matrix)[0]
         if not lam_min > 0.0:
-            _rejected(lam_min, math.nan, 0.0)
+            _rejected(lam_min, math.nan, psd_tol)
         inv = invariants(v)
         form, scale = _standard_forms(*inv)[0], np.abs(v.matrix).max()
     else:

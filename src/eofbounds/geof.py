@@ -39,23 +39,22 @@ is the case n = 1):
 * a separable state (Werner & Wolf, PRL 86, 3658, 2001) has a product
   witness (r = 0), of value exactly 0.0.  On the curve Gx12 is
   (c1 + P12)/2 plus a sinusoid of amplitude sqrt(D11 D22)/2, D = Vx - P,
-  so it changes sign iff (c1 + P12)^2 <= D11 D22.  Its two zeros are the
+  so it changes sign iff (c1 + P12)^2 <= D11 D22.  Its zeros are
   diagonal Gx = diag(g11, g22) tangent to both Vx and P,
-  (a - g11)(b - g22) = c1^2 and (g11 - P11)(g22 - P22) = P12^2, which
-  are solved in closed form (the curve is not built); both are certified
-  in one call, and the first that passes is kept;
+  (a - g11)(b - g22) = c1^2 and (g11 - P11)(g22 - P22) = P12^2; one of
+  them is solved in closed form, and the curve is not built;
 * every other state evaluates rho at the angles theta = 2 arctan t of the
   real parts of the four roots of its quartic, the eigenvalues of one
   (n, 4, 4) companion matrix, and keeps the least.  Taking the real part
   of a complex pair costs an evaluation and loses no real root.
 
-So at most 6 witnesses are evaluated per state: 1 or 2 for a state
-certified by a product witness, its product witnesses (0 or 2) plus 4
-angles for every other.  A value is kept only if its witness G, rebuilt
-from its row (s_a, s_b, r), passes V - G >= -allowance: for
-G = Gx (+) Gx^-1, two 2x2 tests on Vx - Gx and Vp - Gx^-1 (`_certified`).
-A candidate left inf or NaN by overflow fails it too, under the search's
-one floating-point policy (`_geof_forms`).
+So each state has one candidate: 1 evaluation for a separable state, 4
+for every other.  All candidates are certified together.  A value is kept
+only if its witness G, rebuilt from its row (s_a, s_b, r), passes
+V - G >= -allowance; for G = Gx (+) Gx^-1 that is two 2x2 tests on
+Vx - Gx and Vp - Gx^-1 (`_certified`).  A state whose candidate fails has
+no GeoF.  A candidate left inf or NaN by overflow fails too, under the
+search's one floating-point policy (`_geof_forms`).
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ class GeofResult:
     covariance matrix achieving `value`; they refer to the standard-form
     frame stored in `reference_matrix`, which the search ran against.
     The reduction always returns theta_a = theta_b = 0.  `iterations`
-    counts the candidate witnesses evaluated: 1 or 2 product witnesses,
-    plus 4 angles on the curve where none certified.
+    counts the candidate witnesses evaluated: 1 product witness for a
+    separable state, 4 angles on the curve for every other.
     """
 
     value: float
@@ -94,7 +93,7 @@ class GeofResult:
 _HALF = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
 
 #: Machine epsilon, and the floor of the denominators of the product
-#: witnesses' tangency terms and of the quartic's leading coefficient.
+#: witness's tangency terms and of the quartic's leading coefficient.
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 #: Roundoff allowed per max(a, b)^3 by the certificate (`_certified`), and
 #: per scale^2 by the physicality test (`bounds._physical`): 16 eps.
@@ -112,7 +111,7 @@ _D2, _D4 = np.array((1.0, 2.0)), np.array((1.0, 2.0, 3.0, 4.0))
 
 def _curve(vx, p) -> np.ndarray:
     """Rows (f0, f1, f2) of Gx11, Gx22 and Gx12 on the curve, shape (3, n, 3), built only
-    where no product witness certified, from the Vx and P = Vp^-1 (2, 2, n) of `_geof_forms`."""
+    for the states that are not separable, from the Vx and P = Vp^-1 (2, 2, n) of `_geof_forms`."""
     vx, p = vx.transpose(2, 0, 1), p.transpose(2, 0, 1)
     w, q = np.linalg.eigh(vx - p)
     # Roundoff can leave Vx - P a hair indefinite for (near) pure states.
@@ -200,68 +199,60 @@ def _certified(a, b, c1, c2, witness, psd_tol: float) -> np.ndarray:
 def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
     """Gaussian EoF of physical standard forms (a, b, c1, c2), searched together.
 
-    Takes numpy arrays of n standard forms and returns, per state, the value
-    (NaN where no witness passed the certificate), the witness row
-    (s_a, s_b, r) of shape (n, 3), NaN where none passed, and the
-    witnesses evaluated.  `psd_tol` widens the certificate's allowance, as
-    in `_certified`.
+    Takes numpy arrays of n standard forms, picks one candidate Gx per state
+    (the product witness of a separable state, else the least-rho
+    stationary angle on the curve) and certifies all of them in one
+    `_certified` call.  Returns, per state, the value E(exp(-2|r|)) (NaN
+    where the candidate failed the certificate), the witness row
+    (s_a, s_b, r) of shape (n, 3), NaN where it failed, and the witnesses
+    evaluated, 1 or 4.  `psd_tol` widens the certificate's allowance, as in
+    `_certified`.
 
     One floating-point policy covers the search: overflow, invalid operations
     and division by zero are ignored, and the inf or NaN they leave in a
     candidate (on huge forms: the allowance max(a, b)^3, the product
-    witnesses' w, a vanishing g11 g22 on the curve; sqrt and log of a det Gx
+    witness's w, a vanishing g11 g22 on the curve; sqrt and log of a det Gx
     or entry that is not positive) fails the certificate like any other.
     `_stationary` hands `eigvals` only finite companion matrices.
     """
     a, b, c1, c2 = np.array((a, b, c1, c2), dtype=float).reshape(4, -1)
-    n = a.size
     vx = np.array(((a, c1), (c1, b)))
     p = np.array(((b, -c2), (-c2, a))) / (a * b - c2 * c2)
     d = vx - p
     dd = d[0, 0] * d[1, 1]
-    value, witness, evals = np.full(n, np.nan), np.full((n, 3), np.nan), np.zeros(n, dtype=np.int64)
-
-    def certify(k, g11, g22, g12):
-        """Witness rows of the matrices Gx = (g11, g22, g12) of states k, and which pass."""
-        trial = _parameters(g11, g22, g12)
-        return trial, _certified(a[k], b[k], c1[k], c2[k], trial, psd_tol)
+    # The candidate Gx = (g11, g22, g12) of each state.
+    g11, g22, g12 = np.zeros((3, a.size))
 
     # Separable states, where Gx12 changes sign on the curve: the product
-    # witnesses, a - g11 = D11 c1^2 / w and b - g22 = D22 c1^2 / w with
-    # w = (K + sqrt(K^2 - 4 D11 D22 c1^2))/2, each with its other entry
-    # from its tangency with P; 1 evaluation if the first passes, else 2.
-    k = ((c1 + p[0, 1]) ** 2 <= dd).nonzero()[0]
+    # witness a - g11 = D11 c1^2 / w with w = (K + sqrt(K^2 - 4 D11 D22 c1^2))/2,
+    # and g22 from its tangency with P.
+    separable = (c1 + p[0, 1]) ** 2 <= dd
+    k = separable.nonzero()[0]
     if k.size:
-        (p11, p22, p12), (d11, d22), dd = p[_ROW, _COL][:, k], d[(0, 1), (0, 1)][:, k], dd[k]
+        (p11, p22, p12), d11, dd = p[_ROW, _COL][:, k], d[0, 0, k], dd[k]
         c, q, s = c1[k], np.abs(p12), np.sqrt(dd)
         cc, qq = c * c, q * q
         # K^2 - 4 D11 D22 c1^2 with K = D11 D22 + c1^2 - P12^2, factored so
-        # that it keeps its digits where the two witnesses meet.
+        # that it keeps its digits near the PPT boundary, where it vanishes.
         disc = np.maximum((s - c - q) * (s - c + q), 0.0) * ((s + c) ** 2 - qq)
         # The floors make a tangency term that vanishes (c1 = 0, where w may
         # be 0, or P12 = 0) exactly 0, not 0/0.
         w = np.maximum((dd + cc - qq + np.sqrt(disc)) / 2.0, _TINY)
-        g11, g22 = a[k] - d11 * cc / w, b[k] - d22 * cc / w
-        g11, g22 = (np.concatenate((g11, p11 + qq / np.maximum(g22 - p22, _TINY))),
-                    np.concatenate((p22 + qq / np.maximum(g11 - p11, _TINY), g22)))
-        trial, passed = certify(np.concatenate((k, k)), g11, g22, np.zeros(2 * k.size))
-        pick = np.arange(k.size) + k.size * ~passed[:k.size]  # the first witness if it passed
-        evals[k], ok = 1 + (pick >= k.size), passed[pick]
-        won = k[ok]
-        witness[won], value[won] = trial[pick[ok]], 0.0
+        g11[k] = a[k] - d11 * cc / w
+        g22[k] = p22 + qq / np.maximum(g11[k] - p11, _TINY)
 
     # Every other state: the least rho of its stationary angles on the curve.
-    k = np.isnan(value).nonzero()[0]
+    k = (~separable).nonzero()[0]
     if k.size:
-        evals[k] += 4
         rows = _curve(vx[..., k], p[..., k])
-        g11, g22, g12 = _at(rows, _stationary(rows))
-        best = (np.arange(k.size), np.argmin(np.abs(g12) / np.sqrt(g11 * g22), axis=1))
-        trial, passed = certify(k, g11[best], g22[best], g12[best])
-        won, trial = k[passed], trial[passed]
-        witness[won] = trial
-        value[won] = entanglement_entropy_vec(np.exp(-2.0 * np.abs(trial[:, 2])))
-    return value, witness, evals
+        x11, x22, x12 = _at(rows, _stationary(rows))
+        best = (np.arange(k.size), np.argmin(np.abs(x12) / np.sqrt(x11 * x22), axis=1))
+        g11[k], g22[k], g12[k] = x11[best], x22[best], x12[best]
+
+    # One certificate for every candidate; a NaN witness row has a NaN value.
+    witness = _parameters(g11, g22, g12)
+    witness[~_certified(a, b, c1, c2, witness, psd_tol)] = np.nan
+    return entanglement_entropy_vec(np.exp(-2.0 * np.abs(witness[:, 2]))), witness, np.where(separable, 1, 4)
 
 
 class _CallableModule(types.ModuleType):

@@ -99,7 +99,7 @@ def unphysical_matrices():
     """
     v = np.array(StandardForm(1.2, 1.5, 0.3, -0.2).to_covmat().matrix)
     blocks = v * np.kron([[-1.0, 1.0], [1.0, -1.0]], np.ones((2, 2)))
-    not_positive = "matrix is not positive definite: min eigenvalue -1.685e+00"
+    not_positive = "min eigenvalue -1.685e+00 is not above psd_tol = 1e-10"
     return [(-v, not_positive), (blocks, not_positive),
             (0.5 * np.eye(4), "state violates the uncertainty bound: mu_minus = 0.5 < 1")]
 

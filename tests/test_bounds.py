@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eofbounds import bounds
-from eofbounds.bounds import _ROWS, BoundReport, _standard_bounds, bound_report
+from eofbounds.bounds import _ROWS, GEOF_TOL, BoundReport, _standard_bounds, bound_report
 from eofbounds.cli import main
 from eofbounds.entanglement import entanglement_entropy, entanglement_entropy_vec
 from eofbounds.errors import DomainError, NonPhysicalStateError
@@ -336,6 +336,48 @@ def test_sigma_is_best_channel_lower_bound(rng):
         assert (not delta_ok) or value_ok
 
 
+def local_channel(rng, kind):
+    """(X, Y) of W = X V X + Y for a random local channel of the given kind on
+    mode A, B or both: a pure-loss attenuator of transmissivity eta in
+    [0.05, 1], a quantum-limited amplifier of gain g in [1, 3], or added
+    noise Exp(0.5), each mode with its own parameter."""
+    x, y = np.ones(4), np.zeros(4)
+    for mode in ((0,), (1,), (0, 1))[rng.integers(3)]:
+        k = slice(2 * mode, 2 * mode + 2)
+        if kind == "attenuator":
+            eta = rng.uniform(0.05, 1.0)
+            x[k], y[k] = math.sqrt(eta), 1.0 - eta
+        elif kind == "amplifier":
+            g = rng.uniform(1.0, 3.0)
+            x[k], y[k] = math.sqrt(g), g - 1.0
+        else:
+            y[k] = rng.exponential(0.5)
+    return np.diag(x), np.diag(y)
+
+
+def test_local_gaussian_channels_never_raise_the_eof():
+    # The paper's premise: no local channel raises the EoF.  So every lower
+    # bound of W = X V X + Y is at most every upper bound of V, and the GeoF
+    # of W at most that of V.  eeof is an estimator, not a bound: not checked.
+    rng = np.random.default_rng(41)
+    lows, highs = ("lower_natural", "lower_sigma"), ("upper_natural", "upper_searched", "geof")
+    certified = 0
+    for _ in range(500):
+        sf = random_standard_form(rng, a_max=6.0, entangled=True)
+        v = sf.to_covmat().conjugate(random_local_symplectic(rng, 0.5))
+        before = bound_report(v)
+        for kind in ("attenuator", "amplifier", "noise"):
+            x, y = local_channel(rng, kind)
+            after = bound_report(CovMat(x @ v.matrix @ x + y))
+            uppers = [getattr(before, name) for name in highs if getattr(before, name) is not None]
+            for name in lows:
+                assert getattr(after, name) <= min(uppers) + GEOF_TOL, (sf, kind, name, after, before)
+            if after.geof is not None and before.geof is not None:
+                assert after.geof <= before.geof + GEOF_TOL, (sf, kind, after.geof, before.geof)
+                certified += 1
+    assert certified > 1400
+
+
 def test_report_rejects_unphysical():
     with pytest.raises(NonPhysicalStateError):
         bound_report(CovMat.from_standard_form(1.0, 1.0, 0.4, -0.4))
@@ -369,7 +411,7 @@ def test_check_rejects_non_positive_and_subvacuum_matrices():
     v = CovMat.from_standard_form(1.2, 1.5, 0.3, -0.2)
     for m, message in unphysical_matrices():
         w = CovMat(m)
-        if "positive" in message:
+        if "psd_tol" in message:
             assert invariants(w) == invariants(v)
             physical, _, _ = _standard_bounds(*_standard_forms(*invariants(w))[0])
             assert physical

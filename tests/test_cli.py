@@ -195,6 +195,22 @@ def test_analyze_non_positive_and_subvacuum_matrices_exit_3(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: unphysical input: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["standard_form", "matrix"])
+def test_positivity_message_names_psd_tol(tmp_path, capsys, kind):
+    # A pure TMSV with r = 5 has least eigenvalue e^-10 = 4.5e-5 > 0: it passes
+    # at the default --tol-psd, and at 1e-3 the message names the tolerance
+    # the eigenvalue is not above, not a sign it does not have.
+    ch, sh = math.cosh(10.0), math.sinh(10.0)
+    doc = ({"matrix": CovMat.from_standard_form(ch, ch, sh, -sh).matrix.tolist()} if kind == "matrix"
+           else {"standard_form": {"a": ch, "b": ch, "c1": sh, "c2": -sh}})
+    path = write(tmp_path, "in.json", doc)
+    assert main(["analyze", "--input", path]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--input", path, "--tol-psd", "1e-3"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: unphysical input: min eigenvalue 4.540e-05 is not above psd_tol = 0.001\n")
+
+
 def test_analyze_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -892,11 +908,28 @@ INV = {"I1": 1.44, "I2": 1.44, "I3": -0.2, "I4": 0.576}
     ("scan", {"i2": {"min": 1, "max": 2, "step": 5}}, "unknown i2 keys: ['step']"),
     ("scan", {"I1": {"min": 1, "max": 2, "steps": 2}, "i1": {"min": 1, "max": 3, "steps": 3}},
      "scan keys differ only in case: ['I1', 'i1']"),
+    ("analyze", [{"standard_form": SF}], "input document must be a JSON object"),
+    ("scan", [], "input document must be a JSON object"),
+    ("analyze", {"standard_form": list(SF.values())}, "'standard_form' must be an object"),
+    ("analyze", {"invariants": 1.44}, "'invariants' must be an object"),
+    ("analyze", {"standard_form": {k: SF[k] for k in ("a", "b", "c1")}},
+     "standard_form missing keys: ['c2']"),
+    ("analyze", {"invariants": {k: INV[k] for k in ("I1", "I2", "I3")}},
+     "invariants missing keys: ['I4']"),
+    ("scan", {"i1": 5}, "'i1' must be an object with min/max/steps"),
+    ("scan", {"i1": {"min": 1, "max": 2, "steps": 0}}, "i1.steps must be a positive integer"),
+    ("scan", {"i1": {"min": 1, "max": 2, "steps": True}}, "i1.steps must be a positive integer"),
+    ("scan", {"i2": {"min": 1, "max": 2, "steps": 2.5}}, "i2.steps must be a positive integer"),
+    ("scan", {"i1": {"min": 2, "max": 1, "steps": 3}}, "i1: max < min"),
+    ("scan", {"geof": "yes"}, "'geof' toggle must be a boolean"),
 ], ids=["analyze-top", "standard_form", "invariants", "invariants-case", "axis-typo", "axis-i2",
-        "scan-case"])
+        "scan-case", "analyze-list", "scan-list", "standard_form-list", "invariants-number",
+        "standard_form-missing-c2", "invariants-missing-i4", "axis-number", "steps-zero", "steps-true",
+        "steps-float", "max-below-min", "geof-string"])
 def test_unknown_or_case_colliding_keys_exit_2(tmp_path, capsys, command, doc, message):
     # No key is dropped or overwritten silently: a typo would fall back to a
     # default, and of two keys that lower-case alike only the later would count.
+    # Every other malformed document is rejected the same way, by name.
     assert main([command, "--input", write(tmp_path, "doc.json", doc)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -960,13 +993,15 @@ def test_scan_axis_whose_span_overflows_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ('{"i1": {"steps": 1%s}}' % ("0" * 5000), "Exceeds the limit (4300 digits)"),
     ('{"matrix": %s%s}' % ("[" * 100_000, "]" * 100_000), "maximum recursion depth exceeded"),
-], ids=["int-over-4300-digits", "nested-100000-deep"])
+    ('\ufeff{"standard_form": {"a": 1.2, "b": 1.5, "c1": 0.3, "c2": -0.2}}',
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+], ids=["int-over-4300-digits", "nested-100000-deep", "utf-8-bom"])
 @pytest.mark.parametrize("command", ["analyze", "scan"])
 def test_json_the_decoder_raises_on_is_invalid(tmp_path, capsys, command, text, message):
-    # The decoder raises a plain ValueError or a RecursionError for these,
-    # not a JSONDecodeError.
+    # The decoder raises a plain ValueError or a RecursionError for the first
+    # two, not a JSONDecodeError; a BOM is rejected as json.loads rejects it.
     path = tmp_path / "doc.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main([command, "--input", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith(f"error: invalid JSON in {path}: {message}")

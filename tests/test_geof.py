@@ -244,28 +244,25 @@ def random_standard_forms(seed, n):
 
 @pytest.mark.parametrize("forms", [grid_forms(40, -0.2), random_standard_forms(29, 2000)],
                          ids=["readme-grid", "random-forms"])
-def test_at_most_six_angles_per_state(forms):
-    # At most 2 product witnesses, then the 4 roots of the quartic unless
-    # a product witness certified.
+def test_one_candidate_per_state(forms):
+    # One product witness where it certifies, else the 4 roots of the
+    # quartic: 1 evaluation or 4, never both.
     value, witness, evals = _geof_forms(*forms)
-    assert not np.isnan(value).any() and evals.max() <= 6
-    product = evals <= 2
-    assert np.all(evals[product] >= 1)
-    assert np.all(value[product] == 0.0) and np.all(witness[product, 2] == 0.0)
-    assert np.all(np.isin(evals[~product] - 4, (0, 2)))
+    assert not np.isnan(value).any()
+    product = (value == 0.0) & (witness[:, 2] == 0.0)
+    assert np.all(evals[product] == 1) and np.all(evals[~product] == 4)
     _, entangled, _ = _standard_bounds(*forms)
     assert not np.any(product & entangled)
     assert np.any(product) and np.any(entangled)
 
 
 def assert_product_witnesses(forms, psd_tol=PSD_TOL):
-    """Every form certifies a product witness: value exactly 0.0, r = 0 and G <= V."""
+    """Every form certifies its one product witness: value exactly 0.0, r = 0 and G <= V."""
     value, witness, evals = _geof_forms(*forms, psd_tol)
     assert not np.isnan(value).any() and np.all(value == 0.0) and np.all(witness[:, 2] == 0.0)
-    assert np.all((evals == 1) | (evals == 2))
+    assert np.all(evals == 1)
     gamma = pure_cms_from_parameters(padded(witness))
     assert np.all(np.linalg.eigvalsh(standard_matrices(forms) - gamma)[:, 0] >= -PSD_TOL)
-    return evals
 
 
 def test_degenerate_product_states_certify_the_first_witness():
@@ -273,11 +270,12 @@ def test_degenerate_product_states_certify_the_first_witness():
     # g11 = P11 (a vacuum mode), and with c1 = 0 so is D11 c1^2/w at w = 0.
     forms = np.array([(1.0, 1.0, 0.0, 0.0), (1.0, 3.0, 0.0, 0.0), (3.0, 1.0, 0.0, 0.0),
                       (1.0, 1.0 + 1e-12, 0.0, 0.0), (2.5, 1.7, 0.0, 0.0)]).T
-    assert np.all(assert_product_witnesses(forms) == 1)
+    assert_product_witnesses(forms)
 
 
 def test_separable_state_at_the_ppt_boundary():
-    # (2, 2, c1, -c1) has nu_t = 2 - c1: the two product witnesses meet.
+    # (2, 2, c1, -c1) has nu_t = 2 - c1: on the PPT boundary the zeros of Gx12
+    # on the curve meet, and the product witness is the only pure G <= V.
     forms = np.array([(2.0, 2.0, c1, -c1) for c1 in (1.0, 1.0 - 1e-10, 1.0 - 5e-10, 1.0 - 9e-10)]).T
     _, entangled, table = _standard_bounds(*forms)
     nu_t = table[_ROWS.index("nu_t")]
@@ -342,6 +340,18 @@ def test_product_witnesses_need_no_curve(monkeypatch):
     assert_product_witnesses(random_standard_forms(5, 40)[:, 1::2])  # the separable ones
     with pytest.raises(AssertionError, match="_curve called"):
         _geof_forms(*random_standard_forms(5, 2))
+
+
+def test_a_rejected_product_witness_is_not_available(monkeypatch):
+    # A separable state has one candidate: where the certificate rejects it,
+    # the state has no GeoF after 1 evaluation, and the curve is not searched.
+    def curve(*args):
+        raise AssertionError("_curve called on a separable state")
+
+    monkeypatch.setattr(geof_module, "_curve", curve)
+    monkeypatch.setattr(geof_module, "_certified", lambda a, *args: np.zeros(np.shape(a), dtype=bool))
+    value, witness, evals = _geof_forms(*random_standard_forms(5, 40)[:, 1::2])
+    assert np.isnan(value).all() and np.isnan(witness).all() and np.all(evals == 1)
 
 
 def test_geof_submodule_import_gives_the_module():

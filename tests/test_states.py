@@ -46,6 +46,8 @@ def test_covmat_blocks():
 def test_covmat_shape_check():
     with pytest.raises(DomainError):
         CovMat(np.eye(3))
+    with pytest.raises(DomainError, match="^covariance matrix contains non-finite entries$"):
+        CovMat(np.full((4, 4), np.nan))
 
 
 def test_invariants_product_state():
