@@ -45,8 +45,9 @@ is the case n = 1):
   them is solved in closed form, and the curve is not built;
 * every other state evaluates rho at the angles theta = 2 arctan t of the
   real parts of the four roots of its quartic, the eigenvalues of one
-  (n, 4, 4) companion matrix, and keeps the least.  Taking the real part
-  of a complex pair costs an evaluation and loses no real root.
+  (n, 4, 4) companion matrix, and keeps the least rho that is not NaN
+  (g11 g22 < 0 at an angle makes its rho NaN).  Taking the real part of a
+  complex pair costs an evaluation and loses no real root.
 
 So each state has one candidate: 1 evaluation for a separable state, 4
 for every other.  All candidates are certified together.  A value is kept
@@ -61,31 +62,11 @@ from __future__ import annotations
 
 import sys
 import types
-from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import entanglement_entropy_vec
 from .symplectic import PSD_TOL
-
-
-@dataclass(frozen=True)
-class GeofResult:
-    """Outcome of the benchmark's module call `eofbounds.geof(v)`.
-
-    `argmin_parameters` are (theta_a, s_a, theta_b, s_b, r) for the pure
-    covariance matrix achieving `value`; they refer to the standard-form
-    frame stored in `reference_matrix`, which the search ran against.
-    The reduction always returns theta_a = theta_b = 0.  `iterations`
-    counts the candidate witnesses evaluated: 1 product witness for a
-    separable state, 4 angles on the curve for every other.
-    """
-
-    value: float
-    argmin_parameters: np.ndarray
-    feasible: bool
-    iterations: int
-    reference_matrix: np.ndarray | None = None
 
 
 #: (1 + t^2) (f0 + f1 cos theta + f2 sin theta) = f @ _HALF, a quadratic in
@@ -241,12 +222,14 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
         g11[k] = a[k] - d11 * cc / w
         g22[k] = p22 + qq / np.maximum(g11[k] - p11, _TINY)
 
-    # Every other state: the least rho of its stationary angles on the curve.
+    # Every other state: the least rho of its stationary angles on the curve,
+    # skipping NaN, which np.argmin would return first.
     k = (~separable).nonzero()[0]
     if k.size:
         rows = _curve(vx[..., k], p[..., k])
         x11, x22, x12 = _at(rows, _stationary(rows))
-        best = (np.arange(k.size), np.argmin(np.abs(x12) / np.sqrt(x11 * x22), axis=1))
+        rho = np.abs(x12) / np.sqrt(x11 * x22)
+        best = (np.arange(k.size), np.argmin(np.where(rho >= 0.0, rho, np.inf), axis=1))
         g11[k], g22[k], g12[k] = x11[best], x22[best], x12[best]
 
     # One certificate for every candidate; a NaN witness row has a NaN value.
@@ -258,23 +241,33 @@ def _geof_forms(a, b, c1, c2, psd_tol: float = PSD_TOL):
 class _CallableModule(types.ModuleType):
     """This module, callable as `eofbounds.geof(v)` for the benchmark (bench/selftest.py)."""
 
-    def __call__(self, v, psd_tol: float = PSD_TOL) -> GeofResult:
+    def __call__(self, v, psd_tol: float = PSD_TOL) -> types.SimpleNamespace:
         """The GeoF of v and its padded witness, the benchmark's only entry.
 
         The library's GeoF is `bound_report(v).geof`, with its witness
         `geof_witness`.  This call is kept until ROADMAP item 1 moves the
-        benchmark to the report and deletes it and `GeofResult`.  It checks
-        and reduces v by `bound_report(v, False, psd_tol)`, then runs
-        `_geof_forms` at n = 1; where no witness passes, the result is
-        infeasible with value inf.
+        benchmark to the report and deletes it.  It checks and reduces v by
+        `bound_report(v, False, psd_tol)`, runs `_geof_forms` at n = 1 and
+        returns a namespace of five attributes:
+
+        * `value`: the GeoF, or inf where no witness passes;
+        * `argmin_parameters`: (theta_a, s_a, theta_b, s_b, r) of the pure
+          witness TMSV(r) conjugated by R(theta) diag(e^s, e^-s) on each
+          mode, in the frame of `reference_matrix`; theta_a = theta_b = 0,
+          and s_a, s_b, r are NaN where no witness passes;
+        * `feasible`: whether a witness passed;
+        * `iterations`: the witnesses evaluated, 1 for a separable state
+          and 4 for every other;
+        * `reference_matrix`: the standard-form covariance matrix searched.
         """
         from .bounds import bound_report  # bounds imports this module
 
         sf = bound_report(v, False, psd_tol).standard_form
         value, witness, evals = _geof_forms(*sf, psd_tol)
         feasible = not np.isnan(value[0])
-        return GeofResult(float(value[0]) if feasible else np.inf, np.insert(witness[0], (0, 1), 0.0),
-                          feasible, int(evals[0]), sf.to_covmat().matrix)
+        return types.SimpleNamespace(
+            value=float(value[0]) if feasible else np.inf, argmin_parameters=np.insert(witness[0], (0, 1), 0.0),
+            feasible=feasible, iterations=int(evals[0]), reference_matrix=sf.to_covmat().matrix)
 
 
 sys.modules[__name__].__class__ = _CallableModule

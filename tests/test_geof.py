@@ -2,6 +2,7 @@ import importlib
 import math
 import types
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -367,17 +368,51 @@ def test_geof_submodule_import_gives_the_module():
 def test_module_call_is_the_report(monkeypatch):
     # The benchmark's entry, the module call, gives the report's GeoF, its
     # witness padded with zero angles and its standard form, bit for bit,
-    # and is infeasible with value inf where the report has none.
+    # and is infeasible with value inf where the report has none.  It is a
+    # record of exactly five attributes, rebuilt from them as
+    # bench/selftest.py does, and counts 1 witness for a product witness
+    # (r = 0) and 4 for every other.
     states = [v for _, _, v in general_frame_corpus(13, 30)] + random_forms(19, 20)
     for v in states:
         rep, res = bound_report(v), geof_module(v)
+        assert set(vars(res)) == {"value", "argmin_parameters", "feasible", "iterations", "reference_matrix"}
+        assert type(res)(**vars(res)) == res
         assert res.feasible and res.value == rep.geof
         assert np.array_equal(res.argmin_parameters, np.insert(rep.geof_witness, (0, 1), 0.0))
         assert np.array_equal(res.reference_matrix, rep.standard_form.to_covmat().matrix)
+        assert res.iterations == (1 if rep.geof_witness[2] == 0.0 else 4)
     monkeypatch.setattr(geof_module, "_certified", lambda a, *args: np.zeros(np.shape(a), dtype=bool))
     rep, res = bound_report(states[1]), geof_module(states[1])
     assert (rep.geof, rep.geof_witness) == (None, None)
     assert res.value == math.inf and res.feasible is False
+
+
+def test_amplified_tmsv_states_certify_the_least_rho_that_is_not_nan():
+    # TMSV(r) through a quantum-limited amplifier of gain g on mode B:
+    # a = cosh 2r, b = g cosh 2r + g - 1, c1 = -c2 = sqrt(g) sinh 2r.  At
+    # g >= 1e7 some stationary angles have g11 g22 < 0, so a NaN rho, which
+    # np.argmin would pick.  Every state has a witness, and each one, rebuilt
+    # from its row (s_a, s_b, r) in 50-digit arithmetic, is below V up to
+    # 1e-12 (entries reach 1e10): an independent check, since _certified
+    # allows about eps max(a, b)^3 here.
+    rng = np.random.default_rng(1)
+    r = rng.uniform(0.05, 2.0, 300)
+    g = np.exp(rng.uniform(math.log(1e7), math.log(1e9), 300))
+    a, b, c1 = np.cosh(2 * r), g * np.cosh(2 * r) + g - 1, np.sqrt(g) * np.sinh(2 * r)
+    value, witness, evals = _geof_forms(a, b, c1, -c1)
+    assert not np.isnan(value).any() and np.all(evals == 4)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for form, row in zip(zip(a, b, c1), witness):
+            (a_, b_, c_), (s_a, s_b, r_) = map(Decimal, form), map(Decimal, row)
+            e = (2 * r_).exp()
+            ch, sh = (e + 1 / e) / 2, (e - 1 / e) / 2
+            ea, eb = (2 * s_a).exp(), (2 * s_b).exp()
+            root = (ea * eb).sqrt()
+            for d11, d22, d12 in ((a_ - ch * ea, b_ - ch * eb, c_ - sh * root),
+                                  (a_ - ch / ea, b_ - ch / eb, sh / root - c_)):
+                least = (d11 + d22 - ((d11 - d22) ** 2 + 4 * d12 * d12).sqrt()) / 2
+                assert least >= Decimal("-1e-12"), (form, row, least)
 
 
 def test_never_above_dense_angle_grid():
